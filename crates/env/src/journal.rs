@@ -13,7 +13,8 @@
 //!
 //! # File format (version 1)
 //!
-//! A plain text file, one record per line, dependency-free:
+//! A [`crate::recordlog`] schema — the log owns the header, newline-gated
+//! commit, torn-tail repair, fsync cadence, and the hex float codec:
 //!
 //! ```text
 //! asdex-journal v1
@@ -21,7 +22,6 @@
 //! E c=0 cap=3 u=3fe0...,3fe8... x=3fe0...,3fe8... m=4010...,c008... v=0000000000000000 fz=1 k=- s=1
 //! ```
 //!
-//! * Line 1 is the version header.
 //! * Line 2 (`M …`) carries campaign metadata as whitespace-free
 //!   `key=value` pairs — enough for a CLI to rebuild the same problem,
 //!   agent, and seed without any other input.
@@ -29,109 +29,25 @@
 //!   cap `cap`, the requested normalized point `u`, and the full
 //!   [`Evaluation`] (snapped point `x`, measurements `m` (`-` when the
 //!   simulation failed), value `v`, feasibility `fz`, terminal failure
-//!   kind `k` (`-` on success), and simulator cost `s`). Every `f64` is
-//!   serialized as the 16-hex-digit big-endian form of its IEEE-754 bits,
-//!   so round-trips are exact and replay is bitwise faithful.
+//!   kind `k` (`-` on success), and simulator cost `s`). An unknown key
+//!   is corruption.
 //!
-//! Records are appended with a single `write` each and fsync'd every
-//! `checkpoint_every` records (and on [`Journal::checkpoint`]), so a
-//! `SIGKILL` can tear at most the final line. [`Journal::resume`]
-//! tolerates exactly that: an unterminated final line is truncated away
-//! before appending continues.
+//! The log fsyncs every `checkpoint_every` records and on
+//! [`Journal::checkpoint`].
 
 use crate::problem::Evaluation;
+use crate::recordlog::{
+    f64_from_hex, f64_list_from_hex, field_safe, hex_f64, hex_f64_list, split_record, unparseable,
+    DiskFault, LogFormat, RecordError, RecordLog,
+};
 use crate::stats::FailureKind;
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Version header on the first line of every journal file.
-const VERSION_HEADER: &str = "asdex-journal v1";
+static JOURNAL: LogFormat = LogFormat { name: "journal", header: "asdex-journal v1" };
 
-/// Which storage operation a seeded [`DiskFault`] sabotages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskFaultKind {
-    /// The append fails outright before any byte lands (ENOSPC-style).
-    WriteError,
-    /// The append writes a prefix of the record and then fails — the
-    /// on-disk shape of a torn tail, produced while the process lives.
-    ShortWrite,
-    /// `fsync` fails; buffered bytes may or may not be durable.
-    FsyncError,
-}
-
-impl DiskFaultKind {
-    /// Stable label for error messages and metrics.
-    pub fn label(self) -> &'static str {
-        match self {
-            DiskFaultKind::WriteError => "write-error",
-            DiskFaultKind::ShortWrite => "short-write",
-            DiskFaultKind::FsyncError => "fsync-error",
-        }
-    }
-}
-
-/// A seeded, deterministic disk-fault injector for the journal and
-/// manifest write paths.
-///
-/// Whether an operation fails is a pure function of `(seed, salt, op
-/// index)` — the same campaign with the same fault config fails at the
-/// same operations on every run, so chaos tests are reproducible. `salt`
-/// is derived from the file name, so two journals under one config fail
-/// on *different* schedules (one campaign's storage can die while its
-/// neighbors stay healthy).
-#[derive(Debug, Clone, Copy)]
-pub struct DiskFault {
-    /// Which operation class to sabotage.
-    pub kind: DiskFaultKind,
-    /// Probability in `[0, 1]` that a given operation fails.
-    pub rate: f64,
-    /// Seed for the per-operation decision hash.
-    pub seed: u64,
-}
-
-impl DiskFault {
-    /// A fault of `kind` firing at `rate` under `seed`.
-    pub fn new(kind: DiskFaultKind, rate: f64, seed: u64) -> DiskFault {
-        DiskFault { kind, rate, seed }
-    }
-
-    /// Deterministic per-operation decision (splitmix64 over seed, salt,
-    /// and the operation index).
-    pub fn fires(&self, salt: u64, op: u64) -> bool {
-        let mut z = self
-            .seed
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(salt.rotate_left(17))
-            .wrapping_add(op.wrapping_mul(0xbf58476d1ce4e5b9));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
-        let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-        unit < self.rate
-    }
-
-    /// The injected error for a firing operation.
-    fn error(&self) -> std::io::Error {
-        std::io::Error::new(
-            std::io::ErrorKind::StorageFull,
-            format!("injected disk fault ({})", self.kind.label()),
-        )
-    }
-}
-
-/// FNV-1a over a path's file name: the per-file salt for [`DiskFault`].
-pub fn path_salt(path: &Path) -> u64 {
-    let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-    let mut hash = 0xcbf29ce484222325u64;
-    for byte in name.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
+/// Why a journal could not be created, resumed, or appended to.
+pub type JournalError = RecordError;
 
 /// Campaign metadata stored on the journal's second line: ordered
 /// `key=value` string pairs (keys and values are sanitized to be
@@ -148,14 +64,12 @@ impl JournalMeta {
         JournalMeta::default()
     }
 
-    /// Sets `key` to `value` (replacing an existing entry). Whitespace in
-    /// either is replaced with `_` so the on-disk line stays parseable.
+    /// Sets `key` to `value` (replacing an existing entry). Whitespace and
+    /// `=` in either are replaced with `_` so the on-disk line stays
+    /// parseable.
     pub fn set(&mut self, key: &str, value: &str) {
-        let clean = |s: &str| {
-            s.chars().map(|c| if c.is_whitespace() || c == '=' { '_' } else { c }).collect::<String>()
-        };
-        let key = clean(key);
-        let value = clean(value);
+        let key = field_safe(key);
+        let value = field_safe(value);
         if let Some(entry) = self.pairs.iter_mut().find(|(k, _)| *k == key) {
             entry.1 = value;
         } else {
@@ -175,7 +89,7 @@ impl JournalMeta {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
-    /// The `M …` line (without trailing newline).
+    /// The `M …` line, newline included.
     fn to_line(&self) -> String {
         let mut line = String::from("M");
         for (k, v) in &self.pairs {
@@ -184,75 +98,18 @@ impl JournalMeta {
             line.push('=');
             line.push_str(v);
         }
+        line.push('\n');
         line
     }
 
     /// Parses an `M …` line.
     fn parse(line: &str) -> Option<JournalMeta> {
-        let mut parts = line.split_whitespace();
-        if parts.next()? != "M" {
-            return None;
+        match split_record(line)? {
+            ("M", fields) => Some(JournalMeta {
+                pairs: fields.pairs().iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            }),
+            _ => None,
         }
-        let mut meta = JournalMeta::new();
-        for tok in parts {
-            let (k, v) = tok.split_once('=')?;
-            meta.pairs.push((k.to_string(), v.to_string()));
-        }
-        Some(meta)
-    }
-}
-
-/// Why a journal could not be created or resumed.
-#[derive(Debug)]
-pub enum JournalError {
-    /// The underlying file operation failed.
-    Io(std::io::Error),
-    /// The file's version header is missing or from an unknown version.
-    Version {
-        /// What the first line actually contained.
-        found: String,
-    },
-    /// A line in the interior of the file (i.e. not a torn tail) did not
-    /// parse.
-    Format {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
-    /// A write or fsync on an *open* journal failed — the typed surface
-    /// for mid-campaign storage trouble (disk full, injected fault),
-    /// carrying which operation failed.
-    Storage {
-        /// The operation that failed (`append`, `fsync`).
-        op: &'static str,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
-            JournalError::Version { found } => {
-                write!(f, "not an asdex journal (expected `{VERSION_HEADER}`, found `{found}`)")
-            }
-            JournalError::Format { line, reason } => {
-                write!(f, "corrupt journal at line {line}: {reason}")
-            }
-            JournalError::Storage { op, source } => {
-                write!(f, "journal storage error during {op}: {source}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
     }
 }
 
@@ -270,41 +127,12 @@ type ReplayKey = (Vec<u64>, usize, usize);
 /// served back in request order without touching the simulator.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    file: File,
+    log: RecordLog,
     meta: JournalMeta,
     replay: HashMap<ReplayKey, VecDeque<Evaluation>>,
     replayed: usize,
     recorded: usize,
-    pending: usize,
-    checkpoint_every: usize,
-    disk_fault: Option<DiskFault>,
-    salt: u64,
-    write_ops: u64,
-    sync_ops: u64,
     dropped: usize,
-}
-
-fn fmt_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn parse_hex_f64(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-fn fmt_list(xs: &[f64]) -> String {
-    xs.iter().map(|v| fmt_f64(*v)).collect::<Vec<_>>().join(",")
-}
-
-fn parse_list(s: &str) -> Option<Vec<f64>> {
-    if s.is_empty() {
-        return Some(Vec::new());
-    }
-    s.split(',').map(parse_hex_f64).collect()
 }
 
 fn fmt_eval_line(u: &[f64], corner_idx: usize, cap: usize, e: &Evaluation) -> String {
@@ -312,10 +140,10 @@ fn fmt_eval_line(u: &[f64], corner_idx: usize, cap: usize, e: &Evaluation) -> St
         "E c={} cap={} u={} x={} m={} v={} fz={} k={} s={}\n",
         corner_idx,
         cap,
-        fmt_list(u),
-        fmt_list(&e.x_norm),
-        e.measurements.as_deref().map_or_else(|| "-".to_string(), fmt_list),
-        fmt_f64(e.value),
+        hex_f64_list(u),
+        hex_f64_list(&e.x_norm),
+        e.measurements.as_deref().map_or_else(|| "-".to_string(), hex_f64_list),
+        hex_f64(e.value),
         usize::from(e.feasible),
         e.failure.map_or("-", FailureKind::label),
         e.sim_cost,
@@ -323,52 +151,34 @@ fn fmt_eval_line(u: &[f64], corner_idx: usize, cap: usize, e: &Evaluation) -> St
 }
 
 fn parse_eval_line(line: &str) -> Option<(ReplayKey, Evaluation)> {
-    let mut parts = line.split_whitespace();
-    if parts.next()? != "E" {
+    let (tag, f) = split_record(line)?;
+    // Exactly the nine keys below: an unknown key is corruption.
+    if tag != "E" || f.pairs().len() != 9 {
         return None;
     }
-    let mut corner = None;
-    let mut cap = None;
-    let mut u = None;
-    let mut x = None;
-    let mut m = None;
-    let mut v = None;
-    let mut fz = None;
-    let mut k = None;
-    let mut s = None;
-    for tok in parts {
-        let (key, val) = tok.split_once('=')?;
-        match key {
-            "c" => corner = Some(val.parse::<usize>().ok()?),
-            "cap" => cap = Some(val.parse::<usize>().ok()?),
-            "u" => u = Some(parse_list(val)?),
-            "x" => x = Some(parse_list(val)?),
-            "m" => {
-                m = Some(if val == "-" { None } else { Some(parse_list(val)?) });
-            }
-            "v" => v = Some(parse_hex_f64(val)?),
-            "fz" => {
-                fz = Some(match val {
-                    "0" => false,
-                    "1" => true,
-                    _ => return None,
-                })
-            }
-            "k" => {
-                k = Some(if val == "-" { None } else { Some(FailureKind::from_label(val)?) });
-            }
-            "s" => s = Some(val.parse::<usize>().ok()?),
-            _ => return None,
-        }
-    }
-    let key = (u?.iter().map(|f| f.to_bits()).collect(), corner?, cap?);
+    let u = f64_list_from_hex(f.get("u")?)?;
+    let key = (
+        u.iter().map(|v| v.to_bits()).collect(),
+        f.get("c")?.parse().ok()?,
+        f.get("cap")?.parse().ok()?,
+    );
     let eval = Evaluation {
-        x_norm: x?,
-        measurements: m?,
-        value: v?,
-        feasible: fz?,
-        failure: k?,
-        sim_cost: s?,
+        x_norm: f64_list_from_hex(f.get("x")?)?,
+        measurements: match f.get("m")? {
+            "-" => None,
+            m => Some(f64_list_from_hex(m)?),
+        },
+        value: f64_from_hex(f.get("v")?)?,
+        feasible: match f.get("fz")? {
+            "0" => false,
+            "1" => true,
+            _ => return None,
+        },
+        failure: match f.get("k")? {
+            "-" => None,
+            k => Some(FailureKind::from_label(k)?),
+        },
+        sim_cost: f.get("s")?.parse().ok()?,
     };
     Some((key, eval))
 }
@@ -387,25 +197,8 @@ impl Journal {
         meta: JournalMeta,
         checkpoint_every: usize,
     ) -> Result<Journal, JournalError> {
-        let mut file =
-            OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
-        file.write_all(format!("{VERSION_HEADER}\n{}\n", meta.to_line()).as_bytes())?;
-        file.sync_data()?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            file,
-            meta,
-            replay: HashMap::new(),
-            replayed: 0,
-            recorded: 0,
-            pending: 0,
-            checkpoint_every: checkpoint_every.max(1),
-            disk_fault: None,
-            salt: path_salt(path),
-            write_ops: 0,
-            sync_ops: 0,
-            dropped: 0,
-        })
+        let log = RecordLog::create(path, &JOURNAL, &meta.to_line(), checkpoint_every)?;
+        Ok(Journal { log, meta, replay: HashMap::new(), replayed: 0, recorded: 0, dropped: 0 })
     }
 
     /// Opens an existing journal for resumption: parses every record into
@@ -415,98 +208,38 @@ impl Journal {
     /// # Errors
     ///
     /// * [`JournalError::Io`] when the file cannot be read or reopened.
-    /// * [`JournalError::Version`] when the header is missing or unknown.
+    /// * [`JournalError::Version`] when the header is unknown.
     /// * [`JournalError::Format`] when an interior line is corrupt (torn
-    ///   tails are repaired, interior corruption is not).
+    ///   tails are repaired, interior corruption is not) or the metadata
+    ///   line is missing.
     pub fn resume(path: &Path, checkpoint_every: usize) -> Result<Journal, JournalError> {
-        let mut text = String::new();
-        File::open(path)?.read_to_string(&mut text)?;
+        let mut meta = None;
         let mut replay: HashMap<ReplayKey, VecDeque<Evaluation>> = HashMap::new();
-        let mut meta: Option<JournalMeta> = None;
-        let mut valid_end = 0usize;
-        let mut offset = 0usize;
-        let mut line_no = 0usize;
-        let mut entries = 0usize;
-        for raw in text.split_inclusive('\n') {
-            offset += raw.len();
-            line_no += 1;
-            let complete = raw.ends_with('\n');
-            let body = raw.trim_end_matches(['\n', '\r']);
-            let last = offset == text.len();
-            let ok = match line_no {
-                1 => {
-                    if body != VERSION_HEADER {
-                        return Err(JournalError::Version { found: body.to_string() });
-                    }
-                    true
-                }
-                2 => match JournalMeta::parse(body) {
-                    Some(m) => {
-                        if complete {
-                            meta = Some(m);
-                        }
-                        true
-                    }
-                    None => false,
-                },
-                // A line torn at a field boundary can still parse (e.g. a
-                // measurement list cut at a chunk edge reads as a shorter
-                // valid list), so a record is only committed to the
-                // replay map once its newline proves the write finished.
-                _ => match parse_eval_line(body) {
-                    Some((key, eval)) => {
-                        if complete {
-                            replay.entry(key).or_default().push_back(eval);
-                            entries += 1;
-                        }
-                        true
-                    }
-                    None => false,
-                },
-            };
-            if ok && complete {
-                valid_end = offset;
-            } else if !complete && last {
-                // Torn tail from a crash mid-append: drop it.
-                break;
+        let mut recorded = 0;
+        let valid = RecordLog::scan(path, &JOURNAL, |line, body| {
+            if line == 2 {
+                meta = Some(JournalMeta::parse(body).ok_or_else(|| unparseable(body))?);
             } else {
-                return Err(JournalError::Format {
-                    line: line_no,
-                    reason: format!("unparseable record `{body}`"),
-                });
+                let (key, eval) = parse_eval_line(body).ok_or_else(|| unparseable(body))?;
+                replay.entry(key).or_default().push_back(eval);
+                recorded += 1;
             }
-        }
+            Ok(())
+        })?;
         let meta = meta.ok_or(JournalError::Format {
+            log: &JOURNAL,
             line: 2,
             reason: "missing campaign metadata".to_string(),
         })?;
-        let file = OpenOptions::new().write(true).append(false).open(path)?;
-        file.set_len(valid_end as u64)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        let mut journal = Journal {
-            path: path.to_path_buf(),
-            file,
-            meta,
-            replay,
-            replayed: 0,
-            recorded: 0,
-            pending: 0,
-            checkpoint_every: checkpoint_every.max(1),
-            disk_fault: None,
-            salt: path_salt(path),
-            write_ops: 0,
-            sync_ops: 0,
-            dropped: 0,
-        };
-        journal.recorded = entries;
-        Ok(journal)
+        let log = RecordLog::reopen(path, &JOURNAL, valid, checkpoint_every)?;
+        Ok(Journal { log, meta, replay, replayed: 0, recorded, dropped: 0 })
     }
 
     /// Attaches a seeded [`DiskFault`] injector to this journal's write
     /// and fsync paths (chaos testing).
     #[must_use]
     pub fn with_disk_fault(mut self, fault: DiskFault) -> Journal {
-        self.disk_fault = Some(fault);
+        self.log = self.log.with_disk_fault(fault);
         self
     }
 
@@ -544,54 +277,14 @@ impl Journal {
         cap: usize,
         eval: &Evaluation,
     ) -> Result<(), JournalError> {
-        let before = self.recorded;
-        let result = self.try_record(u, corner_idx, cap, eval);
+        let result = self.log.append(&fmt_eval_line(u, corner_idx, cap, eval));
         // A failed periodic fsync is not a drop: the append itself landed.
-        if result.is_err() && self.recorded == before {
+        if matches!(result, Err(JournalError::Storage { op: "append", .. })) {
             self.dropped += 1;
+        } else {
+            self.recorded += 1;
         }
         result
-    }
-
-    fn try_record(
-        &mut self,
-        u: &[f64],
-        corner_idx: usize,
-        cap: usize,
-        eval: &Evaluation,
-    ) -> Result<(), JournalError> {
-        let line = fmt_eval_line(u, corner_idx, cap, eval);
-        let bytes = line.as_bytes();
-        let op = self.write_ops;
-        self.write_ops += 1;
-        if let Some(fault) = self.disk_fault {
-            if fault.fires(self.salt, op) {
-                match fault.kind {
-                    DiskFaultKind::WriteError => {
-                        return Err(JournalError::Storage { op: "append", source: fault.error() });
-                    }
-                    DiskFaultKind::ShortWrite => {
-                        // Land a prefix so the file genuinely tears, then
-                        // fail the append like a half-completed write.
-                        let cut = bytes.len() / 2;
-                        self.file
-                            .write_all(&bytes[..cut])
-                            .map_err(|e| JournalError::Storage { op: "append", source: e })?;
-                        return Err(JournalError::Storage { op: "append", source: fault.error() });
-                    }
-                    DiskFaultKind::FsyncError => {}
-                }
-            }
-        }
-        self.file
-            .write_all(bytes)
-            .map_err(|e| JournalError::Storage { op: "append", source: e })?;
-        self.recorded += 1;
-        self.pending += 1;
-        if self.pending >= self.checkpoint_every {
-            self.checkpoint()?;
-        }
-        Ok(())
     }
 
     /// Forces an fsync now (graceful-shutdown path: called on `SIGINT` and
@@ -602,16 +295,7 @@ impl Journal {
     /// [`JournalError::Storage`] when the sync fails (or a [`DiskFault`]
     /// fires).
     pub fn checkpoint(&mut self) -> Result<(), JournalError> {
-        let op = self.sync_ops;
-        self.sync_ops += 1;
-        if let Some(fault) = self.disk_fault {
-            if fault.kind == DiskFaultKind::FsyncError && fault.fires(self.salt, op) {
-                return Err(JournalError::Storage { op: "fsync", source: fault.error() });
-            }
-        }
-        self.file.sync_data().map_err(|e| JournalError::Storage { op: "fsync", source: e })?;
-        self.pending = 0;
-        Ok(())
+        self.log.sync()
     }
 
     /// Appends that failed and were degraded to a shorter resume point.
@@ -621,7 +305,7 @@ impl Journal {
 
     /// Where the journal lives on disk.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// The campaign metadata from the header.
@@ -650,6 +334,8 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recordlog::DiskFaultKind;
+    use std::path::PathBuf;
 
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -679,20 +365,38 @@ mod tests {
         }
     }
 
+    /// Pinned bytes: journals already on disk hold exactly this format,
+    /// so a change here would stop them from resuming.
+    const GOLDEN: &str = "asdex-journal v1\n\
+        M bench=opamp45 agent=trm seed=7\n\
+        E c=2 cap=3 u=3fe0000000000001,3fd0000000000000 x=3fe0000000000000,3fd0000000000000 \
+        m=3ff8000000000000,c002000000000000 v=bfc0000000000000 fz=1 k=- s=1\n\
+        E c=0 cap=1 u=3fe8000000000000,3fd0000000000000 x=3fe0000000000000,3fd0000000000000 \
+        m=- v=c059000000000000 fz=0 k=worker-panic s=3\n";
+
     #[test]
-    fn eval_lines_round_trip_bitwise() {
-        for eval in [sample_eval(true), sample_eval(false)] {
-            let u = [0.5000000000000001, 0.25];
-            let line = fmt_eval_line(&u, 2, 3, &eval);
-            let (key, parsed) = parse_eval_line(line.trim_end()).expect("round trip");
-            assert_eq!(key.0, u.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-            assert_eq!(key.1, 2);
-            assert_eq!(key.2, 3);
-            assert_eq!(parsed, eval);
-        }
-        // NaN measurements never reach a journal (they are typed failures
-        // first), but the encoding still round-trips special values.
-        assert_eq!(parse_hex_f64(&fmt_f64(f64::INFINITY)), Some(f64::INFINITY));
+    fn bytes_match_the_golden_file_and_the_golden_file_replays() {
+        let path = tmp_path("golden");
+        let meta =
+            JournalMeta::new().with("bench", "opamp45").with("agent", "trm").with("seed", "7");
+        let mut j = Journal::create(&path, meta.clone(), 25).unwrap();
+        j.record(&[0.5000000000000001, 0.25], 2, 3, &sample_eval(true)).unwrap();
+        j.record(&[0.75, 0.25], 0, 1, &sample_eval(false)).unwrap();
+        j.checkpoint().unwrap();
+        drop(j);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), GOLDEN);
+
+        std::fs::write(&path, GOLDEN).unwrap();
+        let mut j = Journal::resume(&path, 25).unwrap();
+        assert_eq!(*j.meta(), meta);
+        assert_eq!(j.recorded(), 2);
+        assert_eq!(j.take_replay(&[0.5000000000000001, 0.25], 2, 3), Some(sample_eval(true)));
+        assert_eq!(j.take_replay(&[0.75, 0.25], 0, 1), Some(sample_eval(false)));
+        assert_eq!(j.unconsumed(), 0);
+        // An unknown key is corruption, not a newer writer.
+        std::fs::write(&path, GOLDEN.replace("k=- s=1", "k=- s=1 extra=0")).unwrap();
+        assert!(matches!(Journal::resume(&path, 25), Err(JournalError::Format { line: 3, .. })));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -723,33 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_truncated_not_fatal() {
-        let path = tmp_path("torn");
-        let meta = JournalMeta::new().with("problem", "toy");
-        let mut j = Journal::create(&path, meta, 1).unwrap();
-        j.record(&[0.5, 0.25], 0, 3, &sample_eval(true)).unwrap();
-        j.record(&[0.5, 0.25], 1, 3, &sample_eval(true)).unwrap();
-        drop(j);
-        // Tear the final line as a SIGKILL mid-write would.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let torn = &text[..text.len() - 7];
-        assert!(!torn.ends_with('\n'));
-        std::fs::write(&path, torn).unwrap();
-
-        let mut j = Journal::resume(&path, 1).unwrap();
-        assert_eq!(j.recorded(), 1, "torn record dropped");
-        assert!(j.take_replay(&[0.5, 0.25], 0, 3).is_some());
-        assert!(j.take_replay(&[0.5, 0.25], 1, 3).is_none());
-        // The file is valid again: appending + resuming works.
-        j.record(&[0.75, 0.25], 1, 3, &sample_eval(false)).unwrap();
-        j.checkpoint().unwrap();
-        drop(j);
-        let j = Journal::resume(&path, 1).unwrap();
-        assert_eq!(j.recorded(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn torn_tail_that_still_parses_is_dropped_not_replayed() {
         let path = tmp_path("torn-parseable");
         let mut j = Journal::create(&path, JournalMeta::new(), 1).unwrap();
@@ -769,103 +446,33 @@ mod tests {
         let mut j = Journal::resume(&path, 1).unwrap();
         assert_eq!(j.recorded(), 1, "the parseable torn record must still be dropped");
         assert!(j.take_replay(&[0.5, 0.25], 1, 3).is_none(), "phantom record served");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn interior_corruption_is_a_typed_error() {
-        let path = tmp_path("interior");
-        let meta = JournalMeta::new();
-        let mut j = Journal::create(&path, meta, 1).unwrap();
-        j.record(&[0.5, 0.25], 0, 3, &sample_eval(true)).unwrap();
+        // The file is valid again: appending + resuming works.
+        j.record(&[0.75, 0.25], 1, 3, &sample_eval(false)).unwrap();
         drop(j);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.insert_str(text.find("E ").unwrap(), "garbage line\n");
-        std::fs::write(&path, &text).unwrap();
-        assert!(matches!(
-            Journal::resume(&path, 1),
-            Err(JournalError::Format { line: 3, .. })
-        ));
+        assert_eq!(Journal::resume(&path, 1).unwrap().recorded(), 2);
+        // A journal torn inside its metadata line cannot name its campaign.
+        std::fs::write(&path, "asdex-journal v1\nM bench=op").unwrap();
+        let err = Journal::resume(&path, 1).unwrap_err();
+        assert_eq!(err.to_string(), "corrupt journal at line 2: missing campaign metadata");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn version_mismatch_is_rejected() {
-        let path = tmp_path("version");
-        std::fs::write(&path, "asdex-journal v99\nM\n").unwrap();
-        assert!(matches!(Journal::resume(&path, 1), Err(JournalError::Version { .. })));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn injected_write_error_is_typed_counted_and_leaves_the_file_intact() {
-        let path = tmp_path("fault-write");
-        let j = Journal::create(&path, JournalMeta::new(), 100).unwrap();
-        let mut j = j.with_disk_fault(DiskFault::new(DiskFaultKind::WriteError, 1.0, 7));
-        let before = std::fs::metadata(&path).unwrap().len();
-        let err = j.record(&[0.5, 0.25], 0, 3, &sample_eval(true)).unwrap_err();
-        assert!(matches!(err, JournalError::Storage { op: "append", .. }), "got {err}");
-        assert_eq!(j.dropped(), 1);
-        assert_eq!(j.recorded(), 0);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), before, "no bytes landed");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn injected_short_write_tears_the_tail_and_resume_repairs_it() {
-        let path = tmp_path("fault-short");
-        let mut j = Journal::create(&path, JournalMeta::new(), 100).unwrap();
-        j.record(&[0.5, 0.25], 0, 3, &sample_eval(true)).unwrap();
-        j.checkpoint().unwrap();
-        let mut j = j.with_disk_fault(DiskFault::new(DiskFaultKind::ShortWrite, 1.0, 7));
-        let err = j.record(&[0.75, 0.25], 1, 3, &sample_eval(false)).unwrap_err();
-        assert!(matches!(err, JournalError::Storage { op: "append", .. }), "got {err}");
-        assert_eq!(j.dropped(), 1);
-        drop(j);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(!text.ends_with('\n'), "the short write must actually tear the file");
-        let j = Journal::resume(&path, 1).unwrap();
-        assert_eq!(j.recorded(), 1, "torn half-record dropped, intact record kept");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn injected_fsync_failure_is_typed_and_does_not_drop_records() {
-        let path = tmp_path("fault-fsync");
+    fn dropped_counts_failed_appends_not_failed_fsyncs() {
+        let path = tmp_path("dropped");
         let j = Journal::create(&path, JournalMeta::new(), 1).unwrap();
-        let mut j = j.with_disk_fault(DiskFault::new(DiskFaultKind::FsyncError, 1.0, 7));
+        let mut j = j.with_disk_fault(DiskFault::new(DiskFaultKind::WriteError, 1.0, 7));
+        let err = j.record(&[0.5, 0.25], 0, 3, &sample_eval(true)).unwrap_err();
+        assert!(err.to_string().starts_with("journal storage error during append"), "got {err}");
+        assert_eq!((j.dropped(), j.recorded()), (1, 0));
+
         // checkpoint_every=1: the periodic fsync inside record fails, but
         // the append itself landed — an error, not a drop.
+        let j = Journal::create(&path, JournalMeta::new(), 1).unwrap();
+        let mut j = j.with_disk_fault(DiskFault::new(DiskFaultKind::FsyncError, 1.0, 7));
         let err = j.record(&[0.5, 0.25], 0, 3, &sample_eval(true)).unwrap_err();
         assert!(matches!(err, JournalError::Storage { op: "fsync", .. }), "got {err}");
-        assert_eq!(j.dropped(), 0);
-        assert_eq!(j.recorded(), 1);
-        let err = j.checkpoint().unwrap_err();
-        assert!(matches!(err, JournalError::Storage { op: "fsync", .. }), "got {err}");
+        assert_eq!((j.dropped(), j.recorded()), (0, 1));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn disk_fault_decisions_are_deterministic_and_salted() {
-        let fault = DiskFault::new(DiskFaultKind::WriteError, 0.5, 42);
-        let a: Vec<bool> = (0..64).map(|op| fault.fires(1, op)).collect();
-        let b: Vec<bool> = (0..64).map(|op| fault.fires(1, op)).collect();
-        assert_eq!(a, b, "same (seed, salt, op) must decide identically");
-        let c: Vec<bool> = (0..64).map(|op| fault.fires(2, op)).collect();
-        assert_ne!(a, c, "different salts must fail on different schedules");
-        assert!(a.iter().any(|f| *f) && a.iter().any(|f| !*f), "rate 0.5 mixes outcomes");
-        let never = DiskFault::new(DiskFaultKind::WriteError, 0.0, 42);
-        assert!((0..64).all(|op| !never.fires(1, op)));
-        let always = DiskFault::new(DiskFaultKind::WriteError, 1.0, 42);
-        assert!((0..64).all(|op| always.fires(1, op)));
-    }
-
-    #[test]
-    fn meta_sanitizes_whitespace() {
-        let meta = JournalMeta::new().with("agent name", "trm ppo=x");
-        assert_eq!(meta.get("agent_name"), Some("trm_ppo_x"));
-        let line = meta.to_line();
-        let parsed = JournalMeta::parse(&line).unwrap();
-        assert_eq!(parsed, meta);
     }
 }

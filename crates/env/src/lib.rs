@@ -27,7 +27,8 @@
 //!   ((point-bits, corner, attempt-cap)) so concurrent campaigns wait on
 //!   in-flight evaluations instead of recomputing them, and
 //! * the crash-safety layer: [`journal::Journal`] (append-only
-//!   checkpoint/resume journal with bitwise-faithful replay), worker
+//!   checkpoint/resume journal with bitwise-faithful replay, a schema on
+//!   the shared [`recordlog::RecordLog`]), worker
 //!   panic isolation with quarantine
 //!   ([`stats::FailureKind::WorkerPanic`]), and the solve watchdog
 //!   surfaced as [`stats::FailureKind::Timeout`].
@@ -60,6 +61,7 @@ pub mod health;
 pub mod journal;
 pub mod netbench;
 pub mod problem;
+pub mod recordlog;
 pub mod robust;
 pub mod search;
 pub mod space;
@@ -77,9 +79,10 @@ pub use fault::{
     arm_process_faults, process_faults_armed, FaultConfig, FaultInjectingEvaluator, FaultMode,
 };
 pub use health::HealthStats;
-pub use journal::{path_salt, DiskFault, DiskFaultKind, Journal, JournalError, JournalMeta};
+pub use journal::{Journal, JournalError, JournalMeta};
 pub use netbench::{netlist_digest, NetbenchError, NetlistBench, NetlistEvaluator};
 pub use problem::{Evaluation, Evaluator, SizingProblem};
+pub use recordlog::{fnv1a, DiskFault, DiskFaultKind, RecordError, RecordLog};
 pub use robust::{EvalEffort, RetryPolicy, RobustEvaluator};
 pub use search::{SearchBudget, SearchOutcome, Searcher};
 pub use space::{DesignSpace, Param};

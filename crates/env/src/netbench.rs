@@ -80,12 +80,7 @@ const DEFAULT_GRID_POINTS: usize = 64;
 /// metadata, the serve write-ahead manifest, and worker handshakes, so
 /// that resume and boot recovery re-compile the identical bench.
 pub fn netlist_digest(source: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in source.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    crate::recordlog::fnv1a(source)
 }
 
 /// A typed error from compiling a sizing deck. `line == 0` means the

@@ -78,32 +78,25 @@ pub fn build_problem_checked(
             "netlist digest {digest:016x} given for built-in benchmark {bench:?}"
         ));
     }
-    if let Some(dim) = bench.strip_prefix("bowl").and_then(|d| d.parse::<usize>().ok()) {
-        if !(1..=16).contains(&dim) {
-            return Err(format!("bowl dimension must be 1..=16, got {dim}"));
-        }
-        let mut problem = Bowl::problem(dim, 0.2).map_err(|e| e.to_string())?;
-        problem.corners = corner_set;
-        return Ok(problem);
-    }
     let problem = match bench {
-        "opamp45" => {
-            let amp = TwoStageOpamp::bsim45();
-            amp.problem_with(amp.specs(), corner_set)
-        }
-        "opamp22" => {
-            let amp = TwoStageOpamp::bsim22();
-            amp.problem_with(amp.specs(), corner_set)
-        }
+        "opamp45" => TwoStageOpamp::bsim45().problem(),
+        "opamp22" => TwoStageOpamp::bsim22().problem(),
         "ldo" => Ldo::n6().problem(),
         "ico" => Ico::n5().problem(),
-        other => {
-            return Err(format!(
-                "unknown benchmark {other:?} (opamp45|opamp22|ldo|ico|bowl<dim>|netlist:<path>)"
-            ))
-        }
+        _ => match bench.strip_prefix("bowl").and_then(|d| d.parse::<usize>().ok()) {
+            Some(dim) if (1..=16).contains(&dim) => Bowl::problem(dim, 0.2),
+            Some(dim) => return Err(format!("bowl dimension must be 1..=16, got {dim}")),
+            None => {
+                return Err(format!(
+                    "unknown benchmark {bench:?} (opamp45|opamp22|ldo|ico|bowl<dim>|netlist:<path>)"
+                ))
+            }
+        },
     };
-    problem.map_err(|e| e.to_string())
+    // Every built-in evaluates at whatever corners its problem carries.
+    let mut problem = problem.map_err(|e| e.to_string())?;
+    problem.corners = corner_set;
+    Ok(problem)
 }
 
 /// Runs one campaign on an already-configured problem (threads, journal,
@@ -211,6 +204,16 @@ mod tests {
         assert!(build_problem("netlist:/nonexistent/x.sp", "nominal").is_err());
         assert!(build_problem("netlist:", "nominal").is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_builtin_bench_runs_at_the_requested_corner_set() {
+        for bench in ["opamp45", "opamp22", "ldo", "ico", "bowl2"] {
+            for (corners, n) in [("nominal", 1), ("signoff5", 5)] {
+                let problem = build_problem(bench, corners).unwrap();
+                assert_eq!(problem.corners.len(), n, "{bench} at {corners}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Write-ahead campaign manifest: the daemon's durable admission record.
 //!
-//! The eval journal (PR 3) makes one *campaign* crash-safe; the manifest
-//! makes the *daemon* crash-safe. Every admission and every lifecycle
+//! The eval journal makes one *campaign* crash-safe; the manifest makes
+//! the *daemon* crash-safe. Every admission and every lifecycle
 //! transition is appended to `manifest.log` in the journal directory and
 //! fsync'd **before** the transition takes effect (write-ahead), so a
 //! SIGKILLed daemon forgets nothing: on boot the scheduler replays the
@@ -11,9 +11,9 @@
 //!
 //! # File format (version 1)
 //!
-//! Plain text, one record per line, the same conventions as the eval
-//! journal (whitespace-free `key=value` tokens, floats as 16-hex-digit
-//! IEEE-754 bits, torn-tail truncation on open):
+//! A [`asdex_env::recordlog`] schema, like the eval journal — the log
+//! owns the header, newline-gated commit, torn-tail repair, and the hex
+//! codec; the manifest fsyncs every record:
 //!
 //! ```text
 //! asdex-manifest v1
@@ -32,78 +32,25 @@
 //! The *latest* record per id wins on replay. A `completed`/`failed`
 //! campaign is finished — re-exposed, not re-run. An `A`/`R`/
 //! `interrupted` campaign is incomplete — the daemon died (or drained)
-//! while it was queued or running — and is re-admitted on boot.
-//!
-//! A torn final line (SIGKILL mid-append) is truncated away exactly like
-//! the eval journal's; interior corruption is a typed error, never a
-//! silent repair.
+//! while it was queued or running — and is re-admitted on boot. A record
+//! for an id that was never admitted is corruption: `A` is fsync'd first.
 
 use crate::protocol::CampaignSpec;
-use asdex_env::journal::{path_salt, DiskFault, DiskFaultKind};
+use asdex_env::recordlog::{
+    f64_from_hex, field_safe, fnv1a, hex_f64, hex_u64, split_record, u64_from_hex, unparseable,
+    DiskFault, LogFormat, RecordError, RecordLog,
+};
 use asdex_env::JournalMeta;
 use std::collections::BTreeMap;
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Version header on the first line of every manifest file.
-const VERSION_HEADER: &str = "asdex-manifest v1";
+static MANIFEST: LogFormat = LogFormat { name: "manifest", header: "asdex-manifest v1" };
 
 /// File name of the manifest inside a journal directory.
 pub const MANIFEST_FILE_NAME: &str = "manifest.log";
 
 /// Why a manifest could not be opened or appended to.
-#[derive(Debug)]
-pub enum ManifestError {
-    /// The underlying file operation failed during open/replay.
-    Io(std::io::Error),
-    /// The file's version header is missing or from an unknown version.
-    Version {
-        /// What the first line actually contained.
-        found: String,
-    },
-    /// An interior line (i.e. not a torn tail) did not parse.
-    Format {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
-    /// A write or fsync on the open manifest failed — the typed surface
-    /// for storage trouble at a state transition.
-    Storage {
-        /// The operation that failed (`append`, `fsync`).
-        op: &'static str,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-}
-
-impl fmt::Display for ManifestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ManifestError::Io(e) => write!(f, "manifest I/O error: {e}"),
-            ManifestError::Version { found } => {
-                write!(f, "not an asdex manifest (expected `{VERSION_HEADER}`, found `{found}`)")
-            }
-            ManifestError::Format { line, reason } => {
-                write!(f, "corrupt manifest at line {line}: {reason}")
-            }
-            ManifestError::Storage { op, source } => {
-                write!(f, "manifest storage error during {op}: {source}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ManifestError {}
-
-impl From<std::io::Error> for ManifestError {
-    fn from(e: std::io::Error) -> Self {
-        ManifestError::Io(e)
-    }
-}
+pub type ManifestError = RecordError;
 
 /// The terminal line of one campaign's lifecycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,29 +153,10 @@ impl ManifestCampaign {
     }
 }
 
-/// FNV-1a 64 over a string — the outcome digest hash.
-pub fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for byte in s.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
-fn sanitize(s: &str) -> String {
-    s.chars().map(|c| if c.is_whitespace() || c == '=' { '_' } else { c }).collect()
-}
-
 /// An open, append-only campaign manifest (see the module docs).
 #[derive(Debug)]
 pub struct Manifest {
-    path: PathBuf,
-    file: File,
-    disk_fault: Option<DiskFault>,
-    salt: u64,
-    write_ops: u64,
-    sync_ops: u64,
+    log: RecordLog,
 }
 
 impl Manifest {
@@ -243,97 +171,37 @@ impl Manifest {
     /// * [`ManifestError::Format`] when an interior line is corrupt
     ///   (torn tails are repaired, interior corruption is not).
     pub fn open(path: &Path) -> Result<(Manifest, Vec<ManifestCampaign>), ManifestError> {
-        if !path.exists() {
-            let mut file =
-                OpenOptions::new().write(true).create_new(true).open(path)?;
-            file.write_all(format!("{VERSION_HEADER}\n").as_bytes())?;
-            file.sync_data()?;
-            let manifest = Manifest {
-                path: path.to_path_buf(),
-                file,
-                disk_fault: None,
-                salt: path_salt(path),
-                write_ops: 0,
-                sync_ops: 0,
-            };
-            return Ok((manifest, Vec::new()));
-        }
-
-        let mut text = String::new();
-        File::open(path)?.read_to_string(&mut text)?;
-        // Ordered by first admission; BTreeMap<usize,..> keyed by arrival
-        // index keeps replay order stable without a second pass.
         let mut order: BTreeMap<String, usize> = BTreeMap::new();
         let mut campaigns: Vec<ManifestCampaign> = Vec::new();
-        let mut valid_end = 0usize;
-        let mut offset = 0usize;
-        let mut line_no = 0usize;
-        for raw in text.split_inclusive('\n') {
-            offset += raw.len();
-            line_no += 1;
-            let complete = raw.ends_with('\n');
-            let body = raw.trim_end_matches(['\n', '\r']);
-            let last = offset == text.len();
-            let ok = if line_no == 1 {
-                body == VERSION_HEADER
-            } else {
-                match parse_record(body) {
-                    Some(record) => {
-                        // Like the journal: a record only counts once its
-                        // newline proves the write finished.
-                        if complete {
-                            apply_record(&mut order, &mut campaigns, record, line_no)?;
-                        }
-                        true
-                    }
-                    None => false,
-                }
-            };
-            if ok && complete {
-                valid_end = offset;
-            } else if !complete && last {
-                // Torn tail from a crash mid-append: drop it.
-                break;
-            } else if line_no == 1 {
-                return Err(ManifestError::Version { found: body.to_string() });
-            } else {
-                return Err(ManifestError::Format {
-                    line: line_no,
-                    reason: format!("unparseable record `{body}`"),
-                });
-            }
-        }
-        if valid_end == 0 {
-            // Even the header line was torn: the daemon died during
-            // manifest creation, before any admission could have been
-            // acknowledged. Start over.
-            return create_fresh(path);
-        }
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_end as u64)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        let manifest = Manifest {
-            path: path.to_path_buf(),
-            file,
-            disk_fault: None,
-            salt: path_salt(path),
-            write_ops: 0,
-            sync_ops: 0,
+        let valid = if path.exists() {
+            RecordLog::scan(path, &MANIFEST, |_, body| {
+                let record = parse_record(body).ok_or_else(|| unparseable(body))?;
+                apply_record(&mut order, &mut campaigns, record)
+            })?
+        } else {
+            0
         };
-        Ok((manifest, campaigns))
+        // Nothing valid — not even the header line: the daemon died during
+        // manifest creation, before any admission could have been
+        // acknowledged. Start over.
+        let log = if valid == 0 {
+            RecordLog::create(path, &MANIFEST, "", 1)?
+        } else {
+            RecordLog::reopen(path, &MANIFEST, valid, 1)?
+        };
+        Ok((Manifest { log }, campaigns))
     }
 
     /// Attaches a seeded [`DiskFault`] injector to the append/fsync path
     /// (chaos testing).
     #[must_use]
-    pub fn with_disk_fault(mut self, fault: DiskFault) -> Manifest {
-        self.disk_fault = Some(fault);
-        self
+    pub fn with_disk_fault(self, fault: DiskFault) -> Manifest {
+        Manifest { log: self.log.with_disk_fault(fault) }
     }
 
     /// Where the manifest lives on disk.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Appends the admission record for `id` (write-ahead: call *before*
@@ -345,23 +213,23 @@ impl Manifest {
     pub fn append_admitted(&mut self, id: &str, spec: &CampaignSpec) -> Result<(), ManifestError> {
         let mut line = format!(
             "A id={} bench={} agent={} seed={} budget={} corners={} checkpoint_every={} solver={}",
-            sanitize(id),
-            sanitize(&spec.bench),
-            sanitize(&spec.agent),
+            field_safe(id),
+            field_safe(&spec.bench),
+            field_safe(&spec.agent),
             spec.seed,
             spec.budget,
-            sanitize(&spec.corners),
+            field_safe(&spec.corners),
             spec.checkpoint_every,
-            sanitize(&spec.solver),
+            field_safe(&spec.solver),
         );
         // The netlist digest is part of the campaign identity: recovery
         // re-admits from this record alone, and the re-run must refuse a
         // deck edited since admission.
         if let Some(digest) = spec.netlist_digest {
-            line.push_str(&format!(" netlist_digest={digest:016x}"));
+            line.push_str(&format!(" netlist_digest={}", hex_u64(digest)));
         }
         line.push('\n');
-        self.append(&line)
+        self.log.append(&line)
     }
 
     /// Appends the running transition for `id`.
@@ -370,7 +238,7 @@ impl Manifest {
     ///
     /// [`ManifestError::Storage`] when the append or fsync fails.
     pub fn append_running(&mut self, id: &str) -> Result<(), ManifestError> {
-        self.append(&format!("R id={}\n", sanitize(id)))
+        self.log.append(&format!("R id={}\n", field_safe(id)))
     }
 
     /// Appends the terminal transition for `id`.
@@ -389,87 +257,21 @@ impl Manifest {
             terminal.status
         );
         let mut line = format!(
-            "T id={} status={} ok={} sims={} v={:016x} digest={:016x}",
-            sanitize(id),
-            sanitize(&terminal.status),
+            "T id={} status={} ok={} sims={} v={} digest={}",
+            field_safe(id),
+            field_safe(&terminal.status),
             u8::from(terminal.success),
             terminal.simulations,
-            terminal.best_value.to_bits(),
-            terminal.digest,
+            hex_f64(terminal.best_value),
+            hex_u64(terminal.digest),
         );
         if let Some(err) = &terminal.error {
             line.push_str(" err=");
-            line.push_str(&sanitize(err));
+            line.push_str(&field_safe(err));
         }
         line.push('\n');
-        self.append(&line)
+        self.log.append(&line)
     }
-
-    /// One fsync'd append: every manifest record is durable before the
-    /// state transition it describes takes effect.
-    fn append(&mut self, line: &str) -> Result<(), ManifestError> {
-        let bytes = line.as_bytes();
-        let write_op = self.write_ops;
-        self.write_ops += 1;
-        if let Some(fault) = self.disk_fault {
-            if fault.fires(self.salt, write_op) {
-                match fault.kind {
-                    DiskFaultKind::WriteError => {
-                        return Err(ManifestError::Storage {
-                            op: "append",
-                            source: injected(fault.kind),
-                        });
-                    }
-                    DiskFaultKind::ShortWrite => {
-                        let cut = bytes.len() / 2;
-                        self.file
-                            .write_all(&bytes[..cut])
-                            .map_err(|e| ManifestError::Storage { op: "append", source: e })?;
-                        return Err(ManifestError::Storage {
-                            op: "append",
-                            source: injected(fault.kind),
-                        });
-                    }
-                    DiskFaultKind::FsyncError => {}
-                }
-            }
-        }
-        self.file
-            .write_all(bytes)
-            .map_err(|e| ManifestError::Storage { op: "append", source: e })?;
-        let sync_op = self.sync_ops;
-        self.sync_ops += 1;
-        if let Some(fault) = self.disk_fault {
-            if fault.kind == DiskFaultKind::FsyncError && fault.fires(self.salt, sync_op) {
-                return Err(ManifestError::Storage { op: "fsync", source: injected(fault.kind) });
-            }
-        }
-        self.file
-            .sync_data()
-            .map_err(|e| ManifestError::Storage { op: "fsync", source: e })
-    }
-}
-
-fn injected(kind: DiskFaultKind) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::StorageFull,
-        format!("injected disk fault ({})", kind.label()),
-    )
-}
-
-fn create_fresh(path: &Path) -> Result<(Manifest, Vec<ManifestCampaign>), ManifestError> {
-    let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
-    file.write_all(format!("{VERSION_HEADER}\n").as_bytes())?;
-    file.sync_data()?;
-    let manifest = Manifest {
-        path: path.to_path_buf(),
-        file,
-        disk_fault: None,
-        salt: path_salt(path),
-        write_ops: 0,
-        sync_ops: 0,
-    };
-    Ok((manifest, Vec::new()))
 }
 
 /// One parsed manifest line.
@@ -480,26 +282,14 @@ enum Record {
 }
 
 fn parse_record(line: &str) -> Option<Record> {
-    let mut parts = line.split_whitespace();
-    let tag = parts.next()?;
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    for tok in parts {
-        let (k, v) = tok.split_once('=')?;
-        // No legitimate record repeats a key; a duplicate is the
-        // signature of two records fused by a lost newline.
-        if pairs.iter().any(|(seen, _)| *seen == k) {
-            return None;
-        }
-        pairs.push((k, v));
-    }
-    let get = |key: &str| pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-    let id = get("id")?.to_string();
+    let (tag, fields) = split_record(line)?;
+    let id = fields.get("id")?.to_string();
     match tag {
         "A" => {
             // Reuse the journal-meta round trip so manifest specs and
             // journal specs can never drift apart.
             let mut meta = JournalMeta::new();
-            for (k, v) in &pairs {
+            for (k, v) in fields.pairs() {
                 if *k != "id" {
                     meta.set(k, v);
                 }
@@ -510,21 +300,21 @@ fn parse_record(line: &str) -> Option<Record> {
         }
         "R" => Some(Record::Running { id }),
         "T" => {
-            let status = get("status")?.to_string();
+            let status = fields.get("status")?.to_string();
             if !matches!(status.as_str(), "completed" | "interrupted" | "failed") {
                 return None;
             }
             let terminal = TerminalRecord {
                 status,
-                success: match get("ok")? {
+                success: match fields.get("ok")? {
                     "0" => false,
                     "1" => true,
                     _ => return None,
                 },
-                simulations: get("sims")?.parse().ok()?,
-                best_value: f64::from_bits(u64::from_str_radix(get("v")?, 16).ok()?),
-                digest: u64::from_str_radix(get("digest")?, 16).ok()?,
-                error: get("err").map(str::to_string),
+                simulations: fields.get("sims")?.parse().ok()?,
+                best_value: f64_from_hex(fields.get("v")?)?,
+                digest: u64_from_hex(fields.get("digest")?)?,
+                error: fields.get("err").map(str::to_string),
             };
             Some(Record::Terminal { id, terminal })
         }
@@ -532,13 +322,14 @@ fn parse_record(line: &str) -> Option<Record> {
     }
 }
 
+/// Applies one complete record to the replay state; `Err` is the reason
+/// the line is corrupt.
 fn apply_record(
     order: &mut BTreeMap<String, usize>,
     campaigns: &mut Vec<ManifestCampaign>,
     record: Record,
-    line_no: usize,
-) -> Result<(), ManifestError> {
-    match record {
+) -> Result<(), String> {
+    let (id, phase) = match record {
         Record::Admitted { id, spec } => {
             match order.get(&id) {
                 // Re-admission (a resumed terminal id): reset the phase.
@@ -548,51 +339,93 @@ fn apply_record(
                 }
                 None => {
                     order.insert(id.clone(), campaigns.len());
-                    campaigns.push(ManifestCampaign {
-                        id,
-                        spec,
-                        phase: ManifestPhase::Admitted,
-                    });
+                    campaigns.push(ManifestCampaign { id, spec, phase: ManifestPhase::Admitted });
                 }
             }
-            Ok(())
+            return Ok(());
         }
-        Record::Running { id } => match order.get(&id) {
-            Some(&idx) => {
-                campaigns[idx].phase = ManifestPhase::Running;
-                Ok(())
-            }
-            // `A` is fsync'd before `R` can exist; an orphan `R` is
-            // interior corruption, not a torn write.
-            None => Err(ManifestError::Format {
-                line: line_no,
-                reason: format!("running record for unadmitted campaign `{id}`"),
-            }),
-        },
-        Record::Terminal { id, terminal } => match order.get(&id) {
-            Some(&idx) => {
-                campaigns[idx].phase = ManifestPhase::Terminal(terminal);
-                Ok(())
-            }
-            None => Err(ManifestError::Format {
-                line: line_no,
-                reason: format!("terminal record for unadmitted campaign `{id}`"),
-            }),
-        },
-    }
+        Record::Running { id } => (id, ManifestPhase::Running),
+        Record::Terminal { id, terminal } => (id, ManifestPhase::Terminal(terminal)),
+    };
+    // `A` is fsync'd before `R`/`T` can exist; an orphan is interior
+    // corruption, not a torn write.
+    let Some(&idx) = order.get(&id) else {
+        let kind = if phase == ManifestPhase::Running { "running" } else { "terminal" };
+        return Err(format!("{kind} record for unadmitted campaign `{id}`"));
+    };
+    campaigns[idx].phase = phase;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asdex_env::DiskFaultKind;
+    use std::path::PathBuf;
 
     fn tmp_path(name: &str) -> PathBuf {
-        std::env::temp_dir()
-            .join(format!("asdex-manifest-test-{}-{name}.log", std::process::id()))
+        std::env::temp_dir().join(format!("asdex-manifest-test-{}-{name}.log", std::process::id()))
     }
 
     fn spec(seed: u64) -> CampaignSpec {
         CampaignSpec { seed, budget: 400, ..CampaignSpec::default() }
+    }
+
+    fn netlist_spec() -> CampaignSpec {
+        CampaignSpec {
+            bench: "netlist:decks/x.sp".to_string(),
+            corners: "signoff5".to_string(),
+            netlist_digest: Some(0xaf63dc4c8601ec8c),
+            ..CampaignSpec::default()
+        }
+    }
+
+    /// Pinned bytes: manifests already on disk hold exactly this format,
+    /// so a change here would stop a daemon from recovering them.
+    const GOLDEN: &str = "asdex-manifest v1\n\
+        A id=c1 bench=bowl3 agent=trm seed=7 budget=400 corners=nominal checkpoint_every=25 \
+        solver=auto\n\
+        A id=c2 bench=netlist:decks/x.sp agent=trm seed=1 budget=10000 corners=signoff5 \
+        checkpoint_every=25 solver=auto netlist_digest=af63dc4c8601ec8c\n\
+        A id=c3 bench=bowl3 agent=trm seed=7 budget=400 corners=nominal checkpoint_every=25 \
+        solver=auto\n\
+        R id=c1\n\
+        T id=c1 status=completed ok=1 sims=412 v=bfc0000000000000 digest=3e7f9dfdbb7239c6\n\
+        R id=c2\n\
+        T id=c2 status=failed ok=0 sims=0 v=0000000000000000 digest=0000000000000000 \
+        err=unknown_agent_`dqn`\n\
+        T id=c3 status=interrupted ok=0 sims=99 v=0000000000000000 digest=0000000000000000\n";
+
+    #[test]
+    fn bytes_match_the_golden_file_and_the_golden_file_replays() {
+        let path = tmp_path("golden");
+        std::fs::remove_file(&path).ok();
+        let completed = TerminalRecord::completed(true, 412, -0.125, r#"{"success":true}"#);
+        let (mut m, _) = Manifest::open(&path).unwrap();
+        m.append_admitted("c1", &spec(7)).unwrap();
+        m.append_admitted("c2", &netlist_spec()).unwrap();
+        m.append_admitted("c3", &spec(7)).unwrap();
+        m.append_running("c1").unwrap();
+        m.append_terminal("c1", &completed).unwrap();
+        m.append_running("c2").unwrap();
+        m.append_terminal("c2", &TerminalRecord::failed("unknown agent `dqn`")).unwrap();
+        m.append_terminal("c3", &TerminalRecord::interrupted(99)).unwrap();
+        drop(m);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), GOLDEN);
+
+        std::fs::write(&path, GOLDEN).unwrap();
+        let (_, replayed) = Manifest::open(&path).unwrap();
+        let ids: Vec<&str> = replayed.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(ids, ["c1", "c2", "c3"]);
+        assert_eq!(replayed[0].spec, spec(7));
+        assert_eq!(replayed[0].phase, ManifestPhase::Terminal(completed));
+        assert_eq!(replayed[1].spec, netlist_spec());
+        let failed = TerminalRecord::failed("unknown_agent_`dqn`");
+        assert_eq!(replayed[1].phase, ManifestPhase::Terminal(failed), "error sanitized");
+        assert_eq!(replayed[2].phase, ManifestPhase::Terminal(TerminalRecord::interrupted(99)));
+        let recover: Vec<bool> = replayed.iter().map(ManifestCampaign::needs_recovery).collect();
+        assert_eq!(recover, [false, false, true], "completed/failed are final, interrupted is not");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -603,15 +436,15 @@ mod tests {
         assert!(replayed.is_empty());
         m.append_admitted("c1", &spec(1)).unwrap();
         m.append_admitted("c2", &spec(2)).unwrap();
+        m.append_admitted("c3", &spec(3)).unwrap();
         m.append_running("c1").unwrap();
+        m.append_running("c3").unwrap();
         let t = TerminalRecord::completed(true, 412, -0.0, r#"{"success":true}"#);
         m.append_terminal("c1", &t).unwrap();
         drop(m);
 
-        let (_, replayed) = Manifest::open(&path).unwrap();
-        assert_eq!(replayed.len(), 2);
-        assert_eq!(replayed[0].id, "c1");
-        assert_eq!(replayed[0].spec, spec(1));
+        let (mut m, replayed) = Manifest::open(&path).unwrap();
+        assert_eq!(replayed.len(), 3);
         match &replayed[0].phase {
             ManifestPhase::Terminal(got) => {
                 assert_eq!(*got, t);
@@ -620,133 +453,21 @@ mod tests {
             other => panic!("expected terminal, got {other:?}"),
         }
         assert!(!replayed[0].needs_recovery());
-        assert_eq!(replayed[1].id, "c2");
-        assert_eq!(replayed[1].phase, ManifestPhase::Admitted);
-        assert!(replayed[1].needs_recovery());
-        std::fs::remove_file(&path).ok();
-    }
+        assert_eq!((replayed[1].id.as_str(), &replayed[1].phase), ("c2", &ManifestPhase::Admitted));
+        assert_eq!(replayed[2].phase, ManifestPhase::Running);
+        assert!(replayed[1].needs_recovery() && replayed[2].needs_recovery());
 
-    #[test]
-    fn interrupted_and_running_campaigns_need_recovery() {
-        let path = tmp_path("recovery-phases");
-        std::fs::remove_file(&path).ok();
-        let (mut m, _) = Manifest::open(&path).unwrap();
-        m.append_admitted("run", &spec(1)).unwrap();
-        m.append_running("run").unwrap();
-        m.append_admitted("int", &spec(2)).unwrap();
-        m.append_running("int").unwrap();
-        m.append_terminal("int", &TerminalRecord::interrupted(99)).unwrap();
-        m.append_admitted("fail", &spec(3)).unwrap();
-        m.append_running("fail").unwrap();
-        m.append_terminal("fail", &TerminalRecord::failed("unknown agent `dqn`")).unwrap();
-        drop(m);
-
-        let (_, replayed) = Manifest::open(&path).unwrap();
-        let by_id = |id: &str| replayed.iter().find(|c| c.id == id).unwrap();
-        assert!(by_id("run").needs_recovery(), "running when the daemon died");
-        assert!(by_id("int").needs_recovery(), "interrupted work is unfinished");
-        assert!(!by_id("fail").needs_recovery(), "failed is final");
-        match &by_id("fail").phase {
-            ManifestPhase::Terminal(t) => {
-                assert_eq!(t.error.as_deref(), Some("unknown_agent_`dqn`"), "sanitized");
-            }
-            other => panic!("expected terminal, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn netlist_digest_survives_the_admission_round_trip() {
-        let path = tmp_path("netlist-digest");
-        std::fs::remove_file(&path).ok();
-        let with_digest = CampaignSpec {
-            bench: "netlist:decks/x.sp".to_string(),
-            netlist_digest: Some(0xcbf29ce484222325),
-            ..spec(4)
-        };
-        let (mut m, _) = Manifest::open(&path).unwrap();
-        m.append_admitted("net", &with_digest).unwrap();
-        m.append_admitted("plain", &spec(5)).unwrap();
-        drop(m);
-        let (_, replayed) = Manifest::open(&path).unwrap();
-        assert_eq!(replayed[0].spec, with_digest);
-        assert_eq!(replayed[0].spec.netlist_digest, Some(0xcbf29ce484222325));
-        assert_eq!(replayed[1].spec.netlist_digest, None);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn readmission_resets_a_terminal_phase() {
-        let path = tmp_path("readmit");
-        std::fs::remove_file(&path).ok();
-        let (mut m, _) = Manifest::open(&path).unwrap();
-        m.append_admitted("c1", &spec(1)).unwrap();
-        m.append_terminal("c1", &TerminalRecord::completed(true, 10, 0.0, "{}")).unwrap();
+        // Re-admission (a resumed terminal id) resets the phase.
         m.append_admitted("c1", &spec(1)).unwrap();
         drop(m);
         let (_, replayed) = Manifest::open(&path).unwrap();
-        assert_eq!(replayed.len(), 1);
+        assert_eq!(replayed.len(), 3);
         assert_eq!(replayed[0].phase, ManifestPhase::Admitted);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn every_byte_tear_of_the_final_record_drops_exactly_that_record() {
-        let path = tmp_path("tear");
-        std::fs::remove_file(&path).ok();
-        let (mut m, _) = Manifest::open(&path).unwrap();
-        m.append_admitted("c1", &spec(1)).unwrap();
-        m.append_running("c1").unwrap();
-        m.append_terminal(
-            "c1",
-            &TerminalRecord::completed(true, 412, -0.125, r#"{"x":1}"#),
-        )
-        .unwrap();
-        drop(m);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let bytes = text.as_bytes();
-        let last_line_start = text.trim_end().rfind('\n').unwrap() + 1;
-
-        // Mirror tests/resume.rs: cut the file at EVERY byte inside the
-        // final record. Each cut must replay to exactly the first two
-        // records — phase Running — and truncate the torn tail.
-        for cut in last_line_start..bytes.len() {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            let (m, replayed) = Manifest::open(&path)
-                .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
-            assert_eq!(replayed.len(), 1, "cut at byte {cut}");
-            assert_eq!(
-                replayed[0].phase,
-                ManifestPhase::Running,
-                "cut at byte {cut}: torn terminal must not count"
-            );
-            drop(m);
-            let repaired = std::fs::read_to_string(&path).unwrap();
-            assert_eq!(
-                repaired.as_bytes(),
-                &bytes[..last_line_start],
-                "cut at byte {cut}: file must be truncated to the last intact record"
-            );
-            // And the repaired file keeps working: append the terminal
-            // again, replay sees it.
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            let (mut m, _) = Manifest::open(&path).unwrap();
-            m.append_terminal("c1", &TerminalRecord::interrupted(7)).unwrap();
-            drop(m);
-            let (_, replayed) = Manifest::open(&path).unwrap();
-            assert_eq!(
-                replayed[0].phase,
-                ManifestPhase::Terminal(TerminalRecord::interrupted(7)),
-                "cut at byte {cut}: appending after repair must work"
-            );
-            // Restore for the next iteration.
-            std::fs::write(&path, bytes).unwrap();
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn interior_corruption_is_a_typed_error_not_a_silent_repair() {
+    fn orphan_and_fused_records_are_typed_corruption() {
         let path = tmp_path("interior");
         std::fs::remove_file(&path).ok();
         let (mut m, _) = Manifest::open(&path).unwrap();
@@ -755,41 +476,29 @@ mod tests {
         drop(m);
         let clean = std::fs::read_to_string(&path).unwrap();
 
-        // Garbage line in the interior.
-        let mut text = clean.clone();
-        text.insert_str(text.find("R ").unwrap(), "garbage line\n");
-        std::fs::write(&path, &text).unwrap();
-        match Manifest::open(&path) {
-            Err(ManifestError::Format { line: 3, .. }) => {}
-            other => panic!("expected Format at line 3, got {other:?}"),
-        }
-
-        // A half-cut interior line (fused with its successor).
+        // Two records fused by a lost newline.
         let r_at = clean.find("R ").unwrap();
         let fused = format!("{}{}", &clean[..r_at - 1], &clean[r_at..]);
         std::fs::write(&path, &fused).unwrap();
-        assert!(
-            matches!(Manifest::open(&path), Err(ManifestError::Format { .. })),
-            "fused lines must be typed corruption"
-        );
+        match Manifest::open(&path) {
+            Err(ManifestError::Format { line: 2, .. }) => {}
+            other => panic!("fused lines must be typed corruption, got {other:?}"),
+        }
 
         // A lifecycle record for a campaign that was never admitted.
-        let orphan = format!("{VERSION_HEADER}\nR id=ghost\n");
-        std::fs::write(&path, &orphan).unwrap();
-        match Manifest::open(&path) {
-            Err(ManifestError::Format { line: 2, reason }) => {
-                assert!(reason.contains("ghost"), "{reason}");
+        for orphan in [
+            "R id=ghost",
+            "T id=ghost status=interrupted ok=0 sims=0 v=0000000000000000 \
+                        digest=0000000000000000",
+        ] {
+            std::fs::write(&path, format!("{}\n{orphan}\n", MANIFEST.header)).unwrap();
+            match Manifest::open(&path) {
+                Err(err @ ManifestError::Format { line: 2, .. }) => {
+                    assert!(err.to_string().contains("unadmitted campaign `ghost`"), "{err}");
+                }
+                other => panic!("expected Format at line 2, got {other:?}"),
             }
-            other => panic!("expected Format at line 2, got {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn version_mismatch_is_rejected() {
-        let path = tmp_path("version");
-        std::fs::write(&path, "asdex-manifest v99\n").unwrap();
-        assert!(matches!(Manifest::open(&path), Err(ManifestError::Version { .. })));
         std::fs::remove_file(&path).ok();
     }
 
@@ -809,38 +518,21 @@ mod tests {
     }
 
     #[test]
-    fn injected_faults_are_typed_storage_errors() {
-        let path = tmp_path("fault");
+    fn every_append_is_fsynced_before_it_returns() {
+        let path = tmp_path("fsync");
         std::fs::remove_file(&path).ok();
         let (m, _) = Manifest::open(&path).unwrap();
-        let mut m = m.with_disk_fault(DiskFault::new(DiskFaultKind::WriteError, 1.0, 9));
-        let err = m.append_admitted("c1", &spec(1)).unwrap_err();
-        assert!(matches!(err, ManifestError::Storage { op: "append", .. }), "got {err}");
-        drop(m);
-        // Nothing landed: replay sees an empty manifest.
-        let (m, replayed) = Manifest::open(&path).unwrap();
-        assert!(replayed.is_empty());
         let mut m = m.with_disk_fault(DiskFault::new(DiskFaultKind::FsyncError, 1.0, 9));
-        let err = m.append_admitted("c1", &spec(1)).unwrap_err();
-        assert!(matches!(err, ManifestError::Storage { op: "fsync", .. }), "got {err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn short_write_fault_tears_the_file_and_open_repairs_it() {
-        let path = tmp_path("fault-short");
-        std::fs::remove_file(&path).ok();
-        let (mut m, _) = Manifest::open(&path).unwrap();
-        m.append_admitted("c1", &spec(1)).unwrap();
-        let mut m = m.with_disk_fault(DiskFault::new(DiskFaultKind::ShortWrite, 1.0, 9));
-        let err = m.append_running("c1").unwrap_err();
-        assert!(matches!(err, ManifestError::Storage { op: "append", .. }), "got {err}");
+        // Each append's own fsync fails: the write landed, durability did
+        // not, and the caller hears about it before acting.
+        for id in ["c1", "c2"] {
+            let err = m.append_admitted(id, &spec(1)).unwrap_err();
+            assert!(matches!(err, ManifestError::Storage { op: "fsync", .. }), "got {err}");
+            assert!(err.to_string().starts_with("manifest storage error during fsync"), "{err}");
+        }
         drop(m);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(!text.ends_with('\n'), "the short write must actually tear the file");
         let (_, replayed) = Manifest::open(&path).unwrap();
-        assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].phase, ManifestPhase::Admitted, "torn R dropped");
+        assert_eq!(replayed.len(), 2);
         std::fs::remove_file(&path).ok();
     }
 }

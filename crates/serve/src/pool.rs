@@ -593,7 +593,7 @@ fn spawn_worker(cfg: &WorkerPoolConfig) -> std::io::Result<WorkerProc> {
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
     if let Some(digest) = cfg.netlist_digest {
-        cmd.arg("--netlist-digest").arg(format!("{digest:016x}"));
+        cmd.arg("--netlist-digest").arg(asdex_env::recordlog::hex_u64(digest));
     }
     if let Some((rate, seed, mode)) = &cfg.fault {
         cmd.arg("--fault-rate").arg(rate.to_string());

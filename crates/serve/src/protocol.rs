@@ -9,6 +9,7 @@
 //! the repo's thread-invariance contract rely on.
 
 use crate::json::Json;
+use asdex_env::recordlog::{hex_f64, hex_u64, u64_from_hex};
 use asdex_env::{EvalStats, FailureKind, HealthStats, JournalMeta};
 
 /// Identity and budget of one campaign — everything that must match
@@ -139,7 +140,7 @@ impl CampaignSpec {
             .with("checkpoint_every", Json::Num(self.checkpoint_every as f64))
             .with("solver", Json::Str(self.solver.clone()));
         if let Some(digest) = self.netlist_digest {
-            json = json.with("netlist_digest", Json::Str(format!("{digest:016x}")));
+            json = json.with("netlist_digest", Json::Str(hex_u64(digest)));
         }
         json
     }
@@ -157,7 +158,7 @@ impl CampaignSpec {
             .with("checkpoint_every", &self.checkpoint_every.to_string())
             .with("solver", &self.solver);
         match self.netlist_digest {
-            Some(digest) => meta.with("netlist_digest", &format!("{digest:016x}")),
+            Some(digest) => meta.with("netlist_digest", &hex_u64(digest)),
             None => meta,
         }
     }
@@ -187,7 +188,7 @@ impl CampaignSpec {
             netlist: None,
             netlist_digest: match meta.get("netlist_digest") {
                 None => None,
-                Some(hex) => Some(u64::from_str_radix(hex, 16).map_err(|_| {
+                Some(hex) => Some(u64_from_hex(hex).ok_or_else(|| {
                     format!("journal metadata `netlist_digest={hex}` is not a 16-hex digest")
                 })?),
             },
@@ -197,12 +198,6 @@ impl CampaignSpec {
 
 fn is_safe_id(s: &str) -> bool {
     s.chars().all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-}
-
-/// 16-hex-digit IEEE-754 bit pattern of a float; the exactness carrier of
-/// the protocol.
-pub fn f64_bits_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
 }
 
 /// Serializes evaluation telemetry. Field order is fixed.
@@ -240,11 +235,11 @@ pub fn outcome_json(outcome: &crate::campaign::CampaignOutcome) -> Json {
         .with("success", Json::Bool(outcome.success))
         .with("simulations", Json::Num(outcome.simulations as f64))
         .with("best_value", Json::Num(outcome.best_value))
-        .with("best_value_bits", Json::Str(f64_bits_hex(outcome.best_value)))
+        .with("best_value_bits", Json::Str(hex_f64(outcome.best_value)))
         .with("best_point", Json::Arr(outcome.best_point.iter().map(|&x| Json::Num(x)).collect()))
         .with(
             "best_point_bits",
-            Json::Arr(outcome.best_point.iter().map(|&x| Json::Str(f64_bits_hex(x))).collect()),
+            Json::Arr(outcome.best_point.iter().map(|&x| Json::Str(hex_f64(x))).collect()),
         )
         .with(
             "best_physical",
@@ -252,7 +247,7 @@ pub fn outcome_json(outcome: &crate::campaign::CampaignOutcome) -> Json {
         )
         .with(
             "best_physical_bits",
-            Json::Arr(outcome.best_physical.iter().map(|&x| Json::Str(f64_bits_hex(x))).collect()),
+            Json::Arr(outcome.best_physical.iter().map(|&x| Json::Str(hex_f64(x))).collect()),
         )
         .with("stats", stats_json(&outcome.stats))
         .with("health", health_json(&outcome.health))
@@ -346,6 +341,54 @@ mod tests {
     }
 
     #[test]
+    fn digests_parse_only_in_the_form_every_writer_emits() {
+        use crate::manifest::{Manifest, ManifestError};
+        use crate::worker::Handshake;
+        // A bare radix-16 parse accepts a sign, short forms, and 17
+        // digits; every digest reader must take exactly `{:016x}`.
+        let netlist =
+            CampaignSpec { bench: "netlist:decks/x.sp".into(), ..CampaignSpec::default() };
+        let path =
+            std::env::temp_dir().join(format!("asdex-protocol-digest-{}.log", std::process::id()));
+        let admitted = "A id=c1 bench=bowl3 agent=trm seed=7 budget=400 corners=nominal \
+                        checkpoint_every=25 solver=auto";
+        for (digest, canonical) in [
+            ("af63dc4c8601ec8c", true),
+            ("0000000000000000", true),
+            ("+af63dc4c8601ec8c", false),
+            ("+0", false),
+            ("0", false),
+            ("1", false),
+            ("0af63dc4c8601ec8c", false),
+            ("AF63DC4C8601EC8C", false),
+        ] {
+            let meta = netlist.to_meta().with("netlist_digest", digest);
+            assert_eq!(CampaignSpec::from_meta(&meta).is_ok(), canonical, "meta {digest:?}");
+            let hello = format!("H proto=1 bench=b corners=c n=1 digest={digest}");
+            assert_eq!(Handshake::parse(&hello).is_some(), canonical, "handshake {digest:?}");
+            for terminal in [
+                format!("T id=c1 status=completed ok=1 sims=1 v={digest} digest=0000000000000000"),
+                format!("T id=c1 status=completed ok=1 sims=1 v=0000000000000000 digest={digest}"),
+            ] {
+                std::fs::write(&path, format!("asdex-manifest v1\n{admitted}\n{terminal}\n"))
+                    .unwrap();
+                match Manifest::open(&path) {
+                    Ok(_) if canonical => {}
+                    Err(ManifestError::Format { line: 3, .. }) if !canonical => {}
+                    other => panic!("{terminal}: got {other:?}"),
+                }
+            }
+        }
+        std::fs::write(
+            &path,
+            format!("asdex-manifest v1\n{admitted}\nT id=c1 status=completed ok=1 sims=1 v=+0 digest=0\n"),
+        )
+        .unwrap();
+        assert!(matches!(Manifest::open(&path), Err(ManifestError::Format { line: 3, .. })));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn hostile_ids_are_rejected() {
         for bad in ["../etc/passwd", "a/b", "", "x y"] {
             let body = Json::obj().with("id", Json::Str(bad.to_string()));
@@ -367,8 +410,8 @@ mod tests {
         let a = outcome_json(&outcome).dump();
         let b = outcome_json(&outcome.clone()).dump();
         assert_eq!(a, b);
-        assert!(a.contains(&f64_bits_hex(1.0 / 3.0)));
-        assert!(a.contains(&f64_bits_hex(-0.0)));
+        assert!(a.contains(&hex_f64(1.0 / 3.0)));
+        assert!(a.contains(&hex_f64(-0.0)));
 
         let mut tweaked = outcome;
         tweaked.best_value = 0.0; // same ==, different bits than -0.0

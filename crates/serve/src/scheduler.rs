@@ -29,9 +29,8 @@ use crate::metrics::{Metrics, SchedulerGauges};
 use crate::pool::{WorkerPool, WorkerPoolConfig};
 use crate::protocol::{outcome_json, CampaignSpec};
 use asdex_core::{ProgressEvent, ProgressHandle};
-use asdex_env::journal::DiskFault;
 use asdex_env::{
-    CancelToken, EvalStats, EvalStore, EvalStoreStats, HealthStats, Journal, JournalError,
+    CancelToken, DiskFault, EvalStats, EvalStore, EvalStoreStats, HealthStats, Journal, JournalError,
     NetlistBench,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};

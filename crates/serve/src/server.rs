@@ -29,6 +29,7 @@ use crate::metrics::Metrics;
 use crate::protocol::{outcome_json, CampaignSpec};
 use crate::reactor::{run_reactor, ReactorConfig};
 use crate::scheduler::{Scheduler, SchedulerConfig, SubmitError};
+use asdex_env::recordlog::{hex_f64, hex_u64};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -323,11 +324,8 @@ fn get_campaign(id: &str, scheduler: &Scheduler) -> Response {
                 .with("status", Json::Str(summary.status.clone()))
                 .with("success", Json::Bool(summary.success))
                 .with("simulations", Json::Num(summary.simulations as f64))
-                .with(
-                    "best_value_bits",
-                    Json::Str(format!("{:016x}", summary.best_value.to_bits())),
-                )
-                .with("outcome_digest", Json::Str(format!("{:016x}", summary.digest))),
+                .with("best_value_bits", Json::Str(hex_f64(summary.best_value)))
+                .with("outcome_digest", Json::Str(hex_u64(summary.digest))),
         );
     }
     Response::json(200, body.dump())

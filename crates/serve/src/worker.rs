@@ -10,9 +10,9 @@
 //! # Wire protocol (version 1)
 //!
 //! Every frame is a 4-byte big-endian payload length followed by a UTF-8
-//! text payload in the journal's `key=value` idiom, floats as 16-hex-digit
-//! IEEE-754 bit patterns (bitwise-exact round trips, like everything else
-//! in this repo):
+//! text record in the [`asdex_env::recordlog`] codec — a tag, then
+//! `key=value` fields, floats and digests as 16-hex-digit bit patterns
+//! (bitwise-exact round trips). Unknown keys are ignored:
 //!
 //! ```text
 //! worker → supervisor   H proto=1 bench=bowl3 corners=nominal n=1   (handshake)
@@ -31,6 +31,7 @@
 //! corner set before dispatching anything, so a version or configuration
 //! skew is a typed spawn failure, not silent corruption.
 
+use asdex_env::recordlog::{f64_list_from_hex, hex_f64_list, hex_u64, split_record, u64_from_hex};
 use asdex_env::{
     arm_process_faults, run_attempt, FailureKind, FaultConfig, FaultInjectingEvaluator, FaultMode,
 };
@@ -93,29 +94,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<String> {
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 frame"))
 }
 
-/// Serializes a float as its 16-hex-digit IEEE-754 bit pattern.
-fn fmt_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn parse_hex_f64(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-fn fmt_list(xs: &[f64]) -> String {
-    xs.iter().map(|v| fmt_f64(*v)).collect::<Vec<_>>().join(",")
-}
-
-fn parse_list(s: &str) -> Option<Vec<f64>> {
-    if s.is_empty() {
-        return Some(Vec::new());
-    }
-    s.split(',').map(parse_hex_f64).collect()
-}
-
 /// The handshake frame a worker announces itself with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Handshake {
@@ -142,36 +120,23 @@ impl Handshake {
             self.proto, self.bench, self.corners, self.n_meas
         );
         if let Some(digest) = self.netlist_digest {
-            frame.push_str(&format!(" digest={digest:016x}"));
+            frame.push_str(&format!(" digest={}", hex_u64(digest)));
         }
         frame
     }
 
     /// Parses an `H …` frame payload.
     pub fn parse(payload: &str) -> Option<Handshake> {
-        let mut parts = payload.split_whitespace();
-        if parts.next()? != "H" {
-            return None;
-        }
-        let (mut proto, mut bench, mut corners, mut n_meas) = (None, None, None, None);
-        let mut netlist_digest = None;
-        for tok in parts {
-            let (k, v) = tok.split_once('=')?;
-            match k {
-                "proto" => proto = v.parse().ok(),
-                "bench" => bench = Some(v.to_string()),
-                "corners" => corners = Some(v.to_string()),
-                "n" => n_meas = v.parse().ok(),
-                "digest" => netlist_digest = Some(u64::from_str_radix(v, 16).ok()?),
-                _ => {}
-            }
-        }
+        let ("H", f) = split_record(payload)? else { return None };
         Some(Handshake {
-            proto: proto?,
-            bench: bench?,
-            corners: corners?,
-            n_meas: n_meas?,
-            netlist_digest,
+            proto: f.get("proto")?.parse().ok()?,
+            bench: f.get("bench")?.to_string(),
+            corners: f.get("corners")?.to_string(),
+            n_meas: f.get("n")?.parse().ok()?,
+            netlist_digest: match f.get("digest") {
+                Some(hex) => Some(u64_from_hex(hex)?),
+                None => None,
+            },
         })
     }
 }
@@ -197,32 +162,18 @@ impl AttemptRequest {
             self.attempt,
             self.corner_idx,
             self.deadline_ms,
-            fmt_list(&self.x_phys)
+            hex_f64_list(&self.x_phys)
         )
     }
 
     /// Parses an `A …` frame payload.
     pub fn parse(payload: &str) -> Option<AttemptRequest> {
-        let mut parts = payload.split_whitespace();
-        if parts.next()? != "A" {
-            return None;
-        }
-        let (mut attempt, mut corner_idx, mut deadline_ms, mut x_phys) = (None, None, None, None);
-        for tok in parts {
-            let (k, v) = tok.split_once('=')?;
-            match k {
-                "a" => attempt = v.parse().ok(),
-                "c" => corner_idx = v.parse().ok(),
-                "d" => deadline_ms = v.parse().ok(),
-                "x" => x_phys = parse_list(v),
-                _ => {}
-            }
-        }
+        let ("A", f) = split_record(payload)? else { return None };
         Some(AttemptRequest {
-            attempt: attempt?,
-            corner_idx: corner_idx?,
-            deadline_ms: deadline_ms?,
-            x_phys: x_phys?,
+            attempt: f.get("a")?.parse().ok()?,
+            corner_idx: f.get("c")?.parse().ok()?,
+            deadline_ms: f.get("d")?.parse().ok()?,
+            x_phys: f64_list_from_hex(f.get("x")?)?,
         })
     }
 }
@@ -242,30 +193,20 @@ impl AttemptReply {
     /// The `R …`/`F …` frame payload.
     pub fn to_frame(&self) -> String {
         match &self.result {
-            Ok(meas) => format!("R t={} m={}", self.elapsed_us, fmt_list(meas)),
+            Ok(meas) => format!("R t={} m={}", self.elapsed_us, hex_f64_list(meas)),
             Err(kind) => format!("F t={} k={}", self.elapsed_us, kind.label()),
         }
     }
 
     /// Parses an `R …`/`F …` frame payload.
     pub fn parse(payload: &str) -> Option<AttemptReply> {
-        let mut parts = payload.split_whitespace();
-        let tag = parts.next()?;
-        let (mut elapsed_us, mut meas, mut kind) = (None, None, None);
-        for tok in parts {
-            let (k, v) = tok.split_once('=')?;
-            match k {
-                "t" => elapsed_us = v.parse().ok(),
-                "m" => meas = parse_list(v),
-                "k" => kind = FailureKind::from_label(v),
-                _ => {}
-            }
-        }
-        match tag {
-            "R" => Some(AttemptReply { result: Ok(meas?), elapsed_us: elapsed_us? }),
-            "F" => Some(AttemptReply { result: Err(kind?), elapsed_us: elapsed_us? }),
-            _ => None,
-        }
+        let (tag, f) = split_record(payload)?;
+        let result = match tag {
+            "R" => Ok(f64_list_from_hex(f.get("m")?)?),
+            "F" => Err(FailureKind::from_label(f.get("k")?)?),
+            _ => return None,
+        };
+        Some(AttemptReply { result, elapsed_us: f.get("t")?.parse().ok()? })
     }
 }
 
@@ -388,35 +329,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frames_round_trip_bitwise() {
+    fn frames_match_their_golden_payloads_and_round_trip_bitwise() {
+        let hello = |bench: &str, corners: &str, n_meas, netlist_digest| Handshake {
+            proto: PROTOCOL_VERSION,
+            bench: bench.into(),
+            corners: corners.into(),
+            n_meas,
+            netlist_digest,
+        };
+        let plain = hello("bowl3", "nominal", 1, None);
+        let pinned = hello("netlist:decks/x.sp", "signoff5", 5, Some(0xaf63dc4c8601ec8c));
         let req = AttemptRequest {
             attempt: 2,
             corner_idx: 4,
             deadline_ms: 10_000,
             x_phys: vec![0.1 + 0.2, -1.5e-9, f64::MIN_POSITIVE],
         };
-        assert_eq!(AttemptRequest::parse(&req.to_frame()), Some(req));
         let ok = AttemptReply { result: Ok(vec![1.25, -0.0]), elapsed_us: 812 };
-        assert_eq!(AttemptReply::parse(&ok.to_frame()), Some(ok));
         let fail = AttemptReply { result: Err(FailureKind::NoConvergence), elapsed_us: 3 };
-        assert_eq!(AttemptReply::parse(&fail.to_frame()), Some(fail));
-        let hello = Handshake {
-            proto: PROTOCOL_VERSION,
-            bench: "bowl3".into(),
-            corners: "nominal".into(),
-            n_meas: 1,
-            netlist_digest: None,
-        };
-        assert_eq!(Handshake::parse(&hello.to_frame()), Some(hello));
-        let with_digest = Handshake {
-            proto: PROTOCOL_VERSION,
-            bench: "netlist:decks/x.sp".into(),
-            corners: "nominal".into(),
-            n_meas: 5,
-            netlist_digest: Some(0xaf63dc4c8601ec8c),
-        };
-        assert!(with_digest.to_frame().contains("digest=af63dc4c8601ec8c"));
-        assert_eq!(Handshake::parse(&with_digest.to_frame()), Some(with_digest));
+        // Pinned payloads: any change here is a wire-format change that
+        // needs a PROTOCOL_VERSION bump.
+        let h_plain = "H proto=1 bench=bowl3 corners=nominal n=1";
+        let h_pinned =
+            "H proto=1 bench=netlist:decks/x.sp corners=signoff5 n=5 digest=af63dc4c8601ec8c";
+        let a = "A a=2 c=4 d=10000 x=3fd3333333333334,be19c511dc3a41df,0010000000000000";
+        let r = "R t=812 m=3ff4000000000000,8000000000000000";
+        let f = "F t=3 k=no-convergence";
+        assert_eq!(
+            [plain.to_frame(), pinned.to_frame(), req.to_frame(), ok.to_frame(), fail.to_frame()],
+            [h_plain, h_pinned, a, r, f]
+        );
+        // Each payload parses back to its input, and re-encoding the parse
+        // reproduces the payload, so the round trip is bitwise.
+        assert_eq!(Handshake::parse(h_plain), Some(plain));
+        assert_eq!(Handshake::parse(h_pinned), Some(pinned));
+        let parsed = AttemptRequest::parse(a).unwrap();
+        assert_eq!((parsed.to_frame(), parsed), (a.to_string(), req));
+        for (payload, reply) in [(r, ok), (f, fail)] {
+            let parsed = AttemptReply::parse(payload).unwrap();
+            assert_eq!((parsed.to_frame(), parsed), (payload.to_string(), reply));
+        }
+        // Unknown keys are ignored, so a newer supervisor's extra field
+        // does not break an older frame reader.
+        assert_eq!(AttemptReply::parse("F t=3 k=no-convergence z=1"), AttemptReply::parse(f));
         assert_eq!(Handshake::parse("H proto=1 bench=b corners=c n=1 digest=zz"), None);
     }
 

@@ -814,7 +814,7 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
     // The supervisor forwards the admitted campaign's netlist digest; the
     // worker re-compiles the deck and refuses to serve if it was edited.
     let netlist_digest = match flag_value(args, "--netlist-digest")? {
-        Some(hex) => Some(u64::from_str_radix(hex, 16).map_err(|_| {
+        Some(hex) => Some(asdex::env::recordlog::u64_from_hex(hex).ok_or_else(|| {
             CliError::Usage(format!("--netlist-digest {hex:?} is not a 16-hex digest"))
         })?),
         None => None,

@@ -233,7 +233,7 @@ fn sigkilled_daemon_recovers_bitwise_identically() {
                         recovered.get("outcome_digest").and_then(Json::as_str).expect("digest");
                     assert_eq!(
                         digest,
-                        format!("{:016x}", asdex::serve::manifest::fnv1a(&references[k])),
+                        format!("{:016x}", asdex::env::fnv1a(&references[k])),
                         "{id}: recovered digest diverged from the serial outcome"
                     );
                 }
