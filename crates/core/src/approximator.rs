@@ -7,8 +7,8 @@
 //! dominated by the largest unit.
 
 use asdex_nn::{
-    mse_output_grad, Activation, Adam, GradGuard, GuardOutcome, Mlp, Normalizer, Optimizer,
-    TrainHealth, UpdateClass,
+    mse, mse_output_grad_into, Activation, Adam, GradGuard, Gradients, GuardOutcome, Mlp,
+    Normalizer, Optimizer, Trace, TrainHealth, UpdateClass,
 };
 use asdex_rng::Rng;
 
@@ -166,25 +166,36 @@ impl SpiceApproximator {
         let mut last = 0.0;
         let mut clipped = 0;
         let mut nonfinite = 0;
-        let start = self.trajectory.len().saturating_sub(self.window);
-        let count = self.trajectory.len() - start;
+        let samples = &self.trajectory[self.trajectory.len().saturating_sub(self.window)..];
+        let count = samples.len();
+        let (n_in, n_out) = (self.n_in, self.n_out);
+        // The normalizers stay put during a fit: standardize the window
+        // once, not once per epoch.
+        let (in_std, out_std) = (self.in_norm.std(), self.out_norm.std());
+        let mut xs = vec![0.0; count * n_in];
+        let mut ys = vec![0.0; count * n_out];
+        for (k, s) in samples.iter().enumerate() {
+            self.in_norm.normalize_into(&in_std, &s.x, &mut xs[k * n_in..][..n_in]);
+            self.out_norm.normalize_into(&out_std, &s.y, &mut ys[k * n_out..][..n_out]);
+        }
+        let mut trace = Trace::default();
+        let mut grads = Gradients::default();
+        let mut output_grad = vec![0.0; n_out];
         for _ in 0..epochs {
             last = 0.0;
-            for k in start..self.trajectory.len() {
-                let (x, y) = {
-                    let s = &self.trajectory[k];
-                    (self.in_norm.normalize(&s.x), self.out_norm.normalize(&s.y))
-                };
-                let trace = self.net.forward_trace(&x);
-                last += asdex_nn::mse(trace.output(), &y);
-                let mut g = self.net.backward(&trace, &mse_output_grad(trace.output(), &y));
-                match self.guard.apply(g.flat_mut()) {
+            for k in 0..count {
+                let (x, y) = (&xs[k * n_in..][..n_in], &ys[k * n_out..][..n_out]);
+                self.net.forward_into(x, &mut trace);
+                last += mse(trace.output(), y);
+                mse_output_grad_into(trace.output(), y, &mut output_grad);
+                self.net.backward_into(&trace, &output_grad, &mut grads);
+                match self.guard.apply(grads.flat_mut()) {
                     GuardOutcome::NonFinite => nonfinite += 1,
                     GuardOutcome::Clipped => {
                         clipped += 1;
-                        self.adam.step(&mut self.net, g.flat());
+                        self.adam.step(&mut self.net, grads.flat());
                     }
-                    GuardOutcome::Ok => self.adam.step(&mut self.net, g.flat()),
+                    GuardOutcome::Ok => self.adam.step(&mut self.net, grads.flat()),
                 }
             }
             last /= count as f64;
@@ -232,7 +243,7 @@ impl SpiceApproximator {
 
     /// Predicts raw measurements at a normalized point.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
-        self.out_norm.denormalize(&self.net.forward(&self.in_norm.normalize(x)))
+        Scorer::new(self).predict(x).to_vec()
     }
 
     /// Clears the trajectory and optimizer state but keeps the network
@@ -280,6 +291,44 @@ impl SpiceApproximator {
         self.net.set_flat_params(&state.weights);
         self.in_norm = state.in_norm.clone();
         self.out_norm = state.out_norm.clone();
+    }
+}
+
+/// Predicts many points against one model state through reused buffers:
+/// the normalizer scales are computed once, and no point allocates.
+pub(crate) struct Scorer<'m> {
+    model: &'m SpiceApproximator,
+    in_std: Vec<f64>,
+    out_std: Vec<f64>,
+    z: Vec<f64>,
+    trace: Trace,
+    predicted: Vec<f64>,
+}
+
+impl<'m> Scorer<'m> {
+    pub(crate) fn new(model: &'m SpiceApproximator) -> Self {
+        Scorer {
+            model,
+            in_std: model.in_norm.std(),
+            out_std: model.out_norm.std(),
+            z: vec![0.0; model.n_in],
+            trace: Trace::default(),
+            predicted: vec![0.0; model.n_out],
+        }
+    }
+
+    /// [`SpiceApproximator::predict`] into the scorer's buffer.
+    pub(crate) fn predict(&mut self, x: &[f64]) -> &[f64] {
+        let m = self.model;
+        m.in_norm.normalize_into(&self.in_std, x, &mut self.z);
+        m.net.forward_into(&self.z, &mut self.trace);
+        m.out_norm.denormalize_into(&self.out_std, self.trace.output(), &mut self.predicted);
+        &self.predicted
+    }
+
+    /// The most recent prediction.
+    pub(crate) fn predicted(&self) -> &[f64] {
+        &self.predicted
     }
 }
 

@@ -5,7 +5,7 @@
 //! the trust region, score each with `Value ∘ f_NN`, and propose the
 //! argmax — "a more vanilla Monte Carlo sampling-based planning".
 
-use crate::approximator::SpiceApproximator;
+use crate::approximator::{Scorer, SpiceApproximator};
 use asdex_env::{DesignSpace, SpecSet, ValueFn};
 use asdex_rng::Rng;
 
@@ -48,20 +48,17 @@ impl McPlanner {
         specs: &SpecSet,
         rng: &mut R,
     ) -> Option<Proposal> {
+        let mut scorer = Scorer::new(model);
         let mut best: Option<Proposal> = None;
         for _ in 0..self.samples {
             let x = space.sample_within(rng, center, radius);
             if x == center {
                 continue;
             }
-            let predicted = model.predict(&x);
-            let predicted_value = value_fn.value(&predicted, specs);
-            let better = match &best {
-                Some(b) => predicted_value > b.predicted_value,
-                None => true,
-            };
-            if better {
-                best = Some(Proposal { x, predicted, predicted_value });
+            let predicted = scorer.predict(&x);
+            let predicted_value = value_fn.value(predicted, specs);
+            if best.as_ref().is_none_or(|b| predicted_value > b.predicted_value) {
+                best = Some(Proposal { x, predicted: predicted.to_vec(), predicted_value });
             }
         }
         best
@@ -82,6 +79,7 @@ impl McPlanner {
         specs: &SpecSet,
         rng: &mut R,
     ) -> Option<Proposal> {
+        let mut scorers: Vec<Scorer> = models.iter().map(|m| Scorer::new(m)).collect();
         let mut best: Option<Proposal> = None;
         for _ in 0..self.samples {
             let x = space.sample_within(rng, center, radius);
@@ -89,21 +87,17 @@ impl McPlanner {
                 continue;
             }
             let mut worst_value = f64::INFINITY;
-            let mut worst_pred = Vec::new();
-            for m in models {
-                let predicted = m.predict(&x);
-                let v = value_fn.value(&predicted, specs);
+            let mut worst = None;
+            for (k, scorer) in scorers.iter_mut().enumerate() {
+                let v = value_fn.value(scorer.predict(&x), specs);
                 if v < worst_value {
                     worst_value = v;
-                    worst_pred = predicted;
+                    worst = Some(k);
                 }
             }
-            let better = match &best {
-                Some(b) => worst_value > b.predicted_value,
-                None => true,
-            };
-            if better {
-                best = Some(Proposal { x, predicted: worst_pred, predicted_value: worst_value });
+            if best.as_ref().is_none_or(|b| worst_value > b.predicted_value) {
+                let predicted = worst.map_or_else(Vec::new, |k| scorers[k].predicted().to_vec());
+                best = Some(Proposal { x, predicted, predicted_value: worst_value });
             }
         }
         best

@@ -48,6 +48,18 @@ impl GradGuard {
     /// the ceiling. Returns what happened; on [`GuardOutcome::NonFinite`]
     /// the gradient is left untouched and must be discarded by the caller.
     pub fn apply(&self, grad: &mut [f64]) -> GuardOutcome {
+        // The common case in one vectorisable pass. Below, each computed
+        // `(g/max_abs)²` is at most 1, so the computed sum is at most `n`
+        // and the computed norm at most `fl(max_abs·fl(√n))`. When
+        // `fl(|g|·fl(√n)) ≤ max_norm` holds for every `g` (which also
+        // rules out NaN and ±Inf against a finite ceiling), the full
+        // computation would return `Ok`; anything else takes it.
+        let sqrt_n = (grad.len() as f64).sqrt();
+        if self.max_norm.is_finite()
+            && grad.iter().fold(true, |ok, g| ok & (g.abs() * sqrt_n <= self.max_norm))
+        {
+            return GuardOutcome::Ok;
+        }
         if grad.iter().any(|g| !g.is_finite()) {
             return GuardOutcome::NonFinite;
         }
@@ -58,7 +70,14 @@ impl GradGuard {
             return GuardOutcome::Ok;
         }
         let norm = max_abs
-            * grad.iter().map(|g| (g / max_abs) * (g / max_abs)).sum::<f64>().sqrt();
+            * grad
+                .iter()
+                .map(|g| {
+                    let r = g / max_abs;
+                    r * r
+                })
+                .sum::<f64>()
+                .sqrt();
         if norm <= self.max_norm {
             return GuardOutcome::Ok;
         }
@@ -199,6 +218,121 @@ impl Default for TrainHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asdex_rng::rngs::StdRng;
+    use asdex_rng::{Rng, SeedableRng};
+
+    /// `GradGuard::apply` before its one-pass fast path, verbatim: the
+    /// reference every outcome and every resulting bit must match.
+    fn reference_apply(guard: &GradGuard, grad: &mut [f64]) -> GuardOutcome {
+        if grad.iter().any(|g| !g.is_finite()) {
+            return GuardOutcome::NonFinite;
+        }
+        let max_abs = grad.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+        if max_abs == 0.0 {
+            return GuardOutcome::Ok;
+        }
+        let norm = max_abs
+            * grad.iter().map(|g| (g / max_abs) * (g / max_abs)).sum::<f64>().sqrt();
+        if norm <= guard.max_norm {
+            return GuardOutcome::Ok;
+        }
+        let scale = guard.max_norm / norm;
+        for g in grad.iter_mut() {
+            *g *= scale;
+        }
+        GuardOutcome::Clipped
+    }
+
+    /// The reference's computed global norm.
+    fn reference_norm(grad: &[f64]) -> f64 {
+        let max_abs = grad.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+        max_abs * grad.iter().map(|g| (g / max_abs) * (g / max_abs)).sum::<f64>().sqrt()
+    }
+
+    #[test]
+    fn guard_matches_the_three_pass_reference_bit_for_bit() {
+        // Gradients whose fast-path bound `max_abs·√n` sits exactly at,
+        // one ulp below and one ulp above the ceiling.
+        let edge = |n: usize, max_abs: f64| {
+            let mut g: Vec<f64> =
+                (0..n).map(|k| max_abs * (k as f64 + 1.0) / (n as f64 + 3.0)).collect();
+            g[n / 2] = -max_abs;
+            let at = max_abs * (n as f64).sqrt();
+            (g, at)
+        };
+        let mut cases: Vec<(Vec<f64>, f64)> = Vec::new();
+        for (n, max_abs) in [(1, 3.0), (2, 0.7), (4, 1.0), (7, 2.5), (2357, 0.031)] {
+            let (g, at) = edge(n, max_abs);
+            for ceiling in [at, at.next_down(), at.next_up()] {
+                cases.push((g.clone(), ceiling));
+            }
+        }
+        // A uniform gradient's true norm equals the bound, so here the
+        // ceiling decides between the fast path, the full computation's
+        // `Ok` and a clip.
+        for n in [2, 3, 5, 9, 100] {
+            let at = 0.1 * (n as f64).sqrt();
+            for ceiling in [at, at.next_down(), at.next_up()] {
+                cases.push((vec![0.1; n], ceiling));
+            }
+        }
+        let specials: [&[f64]; 10] = [
+            &[1.0, f64::NAN, 2.0],
+            &[f64::NAN],
+            &[f64::INFINITY, 0.0],
+            &[0.0, f64::NEG_INFINITY],
+            &[0.0, -0.0, 0.0],
+            &[0.5],
+            &[-7.0],
+            &[1e200, -1e200],
+            &[3.0, -4.0, 0.25, -0.0, 12.0, -1e-300],
+            &[],
+        ];
+        for g in specials {
+            for ceiling in [1e-3, 1.0, 5.0, 1e3, 1e300, f64::MAX] {
+                cases.push((g.to_vec(), ceiling));
+            }
+        }
+        // Mixed signs and magnitudes at the surrogate's size, where every
+        // rounding of the norm shows in the clipped bits.
+        let mut rng = StdRng::seed_from_u64(17);
+        let mixed: Vec<f64> = (0..2357).map(|_| rng.gen_range(-1.0..1.0) * 0.37).collect();
+        let norm = reference_norm(&mixed);
+        for ceiling in [1e-3, 0.5 * norm, norm.next_down(), norm, norm.next_up(), 2.0 * norm] {
+            cases.push((mixed.clone(), ceiling));
+        }
+        for n in 2..10 {
+            for _ in 0..25 {
+                let g: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let norm = reference_norm(&g);
+                cases.push((g.clone(), 0.5 * norm));
+                cases.push((g, norm.next_down()));
+            }
+        }
+        // [fast-path Ok, full-computation Ok, Clipped, NonFinite]
+        let mut seen = [0; 4];
+        for (g, ceiling) in cases {
+            let guard = GradGuard { max_norm: ceiling };
+            let (mut ours, mut theirs) = (g.clone(), g.clone());
+            let outcome = guard.apply(&mut ours);
+            assert_eq!(outcome, reference_apply(&guard, &mut theirs), "{g:?} at {ceiling:e}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ours), bits(&theirs), "{g:?} at {ceiling:e}");
+            let sqrt_n = (g.len() as f64).sqrt();
+            let fast = g.iter().all(|g| g.abs() * sqrt_n <= ceiling);
+            seen[match outcome {
+                GuardOutcome::Ok if fast => 0,
+                GuardOutcome::Ok => 1,
+                GuardOutcome::Clipped => 2,
+                GuardOutcome::NonFinite => 3,
+            }] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every path exercised: {seen:?}");
+        // An infinite ceiling has no fast path: Inf and NaN still fail.
+        let guard = GradGuard { max_norm: f64::INFINITY };
+        assert_eq!(guard.apply(&mut [f64::INFINITY, 1.0]), GuardOutcome::NonFinite);
+        assert_eq!(guard.apply(&mut [1e308, 1e308]), GuardOutcome::Ok);
+    }
 
     #[test]
     fn guard_passes_small_gradients_untouched() {

@@ -50,6 +50,6 @@ pub use categorical::{
     sample_categorical, softmax,
 };
 pub use guard::{GradGuard, GuardOutcome, TrainHealth, UpdateClass};
-pub use mlp::{mse, mse_output_grad, Gradients, Mlp, Trace};
+pub use mlp::{mse, mse_output_grad, mse_output_grad_into, Gradients, Mlp, Trace};
 pub use normalizer::Normalizer;
 pub use optimizer::{Adam, Optimizer, Sgd};

@@ -77,13 +77,28 @@ impl Normalizer {
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn normalize(&self, x: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; self.dim];
+        self.normalize_into(&self.std(), x, &mut z);
+        z
+    }
+
+    /// [`Normalizer::normalize`] into a caller-owned buffer, with the
+    /// scales `std` (from [`Normalizer::std`]) computed once by the
+    /// caller for many points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice's length differs from `self.dim()`.
+    pub fn normalize_into(&self, std: &[f64], x: &[f64], z: &mut [f64]) {
         assert_eq!(x.len(), self.dim, "normalizer dimension mismatch");
         debug_assert!(
             x.iter().all(|v| v.is_finite()),
             "normalize called with non-finite input {x:?}"
         );
-        let std = self.std();
-        x.iter().enumerate().map(|(i, &v)| (v - self.mean[i]) / std[i]).collect()
+        let (mean, std, z) = (&self.mean[..self.dim], &std[..self.dim], &mut z[..self.dim]);
+        for (((z, &v), m), s) in z.iter_mut().zip(x).zip(mean).zip(std) {
+            *z = (v - m) / s;
+        }
     }
 
     /// Inverts [`Normalizer::normalize`].
@@ -92,13 +107,27 @@ impl Normalizer {
     ///
     /// Panics if `z.len() != self.dim()`.
     pub fn denormalize(&self, z: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; self.dim];
+        self.denormalize_into(&self.std(), z, &mut x);
+        x
+    }
+
+    /// [`Normalizer::denormalize`] into a caller-owned buffer, with
+    /// precomputed scales as for [`Normalizer::normalize_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice's length differs from `self.dim()`.
+    pub fn denormalize_into(&self, std: &[f64], z: &[f64], x: &mut [f64]) {
         assert_eq!(z.len(), self.dim, "normalizer dimension mismatch");
         debug_assert!(
             z.iter().all(|v| v.is_finite()),
             "denormalize called with non-finite input {z:?}"
         );
-        let std = self.std();
-        z.iter().enumerate().map(|(i, &v)| v * std[i] + self.mean[i]).collect()
+        let (mean, std, x) = (&self.mean[..self.dim], &std[..self.dim], &mut x[..self.dim]);
+        for (((x, &v), m), s) in x.iter_mut().zip(z).zip(mean).zip(std) {
+            *x = v * s + m;
+        }
     }
 }
 

@@ -36,12 +36,12 @@ impl Optimizer for Sgd {
         if self.velocity.len() != grad.len() {
             self.velocity = vec![0.0; grad.len()];
         }
-        let mut update = vec![0.0; grad.len()];
-        for ((v, g), u) in self.velocity.iter_mut().zip(grad).zip(&mut update) {
+        let params = net.params_mut();
+        assert_eq!(grad.len(), params.len(), "parameter count mismatch");
+        for ((v, g), w) in self.velocity.iter_mut().zip(grad).zip(params) {
             *v = self.momentum * *v - self.lr * g;
-            *u = *v;
+            *w += *v;
         }
-        net.apply_flat_delta(&update, 1.0);
     }
 }
 
@@ -74,6 +74,26 @@ impl Adam {
         self.v.clear();
         self.t = 0;
     }
+
+    /// One in-place pass: moments, bias correction (of `m` only when
+    /// `CORRECT_M`), and `θ −= lr·m̂ / (√v̂ + ε)`.
+    #[inline(always)]
+    fn update<const CORRECT_M: bool>(
+        &mut self,
+        params: &mut [f64],
+        grad: &[f64],
+        b1t: f64,
+        b2t: f64,
+    ) {
+        let (beta1, beta2, eps) = (self.beta1, self.beta2, self.eps);
+        let (c1, c2, neg_lr) = (1.0 - beta1, 1.0 - beta2, -self.lr);
+        for (((m, v), g), w) in self.m.iter_mut().zip(&mut self.v).zip(grad).zip(params) {
+            *m = beta1 * *m + c1 * g;
+            *v = beta2 * *v + c2 * g * g;
+            let mhat = if CORRECT_M { *m / b1t } else { *m };
+            *w += neg_lr * mhat / ((*v / b2t).sqrt() + eps);
+        }
+    }
 }
 
 impl Optimizer for Adam {
@@ -86,15 +106,16 @@ impl Optimizer for Adam {
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        let mut update = vec![0.0; grad.len()];
-        for i in 0..grad.len() {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad[i];
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-            let mhat = self.m[i] / b1t;
-            let vhat = self.v[i] / b2t;
-            update[i] = -self.lr * mhat / (vhat.sqrt() + self.eps);
+        let params = net.params_mut();
+        assert_eq!(grad.len(), params.len(), "parameter count mismatch");
+        // Once `β₁^t` drops below half an ulp of 1 (~355 steps after a
+        // reset), the first-moment correction divides by exactly 1.0,
+        // which changes nothing: skip that division.
+        if b1t == 1.0 {
+            self.update::<false>(params, grad, b1t, b2t);
+        } else {
+            self.update::<true>(params, grad, b1t, b2t);
         }
-        net.apply_flat_delta(&update, 1.0);
     }
 }
 
@@ -122,6 +143,73 @@ mod tests {
             loss += mse(&net.forward(&[x]), &[x * x]);
         }
         loss / 20.0
+    }
+
+    /// Adam as a separate update vector applied by `apply_flat_delta`:
+    /// the reference the in-place pass must match bit for bit.
+    fn reference_adam(adam: &mut Adam, net: &mut Mlp, grad: &[f64]) {
+        if adam.m.len() != grad.len() {
+            adam.m = vec![0.0; grad.len()];
+            adam.v = vec![0.0; grad.len()];
+            adam.t = 0;
+        }
+        adam.t += 1;
+        let b1t = 1.0 - adam.beta1.powi(adam.t as i32);
+        let b2t = 1.0 - adam.beta2.powi(adam.t as i32);
+        let mut update = vec![0.0; grad.len()];
+        for i in 0..grad.len() {
+            adam.m[i] = adam.beta1 * adam.m[i] + (1.0 - adam.beta1) * grad[i];
+            adam.v[i] = adam.beta2 * adam.v[i] + (1.0 - adam.beta2) * grad[i] * grad[i];
+            let mhat = adam.m[i] / b1t;
+            let vhat = adam.v[i] / b2t;
+            update[i] = -adam.lr * mhat / (vhat.sqrt() + adam.eps);
+        }
+        net.apply_flat_delta(&update, 1.0);
+    }
+
+    /// Momentum SGD the same way.
+    fn reference_sgd(sgd: &mut Sgd, net: &mut Mlp, grad: &[f64]) {
+        if sgd.velocity.len() != grad.len() {
+            sgd.velocity = vec![0.0; grad.len()];
+        }
+        let mut update = vec![0.0; grad.len()];
+        for ((v, g), u) in sgd.velocity.iter_mut().zip(grad).zip(&mut update) {
+            *v = sgd.momentum * *v - sgd.lr * g;
+            *u = *v;
+        }
+        net.apply_flat_delta(&update, 1.0);
+    }
+
+    #[test]
+    fn in_place_updates_match_the_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let net0 = Mlp::new(&[3, 11, 2], Activation::Tanh, &mut rng);
+        let (mut ours, mut theirs) = (net0.clone(), net0.clone());
+        let (mut adam, mut adam_ref) = (Adam::new(0.01), Adam::new(0.01));
+        let (mut sgd, mut sgd_ref) = (Sgd::with_momentum(0.02, 0.9), Sgd::with_momentum(0.02, 0.9));
+        let mut crossed = false;
+        for step in 0..1000 {
+            let g: Vec<f64> = (0..net0.param_count())
+                .map(|k| match (k + step) % 11 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => 1e-300,
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect();
+            if step == 500 {
+                adam.reset();
+                adam_ref.reset();
+            }
+            adam.step(&mut ours, &g);
+            reference_adam(&mut adam_ref, &mut theirs, &g);
+            crossed |= 1.0 - adam.beta1.powi(adam.t as i32) == 1.0;
+            sgd.step(&mut ours, &g);
+            reference_sgd(&mut sgd_ref, &mut theirs, &g);
+            let bits = |n: &Mlp| n.flat_params().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ours), bits(&theirs), "step {step}");
+        }
+        assert!(crossed, "the first-moment correction reached exactly 1");
     }
 
     #[test]

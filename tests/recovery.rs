@@ -86,13 +86,14 @@ fn wait_until_live(client: &Client, deadline: Duration) {
     }
 }
 
-/// Complete (newline-terminated) `E ` records in a journal file — the
-/// evaluations a resume is obliged to replay rather than re-simulate.
-fn complete_eval_lines(path: &Path) -> usize {
+/// Complete (newline-terminated) records starting with `tag` in a journal
+/// file. `E ` records are the evaluations a resume is obliged to replay
+/// rather than re-simulate; the `M ` record is the campaign metadata.
+fn complete_lines(path: &Path, tag: &str) -> usize {
     match std::fs::read_to_string(path) {
         Ok(text) => text
             .split_inclusive('\n')
-            .filter(|raw| raw.ends_with('\n') && raw.starts_with("E "))
+            .filter(|raw| raw.ends_with('\n') && raw.starts_with(tag))
             .count(),
         Err(_) => 0,
     }
@@ -153,8 +154,19 @@ fn sigkilled_daemon_recovers_bitwise_identically() {
             client.submit(Some(&ids[k]), spec).expect("admitted");
         }
         // Let the campaigns get partway in, then kill -9: no drain, no
-        // checkpoint call, no Drop handlers — the worst case.
-        std::thread::sleep(Duration::from_millis(150));
+        // checkpoint call, no Drop handlers — the worst case. Kill once
+        // every journal holds its metadata and an evaluation is durable,
+        // not after a fixed sleep: how long a campaign runs depends on
+        // the agent's speed and the host, and the kill must land
+        // mid-flight on both.
+        let journal = |id: &String| dir.join(format!("{id}.journal"));
+        let until = Instant::now() + Duration::from_secs(20);
+        while !(ids.iter().all(|id| complete_lines(&journal(id), "M ") == 1)
+            && ids.iter().any(|id| complete_lines(&journal(id), "E ") > 0))
+        {
+            assert!(Instant::now() < until, "campaigns never reached their journals");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         victim.kill().expect("SIGKILL");
         victim.wait().expect("reaped");
 
@@ -180,10 +192,8 @@ fn sigkilled_daemon_recovers_bitwise_identically() {
 
         // What landed on disk is all the successor may replay; anything
         // beyond it must come from real (but non-duplicated) simulation.
-        let recorded_at_kill: Vec<usize> = ids
-            .iter()
-            .map(|id| complete_eval_lines(&dir.join(format!("{id}.journal"))))
-            .collect();
+        let recorded_at_kill: Vec<usize> =
+            ids.iter().map(|id| complete_lines(&journal(id), "E ")).collect();
         // The SIGKILLed daemon left its lock file behind with a dead
         // pid — the restart below must reclaim it, not wedge.
         assert!(dir.join("asdex.lock").exists(), "kill -9 leaves the stale lock");
