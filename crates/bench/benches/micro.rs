@@ -7,13 +7,12 @@
 
 use asdex_bench::write_csv;
 use asdex_core::{McPlanner, SpiceApproximator};
-use asdex_env::circuits::opamp::{OpampEvaluator, TwoStageOpamp};
+use asdex_env::circuits::opamp::TwoStageOpamp;
 use asdex_env::{EvalRequest, PvtSet, SpecSet, ValueFn};
 use asdex_linalg::{Lu, Matrix};
 use asdex_rng::rngs::StdRng;
 use asdex_rng::SeedableRng;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs `f` for a few warm-up iterations, then times `iters` calls and
@@ -149,7 +148,7 @@ fn bench_parallel_throughput() {
         let mut round_evals = Vec::new();
         for r in round_requests(round) {
             let mut cold = template.clone();
-            cold.evaluator = Arc::new(OpampEvaluator::new(amp.clone()));
+            cold.evaluator = amp.problem().expect("problem builds").evaluator;
             round_evals.push(cold.evaluate_with_budget(&r.u, r.corner_idx, usize::MAX));
         }
         serial_evals.push(round_evals);

@@ -20,7 +20,6 @@ use asdex_baselines::CustomizedBo;
 use asdex_bench::{print_table, write_csv, RunScale, Stats};
 use asdex_core::LocalExplorer;
 use asdex_env::circuits::ldo::{meas, Ldo};
-use asdex_env::problem::Evaluator;
 use asdex_env::{PvtCorner, SearchBudget, Searcher};
 
 fn main() {
@@ -47,8 +46,10 @@ fn main() {
 
     // Human reference row.
     let human_x = ldo.human_reference();
-    let eval = asdex_env::circuits::ldo::LdoEvaluator::new(ldo.clone());
-    let human_m = eval.evaluate(&human_x, &PvtCorner::nominal()).expect("human design simulates");
+    let human_m = problem
+        .evaluator
+        .evaluate(&human_x, &PvtCorner::nominal())
+        .expect("human design simulates");
     rows.push(vec![
         "human".to_string(),
         "untraceable".to_string(),

@@ -9,17 +9,16 @@
 //! AC-grounds the amplifier's feedback input; the AC response at the
 //! divider tap to a stimulus on the reference input *is* the loop gain.
 
+use super::pool::{MnaBench, MnaEvaluator};
 use crate::corner::PvtCorner;
 use crate::error::EnvError;
-use crate::problem::{Evaluator, SizingProblem};
-use crate::robust::EvalEffort;
+use crate::problem::SizingProblem;
 use crate::space::{DesignSpace, Param};
 use crate::spec::{Spec, SpecSet};
 use crate::PvtSet;
-use super::pool::{EnginePool, EngineSlot, SimCache};
-use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpOptions, Sweep};
+use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpResult, SolverWorkspace, Sweep};
 use asdex_spice::devices::MosGeometry;
-use asdex_spice::measure::{checked_frequency_response, ensure_finite, to_db};
+use asdex_spice::measure::{checked_frequency_response, to_db};
 use asdex_spice::process::ProcessNode;
 use asdex_spice::{AcSpec, Circuit};
 use std::sync::Arc;
@@ -62,6 +61,8 @@ pub mod meas {
     pub const IQ_A: usize = 3;
     /// Regulated output voltage \[V\].
     pub const VOUT_V: usize = 4;
+    /// Measurement names, in vector order.
+    pub const NAMES: [&str; 5] = ["loop_gain_db", "pm_deg", "area_um2", "iq_a", "vout_v"];
 }
 
 /// The LDO benchmark on a process node.
@@ -141,7 +142,7 @@ impl Ldo {
         SizingProblem::new(
             &format!("ldo-{}", self.node.name),
             space,
-            Arc::new(LdoEvaluator::new(self.clone())),
+            Arc::new(MnaEvaluator::new(self.clone())),
             Self::default_specs(),
             PvtSet::nominal_only(),
         )
@@ -238,53 +239,23 @@ impl Ldo {
     }
 }
 
-/// The MNA-backed evaluator behind [`Ldo`].
-pub struct LdoEvaluator {
-    ldo: Ldo,
-    names: Vec<String>,
-    pool: EnginePool,
-    cache: SimCache,
-}
+impl MnaBench for Ldo {
+    const NAMES: &'static [&'static str] = &meas::NAMES;
 
-impl LdoEvaluator {
-    /// Wraps an LDO description.
-    pub fn new(ldo: Ldo) -> Self {
-        LdoEvaluator {
-            ldo,
-            names: vec![
-                "loop_gain_db".into(),
-                "pm_deg".into(),
-                "area_um2".into(),
-                "iq_a".into(),
-                "vout_v".into(),
-            ],
-            pool: EnginePool::default(),
-            cache: SimCache::default(),
-        }
+    fn circuit(&self, x: &[f64], corner: &PvtCorner) -> Result<Circuit, EnvError> {
+        self.netlist(x, corner)
     }
 
-    /// The solve proper, running inside a pooled engine/workspace slot.
-    fn evaluate_in_slot(
+    /// Loop gain and phase margin at the divider tap over 10 Hz–1 GHz,
+    /// gate area, quiescent current, and the regulated output voltage.
+    fn measure(
         &self,
-        slot: &mut EngineSlot,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
+        circuit: &Circuit,
+        engine: &Engine,
+        op: OpResult,
+        ws: &mut SolverWorkspace,
+        _corner: &PvtCorner,
     ) -> Result<Vec<f64>, EnvError> {
-        let circuit = self.ldo.netlist(x, corner)?;
-        let EngineSlot { engine, ws } = slot;
-        let engine = match engine.as_mut() {
-            Some(eng) => {
-                eng.restamp(&circuit)?;
-                eng
-            }
-            None => engine.insert(Engine::compile(&circuit)?),
-        };
-        let mut opts = OpOptions::default();
-        effort.apply(&mut opts);
-        let initial = effort.initial_guess(engine.dim());
-        let op = engine.operating_point_with(&opts, initial.as_deref(), ws)?;
-
         let vout_node = circuit.find_node("vout").ok_or_else(|| EnvError::InvalidProblem {
             reason: "ldo netlist defines no 'vout' node".into(),
         })?;
@@ -298,15 +269,11 @@ impl LdoEvaluator {
             reason: "ldo netlist defines no 'VDD' source".into(),
         })?;
         let supply_current = op.branch_current(vdd_branch).abs();
-        let load_current = vout_v / self.ldo.r_load;
+        let load_current = vout_v / self.r_load;
         let iq = (supply_current - load_current).abs();
 
-        let ac = ac_analysis_with_op_in(
-            engine,
-            op,
-            Sweep::Decade { fstart: 10.0, fstop: 1e9, points_per_decade: 10 },
-            ws,
-        )?;
+        let sweep = Sweep::Decade { fstart: 10.0, fstop: 1e9, points_per_decade: 10 };
+        let ac = ac_analysis_with_op_in(engine, op, sweep, ws)?;
         let fr = checked_frequency_response(&ac, fbo)?;
         // `frequency_response` reports the low-frequency magnitude of the
         // probe node, which is exactly the loop gain here.
@@ -315,55 +282,14 @@ impl LdoEvaluator {
         // Area in µm² (1 m² = 1e12 µm²).
         let area_um2 = circuit.total_gate_area() * 1e12;
 
-        let meas = vec![
-            loop_gain_db,
-            fr.phase_margin_deg.unwrap_or(90.0),
-            area_um2,
-            iq,
-            vout_v,
-        ];
-        ensure_finite(&meas, "ldo measurements")?;
-        Ok(meas)
-    }
-}
-
-impl Evaluator for LdoEvaluator {
-    fn measurement_names(&self) -> &[String] {
-        &self.names
-    }
-
-    fn evaluate(&self, x: &[f64], corner: &PvtCorner) -> Result<Vec<f64>, EnvError> {
-        self.evaluate_with_effort(x, corner, EvalEffort::default())
-    }
-
-    fn evaluate_with_effort(
-        &self,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
-    ) -> Result<Vec<f64>, EnvError> {
-        let key = SimCache::key(x, corner, effort);
-        if let Some(meas) = self.cache.get(&key) {
-            return Ok(meas);
-        }
-        let mut slot = self.pool.take();
-        let result = self.evaluate_in_slot(&mut slot, x, corner, effort);
-        self.pool.put(slot);
-        if let Ok(meas) = &result {
-            self.cache.put(key, meas.clone());
-        }
-        result
-    }
-
-    fn set_solver(&self, choice: asdex_spice::analysis::SolverChoice) {
-        self.pool.set_choice(choice);
-        self.cache.clear();
+        Ok(vec![loop_gain_db, fr.phase_margin_deg.unwrap_or(90.0), area_um2, iq, vout_v])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Evaluator;
 
     #[test]
     fn netlist_structure() {
@@ -380,7 +306,7 @@ mod tests {
     #[test]
     fn human_reference_regulates() {
         let ldo = Ldo::n6();
-        let eval = LdoEvaluator::new(ldo.clone());
+        let eval = MnaEvaluator::new(ldo.clone());
         let m = eval.evaluate(&ldo.human_reference(), &PvtCorner::nominal()).unwrap();
         let vdd = ldo.process().vdd;
         assert!(
@@ -396,7 +322,7 @@ mod tests {
     #[test]
     fn bigger_pass_device_changes_loop() {
         let ldo = Ldo::n6();
-        let eval = LdoEvaluator::new(ldo.clone());
+        let eval = MnaEvaluator::new(ldo.clone());
         let base = eval.evaluate(&ldo.human_reference(), &PvtCorner::nominal()).unwrap();
         let mut x = ldo.human_reference();
         x[params::W_PASS] = 100e-6;

@@ -1,5 +1,6 @@
 //! Benchmark circuits: the two-stage opamp, the LDO, the ICO, and
-//! synthetic landscapes for fast agent tests.
+//! synthetic landscapes for fast agent tests. The opamp, the LDO and the
+//! netlist benches share one MNA evaluator (`pool`).
 
 pub mod ico;
 pub mod ldo;

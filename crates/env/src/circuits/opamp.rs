@@ -11,17 +11,16 @@
 //! AC-grounds the inverting input, so the AC sweep from the non-inverting
 //! input reads the open-loop transfer function directly.
 
+use super::pool::{MnaBench, MnaEvaluator};
 use crate::corner::PvtCorner;
 use crate::error::EnvError;
-use crate::problem::{Evaluator, SizingProblem};
-use crate::robust::EvalEffort;
+use crate::problem::SizingProblem;
 use crate::space::{DesignSpace, Param};
 use crate::spec::{Spec, SpecSet};
 use crate::PvtSet;
-use super::pool::{EnginePool, EngineSlot, SimCache};
-use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpOptions, Sweep};
+use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpResult, SolverWorkspace, Sweep};
 use asdex_spice::devices::MosGeometry;
-use asdex_spice::measure::{checked_frequency_response, ensure_finite};
+use asdex_spice::measure::checked_frequency_response;
 use asdex_spice::process::ProcessNode;
 use asdex_spice::{AcSpec, Circuit};
 use std::sync::Arc;
@@ -44,7 +43,8 @@ pub mod params {
     pub const IBIAS: usize = 6;
 }
 
-/// Indices of the opamp's measurement vector.
+/// The amplifier measurement vector shared by the opamp and every netlist
+/// bench: its indices, names and spec aliases.
 pub mod meas {
     /// Open-loop DC gain \[dB\].
     pub const GAIN_DB: usize = 0;
@@ -56,6 +56,10 @@ pub mod meas {
     pub const POWER_W: usize = 3;
     /// Total gate area \[m²\].
     pub const AREA_M2: usize = 4;
+    /// Measurement names, in vector order.
+    pub const NAMES: [&str; 5] = ["gain_db", "ugf_hz", "pm_deg", "power_w", "area_m2"];
+    /// Short spec names parallel to [`NAMES`].
+    pub const SPEC_NAMES: [&str; 5] = ["gain", "ugf", "pm", "power", "area"];
 }
 
 /// The two-stage opamp benchmark on a given process node.
@@ -119,13 +123,7 @@ impl TwoStageOpamp {
     /// The binding trade-off is the paper's gain/PM one: high unity-gain
     /// frequency fights the 60° phase-margin floor through `Cc`.
     pub fn default_specs() -> SpecSet {
-        SpecSet::new(vec![
-            Spec::at_least(meas::GAIN_DB, "gain", 65.0),
-            Spec::at_least(meas::UGF_HZ, "ugf", 6e7),
-            Spec::at_least(meas::PM_DEG, "pm", 60.0),
-            Spec::at_most(meas::POWER_W, "power", 3e-4),
-            Spec::at_most(meas::AREA_M2, "area", 4e-11),
-        ])
+        Self::specs_with(6e7, 3e-4, 4e-11)
     }
 
     /// The spec set for this benchmark's node. The 45 nm card uses
@@ -136,16 +134,23 @@ impl TwoStageOpamp {
     /// fails, as in Table III.
     pub fn specs(&self) -> SpecSet {
         if self.node.name == "bsim22" {
-            SpecSet::new(vec![
-                Spec::at_least(meas::GAIN_DB, "gain", 65.0),
-                Spec::at_least(meas::UGF_HZ, "ugf", 1.3e8),
-                Spec::at_least(meas::PM_DEG, "pm", 60.0),
-                Spec::at_most(meas::POWER_W, "power", 2.5e-4),
-                Spec::at_most(meas::AREA_M2, "area", 3.5e-11),
-            ])
+            Self::specs_with(1.3e8, 2.5e-4, 3.5e-11)
         } else {
             Self::default_specs()
         }
+    }
+
+    /// Gain ≥ 65 dB and PM ≥ 60° with the given UGF floor and power and
+    /// area caps.
+    fn specs_with(ugf_hz: f64, power_w: f64, area_m2: f64) -> SpecSet {
+        let alias = |m: usize| meas::SPEC_NAMES[m];
+        SpecSet::new(vec![
+            Spec::at_least(meas::GAIN_DB, alias(meas::GAIN_DB), 65.0),
+            Spec::at_least(meas::UGF_HZ, alias(meas::UGF_HZ), ugf_hz),
+            Spec::at_least(meas::PM_DEG, alias(meas::PM_DEG), 60.0),
+            Spec::at_most(meas::POWER_W, alias(meas::POWER_W), power_w),
+            Spec::at_most(meas::AREA_M2, alias(meas::AREA_M2), area_m2),
+        ])
     }
 
     /// Builds the full sizing problem at a single nominal corner.
@@ -165,11 +170,10 @@ impl TwoStageOpamp {
     /// Propagates design-space or problem-validation errors.
     pub fn problem_with(&self, specs: SpecSet, corners: PvtSet) -> Result<SizingProblem, EnvError> {
         let space = self.space()?;
-        let eval = OpampEvaluator::new(self.clone());
         SizingProblem::new(
             &format!("two-stage-opamp-{}", self.node.name),
             space,
-            Arc::new(eval),
+            Arc::new(MnaEvaluator::new(self.clone())),
             specs,
             corners,
         )
@@ -233,115 +237,59 @@ impl TwoStageOpamp {
     }
 }
 
-/// The MNA-backed evaluator behind [`TwoStageOpamp`].
-pub struct OpampEvaluator {
-    opamp: TwoStageOpamp,
-    names: Vec<String>,
-    pool: EnginePool,
-    cache: SimCache,
-}
+impl MnaBench for TwoStageOpamp {
+    const NAMES: &'static [&'static str] = &meas::NAMES;
 
-impl OpampEvaluator {
-    /// Wraps an opamp description.
-    pub fn new(opamp: TwoStageOpamp) -> Self {
-        OpampEvaluator {
-            opamp,
-            names: vec![
-                "gain_db".into(),
-                "ugf_hz".into(),
-                "pm_deg".into(),
-                "power_w".into(),
-                "area_m2".into(),
-            ],
-            pool: EnginePool::default(),
-            cache: SimCache::default(),
-        }
+    fn circuit(&self, x: &[f64], corner: &PvtCorner) -> Result<Circuit, EnvError> {
+        self.netlist(x, corner)
     }
 
-    /// The solve proper, running inside a pooled engine/workspace slot.
-    fn evaluate_in_slot(
+    fn measure(
         &self,
-        slot: &mut EngineSlot,
-        x: &[f64],
+        circuit: &Circuit,
+        engine: &Engine,
+        op: OpResult,
+        ws: &mut SolverWorkspace,
         corner: &PvtCorner,
-        effort: EvalEffort,
     ) -> Result<Vec<f64>, EnvError> {
-        let circuit = self.opamp.netlist(x, corner)?;
-        let EngineSlot { engine, ws } = slot;
-        let engine = match engine.as_mut() {
-            Some(eng) => {
-                eng.restamp(&circuit)?;
-                eng
-            }
-            None => engine.insert(Engine::compile(&circuit)?),
-        };
-        let mut opts = OpOptions::default();
-        effort.apply(&mut opts);
-        let initial = effort.initial_guess(engine.dim());
-        let op = engine.operating_point_with(&opts, initial.as_deref(), ws)?;
-
-        let sweep = Sweep::Decade { fstart: 10.0, fstop: 10e9, points_per_decade: 10 };
-        let out = circuit.find_node("out").ok_or_else(|| EnvError::InvalidProblem {
-            reason: "opamp netlist defines no 'out' node".into(),
-        })?;
-        let vdd_branch = engine.branch_of("VDD").ok_or_else(|| EnvError::InvalidProblem {
-            reason: "opamp netlist defines no 'VDD' source".into(),
-        })?;
-        let supply_current = op.branch_current(vdd_branch).abs();
-        let vdd_v = self.opamp.node.vdd * corner.vdd_scale;
-
-        let ac = ac_analysis_with_op_in(engine, op, sweep, ws)?;
-        let fr = checked_frequency_response(&ac, out)?;
-
-        let meas = vec![
-            fr.dc_gain_db,
-            fr.unity_gain_freq.unwrap_or(0.0),
-            fr.phase_margin_deg.unwrap_or(0.0),
-            supply_current * vdd_v,
-            circuit.total_gate_area(),
-        ];
-        ensure_finite(&meas, "opamp measurements")?;
-        Ok(meas)
+        measure_amplifier(circuit, engine, op, ws, self.node.vdd * corner.vdd_scale)
     }
 }
 
-impl Evaluator for OpampEvaluator {
-    fn measurement_names(&self) -> &[String] {
-        &self.names
-    }
-
-    fn evaluate(&self, x: &[f64], corner: &PvtCorner) -> Result<Vec<f64>, EnvError> {
-        self.evaluate_with_effort(x, corner, EvalEffort::default())
-    }
-
-    fn evaluate_with_effort(
-        &self,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
-    ) -> Result<Vec<f64>, EnvError> {
-        let key = SimCache::key(x, corner, effort);
-        if let Some(meas) = self.cache.get(&key) {
-            return Ok(meas);
-        }
-        let mut slot = self.pool.take();
-        let result = self.evaluate_in_slot(&mut slot, x, corner, effort);
-        self.pool.put(slot);
-        if let Ok(meas) = &result {
-            self.cache.put(key, meas.clone());
-        }
-        result
-    }
-
-    fn set_solver(&self, choice: asdex_spice::analysis::SolverChoice) {
-        self.pool.set_choice(choice);
-        self.cache.clear();
-    }
+/// The amplifier measurement vector (see [`meas`]) of a solved circuit
+/// whose supply runs at `vdd_v`: DC gain, UGF and phase margin at the
+/// `out` node over 10 Hz–10 GHz, static power drawn through the `VDD`
+/// source, and total gate area.
+pub(crate) fn measure_amplifier(
+    circuit: &Circuit,
+    engine: &Engine,
+    op: OpResult,
+    ws: &mut SolverWorkspace,
+    vdd_v: f64,
+) -> Result<Vec<f64>, EnvError> {
+    let sweep = Sweep::Decade { fstart: 10.0, fstop: 10e9, points_per_decade: 10 };
+    let out = circuit.find_node("out").ok_or_else(|| EnvError::InvalidProblem {
+        reason: "amplifier netlist defines no 'out' node".into(),
+    })?;
+    let vdd_branch = engine.branch_of("VDD").ok_or_else(|| EnvError::InvalidProblem {
+        reason: "amplifier netlist defines no 'VDD' source".into(),
+    })?;
+    let supply_current = op.branch_current(vdd_branch).abs();
+    let ac = ac_analysis_with_op_in(engine, op, sweep, ws)?;
+    let fr = checked_frequency_response(&ac, out)?;
+    Ok(vec![
+        fr.dc_gain_db,
+        fr.unity_gain_freq.unwrap_or(0.0),
+        fr.phase_margin_deg.unwrap_or(0.0),
+        supply_current * vdd_v,
+        circuit.total_gate_area(),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Evaluator;
 
     /// A hand-sized reference point that should bias correctly.
     pub fn reference_x() -> Vec<f64> {
@@ -379,7 +327,7 @@ mod tests {
     #[test]
     fn reference_design_is_a_working_amplifier() {
         let amp = TwoStageOpamp::bsim45();
-        let eval = OpampEvaluator::new(amp);
+        let eval = MnaEvaluator::new(amp);
         let m = eval.evaluate(&reference_x(), &PvtCorner::nominal()).unwrap();
         assert!(m[meas::GAIN_DB] > 40.0, "gain {} dB", m[meas::GAIN_DB]);
         assert!(m[meas::UGF_HZ] > 1e6, "ugf {}", m[meas::UGF_HZ]);
@@ -393,7 +341,7 @@ mod tests {
         // Shrinking the input pair to the grid minimum must change the
         // response — the agent needs a non-flat landscape.
         let amp = TwoStageOpamp::bsim45();
-        let eval = OpampEvaluator::new(amp);
+        let eval = MnaEvaluator::new(amp);
         let hi = eval.evaluate(&reference_x(), &PvtCorner::nominal()).unwrap();
         let mut x = reference_x();
         x[params::W_IN] = 1e-6;
@@ -409,7 +357,7 @@ mod tests {
     #[test]
     fn corners_shift_measurements() {
         let amp = TwoStageOpamp::bsim22();
-        let eval = OpampEvaluator::new(amp);
+        let eval = MnaEvaluator::new(amp);
         let nom = eval.evaluate(&reference_x(), &PvtCorner::nominal()).unwrap();
         let ss = eval
             .evaluate(

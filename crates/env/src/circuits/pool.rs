@@ -1,4 +1,14 @@
-//! Shared engine/workspace pool for the MNA-backed circuit evaluators.
+//! The one MNA evaluator behind every simulated bench, with the engine
+//! pool and the memo it owns.
+//!
+//! A bench contributes only its circuit at `(x, corner)` and the
+//! measurements it reads off the converged operating point, through
+//! [`MnaBench`]. [`MnaEvaluator`] does everything else: memo lookup and
+//! store, engine-slot take and put, restamp-or-compile, the retry
+//! ladder's solver options and initial guess, the operating point, and
+//! the finiteness guard. The two-stage opamp, the LDO and every netlist
+//! bench therefore run one solve path; two of them agree bit for bit
+//! exactly when their circuits do.
 //!
 //! Compiling a netlist and allocating solver matrices dominates the cost
 //! of a single evaluation once the Newton loop converges quickly. Every
@@ -14,36 +24,142 @@
 //! `SolverWorkspace` zero all state a solve reads), so pooled evaluation
 //! returns the same `Evaluation`s as compiling from scratch every call.
 //!
-//! The pool also carries a [`SimCache`]: a bounded memo table over
-//! successful simulations. The [`Evaluator`](crate::problem::Evaluator)
-//! contract requires results to be deterministic in `(x, corner, effort)`,
-//! and the design space is a finite grid, so searches genuinely revisit
-//! points — a trust-region agent re-scores its incumbent while the PVT
-//! loop re-verifies candidates corner by corner. A cache hit returns the
-//! exact measurement vector a fresh solve would compute, so memoization
-//! changes wall-clock only, never results, budgets, or telemetry.
-//! Failures are never cached: the retry ladder must re-run them at
-//! escalated effort (a different cache key anyway).
+//! The evaluator also carries a [`SimCache`]: a bounded memo table over
+//! successful simulations. The [`Evaluator`] contract requires results to
+//! be deterministic in `(x, corner, effort)`, and the design space is a
+//! finite grid, so searches genuinely revisit points — a trust-region
+//! agent re-scores its incumbent while the PVT loop re-verifies
+//! candidates corner by corner. A cache hit returns the exact measurement
+//! vector a fresh solve would compute, so memoization changes wall-clock
+//! only, never results, budgets, or telemetry. Failures are never cached:
+//! the retry ladder must re-run them at escalated effort (a different
+//! cache key anyway).
 
 use crate::corner::PvtCorner;
+use crate::error::EnvError;
+use crate::problem::Evaluator;
 use crate::robust::EvalEffort;
-use asdex_spice::analysis::{Engine, SolverChoice, SolverWorkspace};
+use asdex_spice::analysis::{Engine, OpOptions, OpResult, SolverChoice, SolverWorkspace};
+use asdex_spice::measure::ensure_finite;
+use asdex_spice::Circuit;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+/// What one bench contributes to [`MnaEvaluator`].
+pub(crate) trait MnaBench: Send + Sync {
+    /// Names of the measurement vector's entries, in order.
+    const NAMES: &'static [&'static str];
+
+    /// The bench's circuit for physical parameters `x` at `corner`.
+    fn circuit(&self, x: &[f64], corner: &PvtCorner) -> Result<Circuit, EnvError>;
+
+    /// Reads the measurement vector off `circuit`'s converged operating
+    /// point `op`, reading operating-point quantities before any AC
+    /// analysis consumes `op`.
+    fn measure(
+        &self,
+        circuit: &Circuit,
+        engine: &Engine,
+        op: OpResult,
+        ws: &mut SolverWorkspace,
+        corner: &PvtCorner,
+    ) -> Result<Vec<f64>, EnvError>;
+}
+
+/// The MNA-backed [`Evaluator`] of a bench: pooled engine slots,
+/// restamp-in-place, and the bounded simulation memo.
+pub(crate) struct MnaEvaluator<B> {
+    bench: B,
+    names: Vec<String>,
+    pool: EnginePool,
+    cache: SimCache,
+}
+
+impl<B: MnaBench> MnaEvaluator<B> {
+    /// Wraps a bench.
+    pub fn new(bench: B) -> Self {
+        MnaEvaluator {
+            bench,
+            names: B::NAMES.iter().map(|s| (*s).to_string()).collect(),
+            pool: EnginePool::default(),
+            cache: SimCache::default(),
+        }
+    }
+
+    /// The solve proper, running inside a pooled engine/workspace slot.
+    fn solve(
+        &self,
+        slot: &mut EngineSlot,
+        x: &[f64],
+        corner: &PvtCorner,
+        effort: EvalEffort,
+    ) -> Result<Vec<f64>, EnvError> {
+        let circuit = self.bench.circuit(x, corner)?;
+        let EngineSlot { engine, ws } = slot;
+        let engine = match engine.as_mut() {
+            Some(eng) => {
+                eng.restamp(&circuit)?;
+                eng
+            }
+            None => engine.insert(Engine::compile(&circuit)?),
+        };
+        let mut opts = OpOptions::default();
+        effort.apply(&mut opts);
+        let initial = effort.initial_guess(engine.dim());
+        let op = engine.operating_point_with(&opts, initial.as_deref(), ws)?;
+        let meas = self.bench.measure(&circuit, engine, op, ws, corner)?;
+        ensure_finite(&meas, "measurements")?;
+        Ok(meas)
+    }
+}
+
+impl<B: MnaBench> Evaluator for MnaEvaluator<B> {
+    fn measurement_names(&self) -> &[String] {
+        &self.names
+    }
+
+    fn evaluate(&self, x: &[f64], corner: &PvtCorner) -> Result<Vec<f64>, EnvError> {
+        self.evaluate_with_effort(x, corner, EvalEffort::default())
+    }
+
+    fn evaluate_with_effort(
+        &self,
+        x: &[f64],
+        corner: &PvtCorner,
+        effort: EvalEffort,
+    ) -> Result<Vec<f64>, EnvError> {
+        let key = SimCache::key(x, corner, effort);
+        if let Some(meas) = self.cache.get(&key) {
+            return Ok(meas);
+        }
+        let mut slot = self.pool.take();
+        let result = self.solve(&mut slot, x, corner, effort);
+        self.pool.put(slot);
+        if let Ok(meas) = &result {
+            self.cache.put(key, meas.clone());
+        }
+        result
+    }
+
+    fn set_solver(&self, choice: SolverChoice) {
+        self.pool.set_choice(choice);
+        self.cache.clear();
+    }
+}
+
 /// One worker's reusable compiled engine plus solver scratch space.
 #[derive(Default)]
-pub(crate) struct EngineSlot {
+struct EngineSlot {
     /// Compiled engine from a previous evaluation; `None` before first use.
-    pub engine: Option<Engine>,
+    engine: Option<Engine>,
     /// Reusable Newton/AC matrices and the frequency-grid cache.
-    pub ws: SolverWorkspace,
+    ws: SolverWorkspace,
 }
 
 /// A lock-guarded stack of [`EngineSlot`]s, all carrying the pool's
 /// pinned solver-backend choice.
 #[derive(Default)]
-pub(crate) struct EnginePool {
+struct EnginePool {
     slots: Mutex<Vec<EngineSlot>>,
     /// `None` defers to the `ASDEX_SOLVER` environment default at slot
     /// creation; `Some` pins every slot to an explicit choice.
@@ -53,7 +169,7 @@ pub(crate) struct EnginePool {
 impl EnginePool {
     /// Takes a slot, creating a fresh one when the pool is empty (or its
     /// lock was poisoned — evaluation must stay panic-free either way).
-    pub fn take(&self) -> EngineSlot {
+    fn take(&self) -> EngineSlot {
         if let Some(slot) = self.slots.lock().ok().and_then(|mut p| p.pop()) {
             return slot;
         }
@@ -66,17 +182,17 @@ impl EnginePool {
 
     /// Returns a slot for reuse. Dropping it on lock poisoning is safe:
     /// the next `take` simply recompiles.
-    pub fn put(&self, slot: EngineSlot) {
+    fn put(&self, slot: EngineSlot) {
         if let Ok(mut p) = self.slots.lock() {
             p.push(slot);
         }
     }
 
     /// Pins the solver backend for every future slot and drops the
-    /// existing ones (their workspaces carry the old backend). Callers
-    /// must also clear any result cache keyed without the solver choice:
-    /// backends agree only within solver tolerance, not bitwise.
-    pub fn set_choice(&self, choice: SolverChoice) {
+    /// existing ones (their workspaces carry the old backend). The memo
+    /// must be cleared too: its key does not encode the solver choice,
+    /// and backends agree only within solver tolerance, not bitwise.
+    fn set_choice(&self, choice: SolverChoice) {
         if let Ok(mut c) = self.choice.lock() {
             *c = Some(choice);
         }
@@ -89,7 +205,7 @@ impl EnginePool {
 /// Bounded memo table over successful deterministic simulations, keyed on
 /// the exact bit pattern of `(x, corner, effort)`.
 #[derive(Default)]
-pub(crate) struct SimCache {
+struct SimCache {
     map: Mutex<HashMap<Vec<u64>, Vec<f64>>>,
 }
 
@@ -103,7 +219,7 @@ impl SimCache {
 
     /// The memo key: every input the evaluator contract allows the result
     /// to depend on, bit-exact.
-    pub fn key(x: &[f64], corner: &PvtCorner, effort: EvalEffort) -> Vec<u64> {
+    fn key(x: &[f64], corner: &PvtCorner, effort: EvalEffort) -> Vec<u64> {
         let mut key = Vec::with_capacity(x.len() + 4);
         key.push(effort.attempt as u64);
         key.push(corner.process as u64);
@@ -115,13 +231,13 @@ impl SimCache {
 
     /// The memoized measurement vector, if this exact point was solved
     /// before (`None` on a miss or a poisoned lock).
-    pub fn get(&self, key: &[u64]) -> Option<Vec<f64>> {
+    fn get(&self, key: &[u64]) -> Option<Vec<f64>> {
         self.map.lock().ok()?.get(key).cloned()
     }
 
     /// Memoizes a successful solve. Silently drops the entry when the
     /// lock is poisoned — the next lookup just re-simulates.
-    pub fn put(&self, key: Vec<u64>, meas: Vec<f64>) {
+    fn put(&self, key: Vec<u64>, meas: Vec<f64>) {
         if let Ok(mut map) = self.map.lock() {
             if map.len() >= Self::MAX_ENTRIES {
                 map.clear();
@@ -133,7 +249,7 @@ impl SimCache {
     /// Drops every memoized result — required when the solver backend
     /// changes, since the key does not encode it and backends agree only
     /// within solver tolerance.
-    pub fn clear(&self) {
+    fn clear(&self) {
         if let Ok(mut map) = self.map.lock() {
             map.clear();
         }

@@ -210,8 +210,10 @@ impl Journal {
     /// * [`JournalError::Io`] when the file cannot be read or reopened.
     /// * [`JournalError::Version`] when the header is unknown.
     /// * [`JournalError::Format`] when an interior line is corrupt (torn
-    ///   tails are repaired, interior corruption is not) or the metadata
-    ///   line is missing.
+    ///   tails are repaired, interior corruption is not).
+    /// * [`JournalError::Missing`] when the file holds no complete
+    ///   metadata line: its writer died while creating it, before any
+    ///   evaluation was recorded.
     pub fn resume(path: &Path, checkpoint_every: usize) -> Result<Journal, JournalError> {
         let mut meta = None;
         let mut replay: HashMap<ReplayKey, VecDeque<Evaluation>> = HashMap::new();
@@ -226,10 +228,10 @@ impl Journal {
             }
             Ok(())
         })?;
-        let meta = meta.ok_or(JournalError::Format {
+        let meta = meta.ok_or(JournalError::Missing {
             log: &JOURNAL,
             line: 2,
-            reason: "missing campaign metadata".to_string(),
+            what: "campaign metadata",
         })?;
         let log = RecordLog::reopen(path, &JOURNAL, valid, checkpoint_every)?;
         Ok(Journal { log, meta, replay, replayed: 0, recorded, dropped: 0 })
@@ -454,6 +456,17 @@ mod tests {
         std::fs::write(&path, "asdex-journal v1\nM bench=op").unwrap();
         let err = Journal::resume(&path, 1).unwrap_err();
         assert_eq!(err.to_string(), "corrupt journal at line 2: missing campaign metadata");
+        assert!(matches!(err, JournalError::Missing { line: 2, .. }), "got {err:?}");
+        // Nor can one that ends before that line or inside its header. A
+        // complete metadata line that does not parse is corruption instead.
+        for torn in ["asdex-journal v1\n", "asdex-jou", ""] {
+            std::fs::write(&path, torn).unwrap();
+            let err = Journal::resume(&path, 1).unwrap_err();
+            assert!(matches!(err, JournalError::Missing { line: 2, .. }), "{torn:?}: {err:?}");
+        }
+        std::fs::write(&path, "asdex-journal v1\nM bench\n").unwrap();
+        let err = Journal::resume(&path, 1).unwrap_err();
+        assert!(matches!(err, JournalError::Format { line: 2, .. }), "got {err:?}");
         std::fs::remove_file(&path).ok();
     }
 

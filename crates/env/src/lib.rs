@@ -13,7 +13,11 @@
 //!   consumes (§IV-F),
 //! * [`circuits`] — the paper's benchmark circuits: the two-stage Miller
 //!   opamp (45/22 nm), the LDO (n6), the ICO (n5), and synthetic
-//!   landscapes for fast tests, and
+//!   landscapes for fast tests,
+//! * [`netbench`] — netlist-defined benches: a SPICE deck plus a sizing
+//!   stanza compiled into a sizing problem. The opamp, the LDO and every
+//!   netlist bench are simulated by one MNA evaluator; each supplies only
+//!   its netlist and its measurement step, and
 //! * the fault-tolerant evaluation layer: [`stats::FailureKind`] /
 //!   [`stats::EvalStats`] (failure taxonomy + telemetry),
 //!   [`robust::RetryPolicy`] (the escalating retry ladder), and
@@ -80,7 +84,7 @@ pub use fault::{
 };
 pub use health::HealthStats;
 pub use journal::{Journal, JournalError, JournalMeta};
-pub use netbench::{netlist_digest, NetbenchError, NetlistBench, NetlistEvaluator};
+pub use netbench::{netlist_digest, NetbenchError, NetlistBench};
 pub use problem::{Evaluation, Evaluator, SizingProblem};
 pub use recordlog::{fnv1a, DiskFault, DiskFaultKind, RecordError, RecordLog};
 pub use robust::{EvalEffort, RetryPolicy, RobustEvaluator};

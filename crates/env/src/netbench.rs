@@ -4,9 +4,10 @@
 //! scenario diversity is gated on recompiling. This module removes that
 //! gate: a SPICE deck plus a **sizing stanza** compiles into a complete,
 //! first-class sizing problem — space, specs, figure of merit, PVT
-//! corners, and an MNA-backed evaluator — equivalent *by construction* to
-//! the built-in benches (same engine pool, same simulation cache, same
-//! measurement pipeline, bit for bit).
+//! corners, and an evaluator. The evaluator is the one MNA evaluator
+//! every built-in bench uses, with the built-in opamp's measurement step,
+//! so a deck whose circuit matches a built-in bench's measures like it,
+//! bit for bit.
 //!
 //! # The sizing stanza
 //!
@@ -33,31 +34,31 @@
 //!
 //! # Measurements
 //!
-//! Every netlist bench measures the same five-element vector as the
-//! built-in amplifier benches, in this order: `gain_db`, `ugf_hz`,
-//! `pm_deg`, `power_w`, `area_m2`. The deck must define an `out` node (the
-//! AC response probe) and a `VDD` supply source (the static-power branch).
+//! Every netlist bench measures the built-in opamp's five-element vector
+//! ([`meas`]), in this order: `gain_db`, `ugf_hz`, `pm_deg`, `power_w`,
+//! `area_m2`. The deck must define an `out` node (the AC response probe)
+//! and a `VDD` supply source (the static-power branch).
 //!
 //! # Determinism contract
 //!
-//! Node and element order follow deck card order, the parser appends cards
-//! into a model-seeded circuit deterministically, and the evaluator reuses
-//! the shared [`EnginePool`]/[`SimCache`] machinery, so results are
+//! Node and element order follow deck card order, and the parser appends
+//! cards into a model-seeded circuit deterministically. MNA unknowns are
+//! numbered in node order, so a deck whose nodes first appear in the order
+//! a built-in bench creates them stamps the same system. Results are
 //! deterministic in `(deck, x, corner, effort)` and independent of thread
 //! or worker count. The FNV-1a [`netlist_digest`] over the deck source is
 //! the identity used by journals, manifests, and worker processes to
 //! guarantee a resumed campaign re-compiles the identical bench.
 
-use crate::circuits::pool::{EnginePool, EngineSlot, SimCache};
+use crate::circuits::opamp::{meas, measure_amplifier};
+use crate::circuits::pool::{MnaBench, MnaEvaluator};
 use crate::corner::{PvtCorner, PvtSet};
 use crate::error::EnvError;
-use crate::problem::{Evaluator, SizingProblem};
-use crate::robust::EvalEffort;
+use crate::problem::SizingProblem;
 use crate::space::{DesignSpace, Param};
 use crate::spec::{Spec, SpecSet};
 use crate::value::ValueFn;
-use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpOptions, Sweep};
-use asdex_spice::measure::{checked_frequency_response, ensure_finite};
+use asdex_spice::analysis::{Engine, OpResult, SolverWorkspace};
 use asdex_spice::parser::{parse_netlist_into, read_deck_source};
 use asdex_spice::process::ProcessNode;
 use asdex_spice::units::parse_value;
@@ -65,13 +66,6 @@ use asdex_spice::Circuit;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-
-/// The measurement vector every netlist bench produces, in order.
-pub const MEASUREMENT_NAMES: [&str; 5] = ["gain_db", "ugf_hz", "pm_deg", "power_w", "area_m2"];
-
-/// Short spec aliases parallel to [`MEASUREMENT_NAMES`] (the names the
-/// built-in benches use for the same quantities).
-const SPEC_NAMES: [&str; 5] = ["gain", "ugf", "pm", "power", "area"];
 
 /// Default grid size for a `.sizeparam` without an explicit `STEP`.
 const DEFAULT_GRID_POINTS: usize = 64;
@@ -314,11 +308,10 @@ impl NetlistBench {
     /// Propagates design-space or problem-validation errors.
     pub fn problem_with(&self, corners: PvtSet) -> Result<SizingProblem, EnvError> {
         let space = DesignSpace::new(self.axes.clone())?;
-        let eval = NetlistEvaluator::new(self.clone());
         let mut problem = SizingProblem::new(
             &format!("netlist-{}", self.name),
             space,
-            Arc::new(eval),
+            Arc::new(MnaEvaluator::new(self.clone())),
             self.specs.clone(),
             corners,
         )?;
@@ -372,11 +365,18 @@ impl NetlistBench {
         out
     }
 
-    /// Seeds a circuit with the corner's models and temperature, then
-    /// parses the rendered deck into it. Node and element order follow
-    /// deck card order, so the MNA structure is a pure function of the
-    /// deck.
-    fn stamp(&self, x: &[f64], corner: &PvtCorner) -> Result<Circuit, EnvError> {
+    /// Builds the bench's circuit for physical parameters `x` at
+    /// `corner`: seeds a circuit with the corner's models and temperature,
+    /// then parses the rendered deck into it. Node and element order
+    /// follow deck card order, so the MNA structure is a pure function of
+    /// the deck.
+    ///
+    /// # Errors
+    ///
+    /// [`EnvError::DimensionMismatch`] for a wrong-length parameter
+    /// vector; [`EnvError::InvalidProblem`] when the rendered deck does
+    /// not parse.
+    pub fn netlist(&self, x: &[f64], corner: &PvtCorner) -> Result<Circuit, EnvError> {
         if x.len() != self.axes.len() {
             return Err(EnvError::DimensionMismatch { expected: self.axes.len(), actual: x.len() });
         }
@@ -401,7 +401,7 @@ impl NetlistBench {
             self.axes.iter().map(|p| p.grid[(p.grid.len() - 1) / 2]).collect();
         let corner = PvtCorner::nominal();
         let circuit = self
-            .stamp(&midpoint, &corner)
+            .netlist(&midpoint, &corner)
             .map_err(|e| berr(0, e.to_string()))?;
         if circuit.find_node("out").is_none() {
             return Err(berr(0, "sizing deck defines no 'out' node (the AC response probe)"));
@@ -464,9 +464,9 @@ fn stanza_cards(source: &str) -> Vec<(usize, String)> {
     cards
 }
 
-/// Index of a measurement name in [`MEASUREMENT_NAMES`].
+/// Index of a measurement name in [`meas::NAMES`].
 fn measurement_index(line: usize, name: &str) -> Result<usize, NetbenchError> {
-    MEASUREMENT_NAMES
+    meas::NAMES
         .iter()
         .position(|m| m.eq_ignore_ascii_case(name))
         .ok_or_else(|| {
@@ -474,7 +474,7 @@ fn measurement_index(line: usize, name: &str) -> Result<usize, NetbenchError> {
                 line,
                 format!(
                     "unknown measurement {name:?} (expected one of: {})",
-                    MEASUREMENT_NAMES.join(", ")
+                    meas::NAMES.join(", ")
                 ),
             )
         })
@@ -564,7 +564,7 @@ fn parse_goal(line: usize, tokens: &[&str]) -> Result<Spec, NetbenchError> {
     let target = parse_value(tokens[3])
         .filter(|t| t.is_finite())
         .ok_or_else(|| berr(line, format!("cannot parse goal target {:?}", tokens[3])))?;
-    let spec_name = SPEC_NAMES[idx];
+    let spec_name = meas::SPEC_NAMES[idx];
     match tokens[2] {
         ">=" => Ok(Spec::at_least(idx, spec_name, target)),
         "<=" => Ok(Spec::at_most(idx, spec_name, target)),
@@ -572,115 +572,30 @@ fn parse_goal(line: usize, tokens: &[&str]) -> Result<Spec, NetbenchError> {
     }
 }
 
-/// The MNA-backed evaluator behind a [`NetlistBench`] — structurally
-/// identical to the built-in opamp evaluator: pooled engine slots,
-/// restamp-in-place, and the bounded simulation cache.
-pub struct NetlistEvaluator {
-    bench: NetlistBench,
-    names: Vec<String>,
-    pool: EnginePool,
-    cache: SimCache,
-}
+impl MnaBench for NetlistBench {
+    const NAMES: &'static [&'static str] = &meas::NAMES;
 
-impl NetlistEvaluator {
-    /// Wraps a compiled bench.
-    pub fn new(bench: NetlistBench) -> Self {
-        NetlistEvaluator {
-            bench,
-            names: MEASUREMENT_NAMES.iter().map(|s| (*s).to_string()).collect(),
-            pool: EnginePool::default(),
-            cache: SimCache::default(),
-        }
+    fn circuit(&self, x: &[f64], corner: &PvtCorner) -> Result<Circuit, EnvError> {
+        self.netlist(x, corner)
     }
 
-    /// The solve proper, running inside a pooled engine/workspace slot.
-    /// This mirrors the built-in opamp evaluator operation for operation,
-    /// which is what makes a netlist clone of a built-in bench bitwise
-    /// equivalent.
-    fn evaluate_in_slot(
+    fn measure(
         &self,
-        slot: &mut EngineSlot,
-        x: &[f64],
+        circuit: &Circuit,
+        engine: &Engine,
+        op: OpResult,
+        ws: &mut SolverWorkspace,
         corner: &PvtCorner,
-        effort: EvalEffort,
     ) -> Result<Vec<f64>, EnvError> {
-        let circuit = self.bench.stamp(x, corner)?;
-        let EngineSlot { engine, ws } = slot;
-        let engine = match engine.as_mut() {
-            Some(eng) => {
-                eng.restamp(&circuit)?;
-                eng
-            }
-            None => engine.insert(Engine::compile(&circuit)?),
-        };
-        let mut opts = OpOptions::default();
-        effort.apply(&mut opts);
-        let initial = effort.initial_guess(engine.dim());
-        let op = engine.operating_point_with(&opts, initial.as_deref(), ws)?;
-
-        let sweep = Sweep::Decade { fstart: 10.0, fstop: 10e9, points_per_decade: 10 };
-        let out = circuit.find_node("out").ok_or_else(|| EnvError::InvalidProblem {
-            reason: "netlist bench defines no 'out' node".into(),
-        })?;
-        let vdd_branch = engine.branch_of("VDD").ok_or_else(|| EnvError::InvalidProblem {
-            reason: "netlist bench defines no 'VDD' source".into(),
-        })?;
-        let supply_current = op.branch_current(vdd_branch).abs();
-        let vdd_v = self.bench.node.vdd * corner.vdd_scale;
-
-        let ac = ac_analysis_with_op_in(engine, op, sweep, ws)?;
-        let fr = checked_frequency_response(&ac, out)?;
-
-        let meas = vec![
-            fr.dc_gain_db,
-            fr.unity_gain_freq.unwrap_or(0.0),
-            fr.phase_margin_deg.unwrap_or(0.0),
-            supply_current * vdd_v,
-            circuit.total_gate_area(),
-        ];
-        ensure_finite(&meas, "netlist bench measurements")?;
-        Ok(meas)
-    }
-}
-
-impl Evaluator for NetlistEvaluator {
-    fn measurement_names(&self) -> &[String] {
-        &self.names
-    }
-
-    fn evaluate(&self, x: &[f64], corner: &PvtCorner) -> Result<Vec<f64>, EnvError> {
-        self.evaluate_with_effort(x, corner, EvalEffort::default())
-    }
-
-    fn evaluate_with_effort(
-        &self,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
-    ) -> Result<Vec<f64>, EnvError> {
-        let key = SimCache::key(x, corner, effort);
-        if let Some(meas) = self.cache.get(&key) {
-            return Ok(meas);
-        }
-        let mut slot = self.pool.take();
-        let result = self.evaluate_in_slot(&mut slot, x, corner, effort);
-        self.pool.put(slot);
-        if let Ok(meas) = &result {
-            self.cache.put(key, meas.clone());
-        }
-        result
-    }
-
-    fn set_solver(&self, choice: asdex_spice::analysis::SolverChoice) {
-        self.pool.set_choice(choice);
-        self.cache.clear();
+        measure_amplifier(circuit, engine, op, ws, self.node.vdd * corner.vdd_scale)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuits::opamp::{OpampEvaluator, TwoStageOpamp};
+    use crate::circuits::opamp::TwoStageOpamp;
+    use crate::problem::Evaluator;
 
     /// A minimal valid sizing deck: an RC low-pass inside a supply rail.
     fn rc_deck() -> String {
@@ -853,8 +768,8 @@ C1 out 0 1e-9
         }
 
         // Measurements: bit-identical across corners and solver backends.
-        let net_eval = NetlistEvaluator::new(bench);
-        let amp_eval = OpampEvaluator::new(amp);
+        let net_eval = MnaEvaluator::new(bench);
+        let amp_eval = MnaEvaluator::new(amp);
         let x = vec![20e-6, 10e-6, 10e-6, 60e-6, 20e-6, 1.5e-12, 10e-6];
         let corners = PvtSet::signoff5();
         for choice in [

@@ -169,6 +169,16 @@ pub enum RecordError {
         /// What was wrong with it.
         reason: String,
     },
+    /// The log ends, possibly in a torn line, before a record its schema
+    /// requires: the writer died while creating it.
+    Missing {
+        /// The log's schema.
+        log: &'static LogFormat,
+        /// 1-based line number the record belongs on.
+        line: usize,
+        /// What the record holds.
+        what: &'static str,
+    },
     /// A write or fsync on an open log failed (disk full, injected
     /// fault), carrying which operation failed.
     Storage {
@@ -190,6 +200,9 @@ impl fmt::Display for RecordError {
             }
             RecordError::Format { log, line, reason } => {
                 write!(f, "corrupt {} at line {line}: {reason}", log.name)
+            }
+            RecordError::Missing { log, line, what } => {
+                write!(f, "corrupt {} at line {line}: missing {what}", log.name)
             }
             RecordError::Storage { log, op, source } => {
                 write!(f, "{} storage error during {op}: {source}", log.name)

@@ -984,21 +984,39 @@ impl Scheduler {
     fn run_inner(&self, job: &Arc<CampaignRecord>) -> Result<CampaignOutcome, String> {
         let journal_path = self.cfg.journal_dir.join(format!("{}.journal", job.id));
         let submitted = job.spec();
-        let journal = if journal_path.exists() {
-            let journal = Journal::resume(&journal_path, submitted.checkpoint_every)
-                .map_err(|e| e.to_string())?;
-            let restored = CampaignSpec::from_meta(journal.meta())?;
-            logging::info(format!(
-                "campaign {}: resuming journal {} ({} recorded evaluations to replay)",
-                job.id,
-                journal_path.display(),
-                journal.recorded()
-            ));
-            *job.spec.lock().unwrap() = restored;
-            journal
+        let resumed = if journal_path.exists() {
+            match Journal::resume(&journal_path, submitted.checkpoint_every) {
+                Ok(journal) => Some(journal),
+                // Torn at creation: the daemon died before the metadata
+                // line was durable, so nothing was evaluated, and the
+                // manifest's spec restarts the campaign from scratch.
+                Err(JournalError::Missing { .. }) => {
+                    logging::info(format!(
+                        "campaign {}: journal {} was torn at creation; starting it afresh",
+                        job.id,
+                        journal_path.display()
+                    ));
+                    None
+                }
+                Err(e) => return Err(e.to_string()),
+            }
         } else {
-            Journal::create(&journal_path, submitted.to_meta(), submitted.checkpoint_every)
-                .map_err(|e| e.to_string())?
+            None
+        };
+        let journal = match resumed {
+            Some(journal) => {
+                let restored = CampaignSpec::from_meta(journal.meta())?;
+                logging::info(format!(
+                    "campaign {}: resuming journal {} ({} recorded evaluations to replay)",
+                    job.id,
+                    journal_path.display(),
+                    journal.recorded()
+                ));
+                *job.spec.lock().unwrap() = restored;
+                journal
+            }
+            None => Journal::create(&journal_path, submitted.to_meta(), submitted.checkpoint_every)
+                .map_err(|e| e.to_string())?,
         };
         let journal = match self.cfg.disk_fault {
             Some(fault) => journal.with_disk_fault(fault),

@@ -15,13 +15,19 @@
 //! 3. **Disk-fault degradation** — injected storage faults fail only the
 //!    affected campaigns, typed; the daemon keeps scheduling and serving
 //!    and counts every survived fault.
+//! 4. **Journals torn at creation** — a campaign whose journal ends
+//!    before its metadata line restarts from the manifest's spec to the
+//!    serial outcome; a complete but corrupt metadata line stays a typed
+//!    failure.
 
 use asdex::env::{DiskFault, DiskFaultKind};
 use asdex::serve::json::Json;
+use asdex::serve::manifest::MANIFEST_FILE_NAME;
 use asdex::serve::protocol::outcome_json;
 use asdex::serve::scheduler::CampaignStatus;
 use asdex::serve::{
-    build_problem, run_campaign, CampaignSpec, Client, Scheduler, SchedulerConfig, SubmitError,
+    build_problem, run_campaign, CampaignOutcome, CampaignSpec, Client, Manifest, Scheduler,
+    SchedulerConfig, SubmitError,
 };
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -396,4 +402,74 @@ fn injected_disk_faults_fail_only_affected_campaigns() {
     // keeps scheduling — drain cleanly to prove nothing wedged.
     scheduler.drain();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Boots a scheduler over a fresh journal directory whose manifest
+/// admitted `spec` as campaign `torn` and whose journal for it holds
+/// `journal`, and returns the campaign's terminal status and outcome.
+fn recover_from_journal(
+    tag: &str,
+    spec: &CampaignSpec,
+    journal: &str,
+) -> (CampaignStatus, Result<CampaignOutcome, String>) {
+    let dir = temp_dir(tag);
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    let (mut manifest, _) = Manifest::open(&dir.join(MANIFEST_FILE_NAME)).expect("manifest");
+    manifest.append_admitted("torn", spec).expect("admission record");
+    drop(manifest);
+    std::fs::write(dir.join("torn.journal"), journal).expect("journal");
+
+    let scheduler = Scheduler::start(
+        SchedulerConfig { journal_dir: dir.clone(), ..SchedulerConfig::default() },
+        Arc::new(asdex::serve::Metrics::new()),
+    )
+    .expect("scheduler starts");
+    let until = Instant::now() + Duration::from_secs(20);
+    while !scheduler.is_ready() {
+        assert!(Instant::now() < until, "recovery never finished");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(scheduler.wait("torn", Duration::from_secs(120)), "campaign never finished");
+    let record = scheduler.get("torn").expect("re-admitted from the manifest");
+    let result = (record.status(), record.outcome().expect("terminal"));
+    scheduler.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
+fn torn_spec() -> CampaignSpec {
+    CampaignSpec {
+        bench: "bowl3".to_string(),
+        agent: "trm".to_string(),
+        seed: 71,
+        budget: 400,
+        ..CampaignSpec::default()
+    }
+}
+
+#[test]
+fn journal_torn_at_creation_restarts_from_the_manifest_spec() {
+    let spec = torn_spec();
+    let reference = serial_reference(&spec);
+    // The daemon died after creating the journal but before its metadata
+    // line was durable: the file is empty, holds a torn header, only the
+    // header, or the header and a torn `M` line.
+    let torn = ["", "asdex-jou", "asdex-journal v1\n", "asdex-journal v1\nM bench=bow"];
+    for (k, journal) in torn.iter().enumerate() {
+        let (status, outcome) = recover_from_journal(&format!("torn-{k}"), &spec, journal);
+        assert_eq!(status, CampaignStatus::Completed, "{journal:?}: {outcome:?}");
+        let outcome = outcome.expect("completed campaigns carry an outcome");
+        assert_eq!(outcome_json(&outcome).dump(), reference, "{journal:?}: outcome diverged");
+    }
+}
+
+#[test]
+fn journal_with_a_corrupt_metadata_line_stays_a_typed_failure() {
+    // A complete metadata line cannot come from a crash: it is corruption,
+    // and the campaign must fail naming it rather than start over.
+    let (status, outcome) =
+        recover_from_journal("corrupt-meta", &torn_spec(), "asdex-journal v1\nM bench\n");
+    assert_eq!(status, CampaignStatus::Failed, "{outcome:?}");
+    let err = outcome.expect_err("failed campaigns carry an error");
+    assert!(err.contains("corrupt journal at line 2"), "{err}");
 }
