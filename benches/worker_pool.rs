@@ -5,8 +5,9 @@
 //!
 //! Every configuration must produce bitwise-identical evaluations (the
 //! worker pool is a dispatcher, not a different simulator); the CSV
-//! quantifies what the pipe round-trip and per-worker memoization cost
-//! relative to shared-memory threads. Results land in
+//! quantifies what the pipe round-trip and the per-worker engine pools
+//! cost relative to shared-memory threads. No configuration has a memo,
+//! so every request is a full solve. Results land in
 //! `bench_results/worker_pool.csv`.
 //!
 //! Run with `cargo bench --bench worker_pool`.
@@ -27,8 +28,7 @@ fn problem() -> SizingProblem {
 }
 
 /// One sign-off round: 8 incumbents plus 2 fresh proposals, every point
-/// at every corner. Distinct grid points per round so memoization cannot
-/// hide the solve cost of the proposals.
+/// at every corner; the proposals are distinct grid points per round.
 fn round_requests(template: &SizingProblem, round: usize) -> Vec<EvalRequest> {
     let n_corners = template.corners.len();
     let dim = template.dim();
@@ -43,8 +43,8 @@ fn round_requests(template: &SizingProblem, round: usize) -> Vec<EvalRequest> {
 }
 
 /// Times `ROUNDS` sign-off rounds on `problem` after warming up on the
-/// incumbent set (the steady state of a search mid-run; each timed
-/// round's fresh proposals are still first-time solves).
+/// incumbent set (the steady state of a search mid-run, with every
+/// engine pool filled and compiled).
 fn run_rounds(problem: &SizingProblem) -> (f64, Vec<Vec<Evaluation>>) {
     let incumbents = round_requests(problem, 0)[..8 * problem.corners.len()].to_vec();
     let _ = problem.evaluate_batch(&incumbents, usize::MAX);

@@ -51,8 +51,8 @@ fn bench_lu() {
 fn bench_opamp_eval() {
     let problem = TwoStageOpamp::bsim45().problem().expect("problem builds");
     // A distinct grid point per call (0.012 in u exceeds one grid step on
-    // every axis): the evaluator memoizes deterministic repeats, and this
-    // bench must keep timing the full solve.
+    // every axis). The evaluator keeps no memo, so every call is a full
+    // solve either way; the points only keep the bench's inputs varied.
     let points: Vec<Vec<f64>> = (0..64)
         .map(|k| vec![0.2 + 0.012 * k as f64; problem.dim()])
         .collect();
@@ -114,10 +114,11 @@ fn bench_planner() {
 /// `evaluate_with_effort` did before the batched pipeline existed (it
 /// kept no state between calls). The batch arm scores the same rounds
 /// through `evaluate_batch` on one long-lived problem at 4 worker
-/// threads, where pooled engines restamp in place, workspaces are
-/// reused, and the evaluator's memo table serves deterministic repeats —
-/// fresh proposals still pay a full solve. Both arms must produce
-/// identical evaluations round for round; the speedup is recorded to
+/// threads, where pooled engines restamp in place and workspaces are
+/// reused. Neither arm has a memo, so every request in both arms, the
+/// repeated incumbents included, pays a full solve; the ratio measures
+/// engine pooling and threads. Both arms must produce identical
+/// evaluations round for round; the speedup is recorded to
 /// `bench_results/parallel_throughput.csv`.
 fn bench_parallel_throughput() {
     let amp = TwoStageOpamp::bsim45();
@@ -156,8 +157,8 @@ fn bench_parallel_throughput() {
     let serial_s = t0.elapsed().as_secs_f64() / rounds as f64;
 
     // Batch / pooled: one long-lived problem, 4 worker threads. Warm up on
-    // the incumbent set only — the steady state of a search mid-run; each
-    // timed round's fresh proposals are still first-time solves.
+    // the incumbent set only — the steady state of a search mid-run, with
+    // the engine pool filled and compiled.
     let batched = template.clone().with_threads(4);
     let incumbents: Vec<EvalRequest> =
         round_requests(0)[..8 * n_corners].to_vec();

@@ -147,12 +147,6 @@ impl HealthMonitor {
     pub fn reset_episode(&mut self) {
         self.pinned_rejects = 0;
     }
-
-    /// Merges another monitor's counters (e.g. per-corner monitors into a
-    /// campaign total).
-    pub fn merge_stats(&mut self, other: &HealthStats) {
-        self.stats.merge(other);
-    }
 }
 
 impl Default for HealthMonitor {

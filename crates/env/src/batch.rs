@@ -104,8 +104,8 @@ impl SizingProblem {
     /// is *not* evaluated, so the returned vector can be shorter than
     /// `requests` — callers detect budget truncation with
     /// `results.len() < requests.len()`. The returned evaluations are in
-    /// request order and identical at every thread count; a single-request
-    /// batch is exactly [`SizingProblem::evaluate_with_budget`].
+    /// request order and identical at every thread count;
+    /// [`SizingProblem::evaluate_with_budget`] is the one-request case.
     pub fn evaluate_batch(&self, requests: &[EvalRequest], remaining: usize) -> Vec<Evaluation> {
         // Admission: reserve worst-case attempt caps in request order.
         let max_attempts = self.retry.max_attempts();

@@ -2,12 +2,12 @@
 //!
 //! Concurrent sizing campaigns on the same benchmark frequently request
 //! the same evaluation — duplicate submissions, mirrored seeds, or agents
-//! converging on the same optimum. The journal already proved that an
-//! evaluation's identity is exactly `(point-bits, corner, attempt-cap)`:
-//! a result is a pure function of that key for a fixed problem. The
-//! [`EvalStore`] is the serving-side payoff of those bitwise keys — a
-//! process-wide map from key to [`Evaluation`] with **single-flight**
-//! semantics:
+//! converging on the same optimum. An evaluation's identity is exactly
+//! its [`EvalKey`] `(point-bits, corner, attempt-cap)`, the key the
+//! journal replays under: a result is a pure function of that key for a
+//! fixed problem. The [`EvalStore`] is the serving-side payoff of those
+//! bitwise keys — a process-wide map from key to [`Evaluation`] with
+//! **single-flight** semantics:
 //!
 //! * the first caller to ask for a key becomes its *owner* and runs the
 //!   evaluation,
@@ -42,25 +42,21 @@
 //! shrink. Callers sharing one store must agree on the problem identity
 //! (benchmark, corner set, solver backend) — the serving scheduler keys
 //! stores by that triple.
+//!
+//! The store is the only evaluation memo: the evaluators below it keep
+//! none, and a problem without a store (every CLI campaign) solves a
+//! repeated request again.
 
-use crate::problem::Evaluation;
+use crate::problem::{EvalKey, Evaluation};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Identity of one evaluation: the requested coordinates' IEEE-754 bits,
-/// the corner index, and the admitted attempt cap — the same triple the
-/// journal keys replay on.
-pub type StoreKey = (Vec<u64>, usize, usize);
-
-/// Builds the store key for a request.
-pub fn store_key(u: &[f64], corner_idx: usize, cap: usize) -> StoreKey {
-    (u.iter().map(|v| v.to_bits()).collect(), corner_idx, cap)
-}
-
-/// Default entry capacity: beyond this many live entries new keys bypass
-/// the store (evaluated locally, not published) so memory stays bounded.
+/// Default entry capacity. A new key arriving at a full store drops every
+/// published entry (in-flight ones stay), so memory stays bounded and the
+/// store keeps memoizing; only a store whose every entry is in flight
+/// turns a new key away ([`Join::Bypass`]).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 enum Slot {
@@ -82,7 +78,8 @@ pub struct EvalStoreStats {
     /// Owners that abandoned a key without publishing (cancellation,
     /// panic, unpublishable result); each abort woke the key's waiters.
     pub aborts: u64,
-    /// Requests that skipped the store because it was at capacity.
+    /// Requests that skipped the store because every entry was in flight
+    /// at capacity.
     pub bypasses: u64,
     /// Live entries (in-flight + published).
     pub entries: u64,
@@ -91,7 +88,7 @@ pub struct EvalStoreStats {
 /// A shared single-flight evaluation result store. Cheap to clone via
 /// `Arc`; see the module docs for the contract.
 pub struct EvalStore {
-    slots: Mutex<HashMap<StoreKey, Slot>>,
+    slots: Mutex<HashMap<EvalKey, Slot>>,
     wake: Condvar,
     capacity: usize,
     hits: AtomicU64,
@@ -124,14 +121,15 @@ pub enum Join<'a> {
     Owner(OwnerGuard<'a>),
     /// Another caller already published this key's result.
     Done(Evaluation),
-    /// The store is at capacity: evaluate locally, nothing is shared.
+    /// Every entry is in flight at capacity: evaluate locally, nothing is
+    /// shared.
     Bypass,
     /// The caller's own cancellation predicate fired while waiting.
     Cancelled,
 }
 
 impl EvalStore {
-    /// A store admitting at most `capacity` live entries.
+    /// A store holding at most `capacity` live entries.
     pub fn with_capacity(capacity: usize) -> Self {
         EvalStore {
             slots: Mutex::new(HashMap::new()),
@@ -149,7 +147,7 @@ impl EvalStore {
         Arc::new(EvalStore::default())
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<StoreKey, Slot>> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<EvalKey, Slot>> {
         // A poisoned map only means some owner panicked between claim and
         // publish; its guard's Drop already vacated the slot, so the map
         // itself is consistent and safe to keep using.
@@ -158,12 +156,16 @@ impl EvalStore {
 
     /// Joins the single flight for `key`: returns ownership, a published
     /// result, a capacity bypass, or — when `cancelled()` reports true
-    /// while waiting on an in-flight owner — [`Join::Cancelled`].
+    /// while waiting on an in-flight owner — [`Join::Cancelled`]. A new
+    /// key at capacity first drops every published entry; waiters only
+    /// ever sleep on in-flight entries, which stay. A waiter that wakes to
+    /// find its freshly published key already dropped claims it and
+    /// computes the same result again.
     ///
     /// Waiting is robust to owner death: a vacated slot wakes every
     /// waiter and the first to re-check claims ownership (re-dispatch),
     /// so no caller ever blocks on an owner that will never publish.
-    pub fn join(&self, key: &StoreKey, cancelled: impl Fn() -> bool) -> Join<'_> {
+    pub fn join(&self, key: &EvalKey, cancelled: impl Fn() -> bool) -> Join<'_> {
         let mut slots = self.lock();
         loop {
             match slots.get(key) {
@@ -186,8 +188,11 @@ impl EvalStore {
                 }
                 None => {
                     if slots.len() >= self.capacity {
-                        self.bypasses.fetch_add(1, Ordering::Relaxed);
-                        return Join::Bypass;
+                        slots.retain(|_, slot| matches!(slot, Slot::InFlight));
+                        if slots.len() >= self.capacity {
+                            self.bypasses.fetch_add(1, Ordering::Relaxed);
+                            return Join::Bypass;
+                        }
                     }
                     slots.insert(key.clone(), Slot::InFlight);
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -209,14 +214,14 @@ impl EvalStore {
         }
     }
 
-    fn publish(&self, key: &StoreKey, eval: Evaluation) {
+    fn publish(&self, key: &EvalKey, eval: Evaluation) {
         let mut slots = self.lock();
         slots.insert(key.clone(), Slot::Done(eval));
         drop(slots);
         self.wake.notify_all();
     }
 
-    fn vacate(&self, key: &StoreKey) {
+    fn vacate(&self, key: &EvalKey) {
         let mut slots = self.lock();
         slots.remove(key);
         drop(slots);
@@ -232,7 +237,7 @@ impl EvalStore {
 /// single-flight contract.
 pub struct OwnerGuard<'a> {
     store: &'a EvalStore,
-    key: StoreKey,
+    key: EvalKey,
     done: bool,
 }
 
@@ -255,6 +260,7 @@ impl Drop for OwnerGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::eval_key;
     use crate::stats::FailureKind;
 
     fn eval(v: f64) -> Evaluation {
@@ -268,8 +274,8 @@ mod tests {
         }
     }
 
-    fn key(v: f64) -> StoreKey {
-        store_key(&[v], 0, 3)
+    fn key(v: f64) -> EvalKey {
+        eval_key(&[v], 0, 3)
     }
 
     #[test]
@@ -356,31 +362,46 @@ mod tests {
     }
 
     #[test]
-    fn capacity_overflow_bypasses_without_blocking() {
-        let store = EvalStore::with_capacity(1);
-        match store.join(&key(0.1), || false) {
-            Join::Owner(g) => g.publish(eval(0.1)),
-            _ => panic!("own"),
+    fn full_store_drops_published_entries_and_keeps_memoizing() {
+        let store = EvalStore::with_capacity(2);
+        for v in [0.1, 0.2] {
+            match store.join(&key(v), || false) {
+                Join::Owner(g) => g.publish(eval(v)),
+                _ => panic!("own"),
+            }
         }
-        match store.join(&key(0.2), || false) {
+        // Full of published results: the new key evicts them and owns.
+        let Join::Owner(guard) = store.join(&key(0.3), || false) else {
+            panic!("a full store of published entries must admit a new key")
+        };
+        let s = store.stats();
+        assert_eq!((s.bypasses, s.entries), (0, 1));
+        // Full of in-flight entries: nothing can be dropped, so bypass.
+        let Join::Owner(_other) = store.join(&key(0.4), || false) else { panic!("own") };
+        match store.join(&key(0.5), || false) {
             Join::Bypass => {}
-            _ => panic!("full store must bypass"),
+            _ => panic!("a store whose every entry is in flight must bypass"),
         }
         let s = store.stats();
-        assert_eq!((s.bypasses, s.entries), (1, 1));
+        assert_eq!((s.bypasses, s.entries), (1, 2));
+        guard.publish(eval(0.3));
+        match store.join(&key(0.3), || false) {
+            Join::Done(e) => assert_eq!(e, eval(0.3)),
+            _ => panic!("the new key's result is memoized"),
+        };
     }
 
     #[test]
     fn keys_distinguish_point_corner_and_cap() {
-        let a = store_key(&[0.5], 0, 3);
-        let b = store_key(&[0.5], 1, 3);
-        let c = store_key(&[0.5], 0, 2);
-        let d = store_key(&[0.5 + 1e-17], 0, 3); // rounds back to exactly 0.5
+        let a = eval_key(&[0.5], 0, 3);
+        let b = eval_key(&[0.5], 1, 3);
+        let c = eval_key(&[0.5], 0, 2);
+        let d = eval_key(&[0.5 + 1e-17], 0, 3); // rounds back to exactly 0.5
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, d, "bitwise-equal floats share a key");
         // -0.0 and 0.0 compare equal but are different evaluations bitwise.
-        assert_ne!(store_key(&[0.0], 0, 3), store_key(&[-0.0], 0, 3));
+        assert_ne!(eval_key(&[0.0], 0, 3), eval_key(&[-0.0], 0, 3));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! seed)` — every evaluator is required to be deterministic in
 //! `(x, corner, effort)` and every agent is seeded. The journal exploits
 //! that: instead of snapshotting agent state (fragile across versions), it
-//! records every *evaluation outcome* the campaign consumed, keyed by
-//! `(point, corner, attempt cap)`. Resuming re-runs the agent from its
-//! seed; journaled evaluations are served back verbatim (no simulator
-//! calls), and the campaign continues live exactly where it died —
-//! producing a [`crate::SearchOutcome`] bitwise identical to an
+//! records every *evaluation outcome* the campaign consumed, keyed by its
+//! [`EvalKey`] `(point, corner, attempt cap)`. Resuming re-runs the agent
+//! from its seed; journaled evaluations are served back verbatim (no
+//! simulator calls), and the campaign continues live exactly where it
+//! died — producing a [`crate::SearchOutcome`] bitwise identical to an
 //! uninterrupted run.
 //!
 //! # File format (version 1)
@@ -35,7 +35,7 @@
 //! The log fsyncs every `checkpoint_every` records and on
 //! [`Journal::checkpoint`].
 
-use crate::problem::Evaluation;
+use crate::problem::{eval_key, EvalKey, Evaluation};
 use crate::recordlog::{
     f64_from_hex, f64_list_from_hex, field_safe, hex_f64, hex_f64_list, split_record, unparseable,
     DiskFault, LogFormat, RecordError, RecordLog,
@@ -113,11 +113,6 @@ impl JournalMeta {
     }
 }
 
-/// Replay key: the requested point's IEEE-754 bits, the corner index, and
-/// the admitted attempt cap (the cap changes the retry ladder's depth and
-/// therefore the outcome, so it is part of the identity).
-type ReplayKey = (Vec<u64>, usize, usize);
-
 /// An append-only, fsync'd evaluation journal (see the module docs for
 /// the format and the determinism contract).
 ///
@@ -129,7 +124,7 @@ type ReplayKey = (Vec<u64>, usize, usize);
 pub struct Journal {
     log: RecordLog,
     meta: JournalMeta,
-    replay: HashMap<ReplayKey, VecDeque<Evaluation>>,
+    replay: HashMap<EvalKey, VecDeque<Evaluation>>,
     replayed: usize,
     recorded: usize,
     dropped: usize,
@@ -150,18 +145,14 @@ fn fmt_eval_line(u: &[f64], corner_idx: usize, cap: usize, e: &Evaluation) -> St
     )
 }
 
-fn parse_eval_line(line: &str) -> Option<(ReplayKey, Evaluation)> {
+fn parse_eval_line(line: &str) -> Option<(EvalKey, Evaluation)> {
     let (tag, f) = split_record(line)?;
     // Exactly the nine keys below: an unknown key is corruption.
     if tag != "E" || f.pairs().len() != 9 {
         return None;
     }
     let u = f64_list_from_hex(f.get("u")?)?;
-    let key = (
-        u.iter().map(|v| v.to_bits()).collect(),
-        f.get("c")?.parse().ok()?,
-        f.get("cap")?.parse().ok()?,
-    );
+    let key = eval_key(&u, f.get("c")?.parse().ok()?, f.get("cap")?.parse().ok()?);
     let eval = Evaluation {
         x_norm: f64_list_from_hex(f.get("x")?)?,
         measurements: match f.get("m")? {
@@ -216,7 +207,7 @@ impl Journal {
     ///   evaluation was recorded.
     pub fn resume(path: &Path, checkpoint_every: usize) -> Result<Journal, JournalError> {
         let mut meta = None;
-        let mut replay: HashMap<ReplayKey, VecDeque<Evaluation>> = HashMap::new();
+        let mut replay: HashMap<EvalKey, VecDeque<Evaluation>> = HashMap::new();
         let mut recorded = 0;
         let valid = RecordLog::scan(path, &JOURNAL, |line, body| {
             if line == 2 {
@@ -250,7 +241,7 @@ impl Journal {
     /// are served in recording order, exactly as the original run produced
     /// them.
     pub fn take_replay(&mut self, u: &[f64], corner_idx: usize, cap: usize) -> Option<Evaluation> {
-        let key: ReplayKey = (u.iter().map(|v| v.to_bits()).collect(), corner_idx, cap);
+        let key = eval_key(u, corner_idx, cap);
         let queue = self.replay.get_mut(&key)?;
         let eval = queue.pop_front()?;
         if queue.is_empty() {

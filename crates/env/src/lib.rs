@@ -27,9 +27,11 @@
 //!   scoped-thread worker pool (`ASDEX_THREADS`) with budget-exact
 //!   admission,
 //! * the cross-campaign dedup layer: [`evalstore::EvalStore`], a shared
-//!   single-flight result store keyed by the journal's bitwise replay key
-//!   ((point-bits, corner, attempt-cap)) so concurrent campaigns wait on
-//!   in-flight evaluations instead of recomputing them, and
+//!   single-flight result store keyed by the bitwise
+//!   [`problem::EvalKey`] (point-bits, corner, attempt-cap) that the
+//!   journal also replays under, so concurrent campaigns wait on
+//!   in-flight evaluations instead of recomputing them; it is the only
+//!   evaluation memo, and
 //! * the crash-safety layer: [`journal::Journal`] (append-only
 //!   checkpoint/resume journal with bitwise-faithful replay, a schema on
 //!   the shared [`recordlog::RecordLog`]), worker
@@ -87,7 +89,7 @@ pub use journal::{Journal, JournalError, JournalMeta};
 pub use netbench::{netlist_digest, NetbenchError, NetlistBench};
 pub use problem::{Evaluation, Evaluator, SizingProblem};
 pub use recordlog::{fnv1a, DiskFault, DiskFaultKind, RecordError, RecordLog};
-pub use robust::{EvalEffort, RetryPolicy, RobustEvaluator};
+pub use robust::{EvalEffort, RetryPolicy};
 pub use search::{SearchBudget, SearchOutcome, Searcher};
 pub use space::{DesignSpace, Param};
 pub use spec::{Spec, SpecKind, SpecSet};

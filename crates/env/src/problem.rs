@@ -5,11 +5,12 @@
 //! from simulation, and the specs per corner; every search agent consumes
 //! the same [`SizingProblem`].
 
+use crate::batch::EvalRequest;
 use crate::cancel::CancelToken;
 use crate::corner::{PvtCorner, PvtSet};
 use crate::dispatch::EvalDispatcher;
 use crate::error::EnvError;
-use crate::evalstore::{self, EvalStore, Join};
+use crate::evalstore::{EvalStore, Join};
 use crate::journal::Journal;
 use crate::robust::{EvalEffort, RetryPolicy};
 use crate::space::DesignSpace;
@@ -26,6 +27,18 @@ pub(crate) type JobKey = (Vec<u64>, usize);
 
 pub(crate) fn job_key(u: &[f64], corner_idx: usize) -> JobKey {
     (u.iter().map(|v| v.to_bits()).collect(), corner_idx)
+}
+
+/// Identity of one evaluation: the requested coordinates' IEEE-754 bits,
+/// the corner index, and the admitted attempt cap (the cap bounds the
+/// retry ladder and so changes the outcome). An evaluation is a pure
+/// function of this key for a fixed problem, so the journal replays and
+/// the [`EvalStore`] shares results under it.
+pub type EvalKey = (Vec<u64>, usize, usize);
+
+/// The [`EvalKey`] of a request.
+pub fn eval_key(u: &[f64], corner_idx: usize, cap: usize) -> EvalKey {
+    (u.iter().map(|v| v.to_bits()).collect(), corner_idx, cap)
 }
 
 /// Maps a physical parameter vector to a measurement vector at a PVT
@@ -67,9 +80,9 @@ pub trait Evaluator: Send + Sync {
     /// Pins the linear-solver backend for every future evaluation (see
     /// [`asdex_spice::analysis::SolverChoice`]). The default is a no-op —
     /// analytic evaluators solve no linear systems — so only MNA-backed
-    /// implementations need to override this. Implementations must drop
-    /// any memoized results keyed without the choice: backends agree only
-    /// within solver tolerance, not bitwise.
+    /// implementations need to override this; the MNA evaluator re-pins
+    /// its engine pool. Backends agree only within solver tolerance, not
+    /// bitwise, so the choice is part of a campaign's identity.
     fn set_solver(&self, choice: asdex_spice::analysis::SolverChoice) {
         let _ = choice;
     }
@@ -353,24 +366,20 @@ impl SizingProblem {
     /// attempts than `remaining`, so charging the returned
     /// [`Evaluation::sim_cost`] against a budget can never overshoot it.
     ///
-    /// When a journal is attached (see [`SizingProblem::with_journal`]) a
-    /// recorded outcome for `(u, corner_idx, cap)` is served back without
-    /// touching the evaluator, and fresh outcomes are recorded.
+    /// This is a one-request [`SizingProblem::evaluate_batch`] with at
+    /// least one attempt admitted: when a journal is attached (see
+    /// [`SizingProblem::with_journal`]) a recorded outcome for
+    /// `(u, corner_idx, cap)` is served back without touching the
+    /// evaluator, and fresh outcomes are recorded.
     pub fn evaluate_with_budget(
         &self,
         u: &[f64],
         corner_idx: usize,
         remaining: usize,
     ) -> Evaluation {
-        let cap = self.retry.max_attempts().min(remaining.max(1));
-        if self.is_cancelled() {
-            return self.cancelled_eval(u, cap);
-        }
-        let (eval, replayed) = match self.take_replayed(u, corner_idx, cap) {
-            Some(e) => (e, true),
-            None => (self.evaluate_shared(u, corner_idx, cap), false),
-        };
-        self.finalize_evaluation(u, corner_idx, cap, eval, replayed)
+        self.evaluate_batch(&[EvalRequest::new(u.to_vec(), corner_idx)], remaining.max(1))
+            .pop()
+            .expect("a budget of at least one attempt admits the request")
     }
 
     /// Pops the journaled outcome for this job, if a journal is attached
@@ -500,7 +509,7 @@ impl SizingProblem {
         let Some(store) = &self.eval_store else {
             return self.evaluate_unjournaled(u, corner_idx, max_attempts);
         };
-        let key = evalstore::store_key(u, corner_idx, max_attempts);
+        let key = eval_key(u, corner_idx, max_attempts);
         // Waiters on a slot an owner abandoned re-claim *inside* `join`,
         // so every arm here is terminal.
         match store.join(&key, || self.is_cancelled()) {
@@ -514,7 +523,8 @@ impl SizingProblem {
                 // the slot so a waiter re-dispatches.
                 e
             }
-            // A full store degrades to plain local evaluation.
+            // A store whose every slot is in flight degrades to plain
+            // local evaluation.
             Join::Bypass => self.evaluate_unjournaled(u, corner_idx, max_attempts),
             Join::Cancelled => self.cancelled_eval(u, max_attempts),
         }
@@ -527,7 +537,7 @@ impl SizingProblem {
     }
 
     /// The ordered finalize pass for one evaluation, applied in request
-    /// order (the serial path does it inline; the threaded batch path
+    /// order (the serial batch path does it inline; the threaded one
     /// after its workers join). Three steps, in this order:
     ///
     /// 1. A fresh (non-replayed) result whose job was quarantined by an
@@ -580,7 +590,7 @@ impl SizingProblem {
     /// only*, so sign-off across corners is
     /// `evals.iter().all(|e| e.feasible)`.
     pub fn evaluate_all_corners(&self, u: &[f64]) -> Vec<Evaluation> {
-        let requests = crate::batch::EvalRequest::fan_out(u, self.corners.len());
+        let requests = EvalRequest::fan_out(u, self.corners.len());
         self.evaluate_batch(&requests, usize::MAX)
     }
 }

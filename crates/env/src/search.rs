@@ -67,18 +67,6 @@ impl SearchOutcome {
             health: HealthStats::new(),
         }
     }
-
-    /// The same outcome with telemetry attached.
-    pub fn with_stats(mut self, stats: EvalStats) -> Self {
-        self.stats = stats;
-        self
-    }
-
-    /// The same outcome with self-healing telemetry attached.
-    pub fn with_health(mut self, health: HealthStats) -> Self {
-        self.health = health;
-        self
-    }
 }
 
 /// A search agent: consumes a problem and a budget, returns an outcome.

@@ -37,8 +37,6 @@ pub struct Engine {
     pub(crate) n_branches: usize,
     pub(crate) elems: Vec<(String, Compiled)>,
     pub(crate) temp_kelvin: f64,
-    /// Node names indexed by unknown index (for diagnostics).
-    pub(crate) node_names: Vec<String>,
     /// Branch element names indexed by branch number.
     pub(crate) branch_names: Vec<String>,
 }
@@ -168,15 +166,11 @@ impl Engine {
                 *ctrl = ctrl_idx;
             }
         }
-        let node_names = (1..circuit.node_count())
-            .map(|k| circuit.node_name(NodeId(k)).to_string())
-            .collect();
         Ok(Engine {
             n_nodes,
             n_branches: next_branch,
             elems,
             temp_kelvin: circuit.temp_kelvin(),
-            node_names,
             branch_names,
         })
     }
@@ -184,20 +178,6 @@ impl Engine {
     /// Total number of unknowns (node voltages + branch currents).
     pub fn dim(&self) -> usize {
         self.n_nodes + self.n_branches
-    }
-
-    /// Human-readable label of unknown `i`: the node name for voltage
-    /// unknowns, the element name for branch-current unknowns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.dim()`.
-    pub fn unknown_name(&self, i: usize) -> &str {
-        if i < self.n_nodes {
-            &self.node_names[i]
-        } else {
-            &self.branch_names[i - self.n_nodes]
-        }
     }
 
     /// Branch index of a named voltage-defined element, if any.

@@ -173,8 +173,8 @@ fn each_backend_is_bitwise_repeatable() {
         let problem = TwoStageOpamp::bsim45().problem().expect("opamp builds").with_solver(choice);
         let reqs = requests(2, problem.corners.len(), problem.dim());
         let first = problem.evaluate_batch(&reqs, usize::MAX);
-        // Warm pool, warm symbolic factorization, warm memo cache: the
-        // second pass must be indistinguishable from the first.
+        // Warm pool, warm symbolic factorization: the second pass must be
+        // indistinguishable from the first.
         let second = problem.evaluate_batch(&reqs, usize::MAX);
         assert_eq!(first, second, "{choice:?} re-evaluation drifted");
         // And a cold problem on the same backend must reproduce it too.
