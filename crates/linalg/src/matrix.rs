@@ -186,6 +186,18 @@ impl<S: Scalar> Matrix<S> {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// The entries in row-major order: `(row, col)` is at `row·cols + col`.
+    #[inline]
+    pub fn as_slice(&self) -> &[S] {
+        &self.data
+    }
+
+    /// Mutable row-major entries, indexed as in [`Matrix::as_slice`].
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [S] {
+        &mut self.data
+    }
+
     /// `true` when every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -300,6 +312,14 @@ mod tests {
         assert_eq!(m[(0, 0)], 4.0);
         m.fill_zero();
         assert_eq!(m[(0, 0)], 0.0);
+    }
+
+    #[test]
+    fn slices_are_row_major() {
+        let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        m.as_mut_slice()[2] = 7.0;
+        assert_eq!(m[(1, 0)], 7.0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub enum SparseStatus {
 ///
 /// Stamp through the [`Assembler`] impl. [`SparseAssembler::begin`]
 /// starts a fresh pattern (new topology); [`Assembler::reset`] keeps the
-/// pattern and zeroes values (new Newton iteration / frequency point).
+/// pattern and zeroes values (new Newton iteration / transient step).
 /// The `rev` counter changes exactly when the pattern could have
 /// changed, letting [`SparseLu`] skip pattern comparison on the hot
 /// path.
@@ -114,6 +114,21 @@ impl<S: Scalar> SparseAssembler<S> {
     /// Values aligned with [`SparseAssembler::pos`].
     pub fn vals(&self) -> &[S] {
         &self.vals
+    }
+
+    /// Mutable values aligned with [`SparseAssembler::pos`]. Writing them
+    /// leaves the pattern and its revision unchanged.
+    pub fn vals_mut(&mut self) -> &mut [S] {
+        &mut self.vals
+    }
+
+    /// The value slot of `(row, col)`, or `None` when the position is not
+    /// in the pattern.
+    pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        if row >= self.dim || col >= self.dim {
+            return None;
+        }
+        self.index.get(&(row as u32, col as u32)).map(|&s| s as usize)
     }
 
     /// Pattern revision: changes exactly when the pattern may differ
@@ -562,6 +577,21 @@ mod tests {
         asm.begin(3);
         assert_eq!(asm.nnz(), 0);
         assert!(asm.rev() > rev, "begin bumps the revision");
+    }
+
+    #[test]
+    fn slots_address_the_values_in_place() {
+        let mut asm = SparseAssembler::<f64>::new();
+        asm.begin(3);
+        asm.add(2, 0, 1.0);
+        asm.add(0, 1, 2.0);
+        let rev = asm.rev();
+        assert_eq!(asm.slot(0, 1), Some(1));
+        assert_eq!(asm.slot(1, 0), None, "not in the pattern");
+        assert_eq!(asm.slot(3, 0), None, "outside the system");
+        asm.vals_mut()[1] = 5.0;
+        assert_eq!(asm.vals(), &[1.0, 5.0]);
+        assert_eq!(asm.rev(), rev, "writing values keeps the pattern revision");
     }
 
     #[test]

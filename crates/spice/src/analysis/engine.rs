@@ -441,6 +441,11 @@ impl Engine {
 
     /// Assembles the complex AC system at angular frequency `omega`,
     /// linearized around the DC solution `x_op`.
+    ///
+    /// Every stamp has the value `re + j·omega·c` with `re` and `c`
+    /// independent of `omega`, and the right-hand side does not depend on
+    /// `omega` at all: an AC sweep calls this twice and derives every
+    /// frequency point from the two (`SolverWorkspace::linearize_ac`).
     pub(crate) fn load_ac(
         &self,
         x_op: &[f64],

@@ -9,7 +9,9 @@ mod solver;
 mod tran;
 mod workspace;
 
-pub use ac::{ac_analysis, ac_analysis_with_op, ac_analysis_with_op_in, AcResult, Sweep};
+pub use ac::{
+    ac_analysis, ac_analysis_with_op, ac_analysis_with_op_in, AcResult, Sweep, MAX_SWEEP_POINTS,
+};
 pub use dc::{dc_sweep, DcSweepResult};
 pub use engine::Engine;
 pub use op::{dc_operating_point, OpOptions, OpResult, SolveBudget};

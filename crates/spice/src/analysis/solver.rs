@@ -124,6 +124,8 @@ pub(crate) struct Backend<S: Scalar> {
     asm: SparseAssembler<S>,
     splu: SparseLu<S>,
     x: Vec<S>,
+    /// Dense values kept by [`Backend::save_values`].
+    saved: Vec<S>,
 }
 
 impl<S: Scalar> Backend<S> {
@@ -137,6 +139,7 @@ impl<S: Scalar> Backend<S> {
             asm: SparseAssembler::new(),
             splu: SparseLu::new(),
             x: Vec::new(),
+            saved: Vec::new(),
         }
     }
 
@@ -180,10 +183,50 @@ impl<S: Scalar> Backend<S> {
         }
     }
 
+    /// Where [`Backend::values_mut`] holds the value at `(row, col)`:
+    /// `row·dim + col` on the dense backend, the pattern slot on the
+    /// sparse one; `None` outside the system (or the sparse pattern).
+    pub(crate) fn value_index(&self, row: usize, col: usize) -> Option<usize> {
+        match self.kind {
+            BackendKind::Dense => {
+                (row < self.dim && col < self.dim).then_some(row * self.dim + col)
+            }
+            BackendKind::Sparse => self.asm.slot(row, col),
+        }
+    }
+
+    /// The assembled values, indexed by [`Backend::value_index`].
+    pub(crate) fn values_mut(&mut self) -> &mut [S] {
+        match self.kind {
+            BackendKind::Dense => self.dense.as_mut_slice(),
+            BackendKind::Sparse => self.asm.vals_mut(),
+        }
+    }
+
+    /// Keeps the assembled values for [`Backend::restore_values`]. Only
+    /// the dense backend copies them: it factors in place, while the
+    /// sparse factorization reads the assembled values and leaves them
+    /// as they are.
+    pub(crate) fn save_values(&mut self) {
+        if self.kind == BackendKind::Dense {
+            self.saved.clear();
+            self.saved.extend_from_slice(self.dense.as_slice());
+        }
+    }
+
+    /// Brings back the values of the last [`Backend::save_values`] after
+    /// a [`Backend::factor_solve`] consumed them.
+    pub(crate) fn restore_values(&mut self) {
+        if self.kind == BackendKind::Dense {
+            self.dense.as_mut_slice().copy_from_slice(&self.saved);
+        }
+    }
+
     /// Factors the assembled system and solves for `rhs`, returning the
     /// solution slice (valid until the next call). The dense path
     /// factors in place — the assembled values are consumed, which is
-    /// fine because every `load_*` reassembles from scratch.
+    /// fine because every `load_*` reassembles from scratch and an AC
+    /// sweep restores them ([`Backend::restore_values`]).
     ///
     /// # Errors
     ///

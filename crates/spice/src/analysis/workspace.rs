@@ -7,12 +7,23 @@
 //! them back dimension-matched, so a worker thread in a batched
 //! evaluation pipeline pays the allocation (and, on the sparse backend,
 //! symbolic analysis) cost once per topology instead of once per point.
+//!
+//! An AC sweep stamps once per sweep, not at each frequency point:
+//! [`SolverWorkspace::linearize_ac`] assembles the system at ω = 0 (every
+//! ω-independent value and the right-hand side) and then records, in
+//! stamp order, the imaginary coefficient `c` of each reactive stamp
+//! `re + j·ω·c`, resolved to its backend value index. Each point then
+//! only re-sums those entries' imaginary parts as `ω·c` in the recorded
+//! order. The sums are the ones re-stamping would compute, bit for bit:
+//! real parts do not depend on ω, `ω·(−c)` is `−(ω·c)` exactly, and the
+//! ±0.0 imaginary parts of purely real stamps leave a sum that starts at
+//! +0.0 unchanged.
 
 use super::ac::Sweep;
 use super::engine::Engine;
 use super::solver::{Backend, SolverChoice};
 use crate::error::SpiceError;
-use asdex_linalg::Complex;
+use asdex_linalg::{Assembler, Complex};
 
 /// Scratch buffers and solver state for the DC Newton loop, the transient
 /// integration, and the AC sweep, reusable across calls. Buffers are
@@ -32,6 +43,9 @@ pub struct SolverWorkspace {
     pub(crate) complex: Backend<Complex>,
     /// Complex right-hand side.
     pub(crate) zc: Vec<Complex>,
+    /// The reactive stamps of the last linearized AC system in stamp
+    /// order: backend value index and imaginary coefficient at ω = 1.
+    ac_reactive: Vec<(usize, f64)>,
     /// Last expanded frequency grid, keyed by its sweep.
     freq_cache: Option<(Sweep, Vec<f64>)>,
 }
@@ -58,6 +72,7 @@ impl SolverWorkspace {
             z: Vec::new(),
             complex: Backend::new(choice),
             zc: Vec::new(),
+            ac_reactive: Vec::new(),
             freq_cache: None,
         }
     }
@@ -89,6 +104,31 @@ impl SolverWorkspace {
         }
     }
 
+    /// Linearizes `engine`'s AC system around the operating point `x_op`
+    /// for a whole sweep (see the module docs): the two `load_ac` calls
+    /// of a sweep. Call after [`SolverWorkspace::ensure_ac`].
+    pub(crate) fn linearize_ac(&mut self, engine: &Engine, x_op: &[f64]) {
+        engine.load_ac(x_op, 0.0, self.complex.assembler(), &mut self.zc);
+        self.complex.save_values();
+        self.ac_reactive.clear();
+        let mut recorder =
+            ReactiveRecorder { backend: &self.complex, reactive: &mut self.ac_reactive };
+        engine.load_ac(x_op, 1.0, &mut recorder, &mut self.zc);
+    }
+
+    /// Sets the linearized AC system to angular frequency `omega`, ready
+    /// for the complex backend's `factor_solve`.
+    pub(crate) fn load_ac_at(&mut self, omega: f64) {
+        self.complex.restore_values();
+        let vals = self.complex.values_mut();
+        for &(i, _) in &self.ac_reactive {
+            vals[i].im = 0.0;
+        }
+        for &(i, c) in &self.ac_reactive {
+            vals[i].im += omega * c;
+        }
+    }
+
     /// The expanded frequency grid of `sweep`, served from the cache when
     /// the same sweep was expanded before.
     ///
@@ -108,6 +148,30 @@ impl SolverWorkspace {
             None => Err(SpiceError::BadSweep {
                 reason: "frequency cache unavailable".to_string(),
             }),
+        }
+    }
+}
+
+/// The assembler `linearize_ac` stamps the ω = 1 system into: it keeps
+/// each stamp with a nonzero imaginary part — the reactive ones — as its
+/// backend value index and that part, and discards the rest.
+struct ReactiveRecorder<'a> {
+    backend: &'a Backend<Complex>,
+    reactive: &'a mut Vec<(usize, f64)>,
+}
+
+impl Assembler<Complex> for ReactiveRecorder<'_> {
+    fn reset(&mut self) {}
+
+    fn add(&mut self, row: usize, col: usize, value: Complex) {
+        if value.im != 0.0 {
+            // The ω = 0 load stamped this position already, so it is in
+            // the backend's pattern.
+            let index = self
+                .backend
+                .value_index(row, col)
+                .expect("reactive stamp outside the assembled system");
+            self.reactive.push((index, value.im));
         }
     }
 }

@@ -116,6 +116,63 @@ const SIZING_GOLDENS: &[(&str, [&str; 5])] = &[
     ),
 ];
 
+/// [`SIZING_GOLDENS`] on the sparse backend: the same decks and
+/// measurements, solved with the sparse LU, whose elimination order
+/// differs from the dense one's, so some figures land on neighbouring
+/// bits.
+const SIZING_SPARSE_GOLDENS: &[(&str, [&str; 5])] = &[
+    (
+        "two_stage_opamp_sized.sp",
+        [
+            "4058437fddbb7b2a",
+            "418370b80341bd8b",
+            "4029f01e81f33820",
+            "3f0cbd99aae1108a",
+            "3db23b318ff64a87",
+        ],
+    ),
+    (
+        "folded_cascode_opamp.sp",
+        [
+            "c0660334c5897b24",
+            "0000000000000000",
+            "0000000000000000",
+            "3f0bb6092fc50cda",
+            "3dab4b1a6284035a",
+        ],
+    ),
+    (
+        "bandgap_reference.sp",
+        [
+            "c048740a3c54226b",
+            "0000000000000000",
+            "0000000000000000",
+            "3ec287e67ed65682",
+            "3da718e89e5a2764",
+        ],
+    ),
+    (
+        "comparator.sp",
+        [
+            "40584c2ff8a2da8a",
+            "41be348c7db3a4a3",
+            "c0244deec5c35140",
+            "3f0ca03faeba2d40",
+            "3db23b318ff64a87",
+        ],
+    ),
+    (
+        "two_stage_ldo.sp",
+        [
+            "c0651f073c734a82",
+            "0000000000000000",
+            "0000000000000000",
+            "3ef30ff6e5dedbb3",
+            "3da27737fec6d694",
+        ],
+    ),
+];
+
 /// Measurement goldens for the built-in MNA benches, one row per
 /// evaluation: `bench point corner solver attempt` followed by the five
 /// measurements as IEEE-754 bit patterns (or `err:<kind>` when the
@@ -363,23 +420,52 @@ fn builtin_benches_match_their_measurement_goldens_bitwise() {
 
 #[test]
 fn sizing_decks_compile_and_match_midpoint_goldens_bitwise() {
-    for (file, want) in SIZING_GOLDENS {
-        let path = Path::new("decks").join(file);
-        let bench = NetlistBench::load(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
-        // The digest the daemon journals is the digest of the shipped
-        // source, stable under include expansion (none here).
-        assert_eq!(
-            bench.digest(),
-            netlist_digest(bench.source()),
-            "{file}: digest disagrees with its own source"
-        );
-        let problem = bench.problem().unwrap_or_else(|e| panic!("{file}: {e}"));
-        let eval = problem.evaluate_normalized(&vec![0.5; problem.dim()], 0);
-        let meas = eval
-            .measurements
-            .unwrap_or_else(|| panic!("{file}: midpoint fails: {:?}", eval.failure));
-        let got: Vec<String> = meas.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
-        assert_eq!(got, want.to_vec(), "{file}: midpoint measurements drifted");
+    // The backend is pinned, not taken from `ASDEX_SOLVER`: each table
+    // holds one backend's bits.
+    for (solver, goldens) in
+        [(SolverChoice::Dense, SIZING_GOLDENS), (SolverChoice::Sparse, SIZING_SPARSE_GOLDENS)]
+    {
+        for (file, want) in goldens {
+            let path = Path::new("decks").join(file);
+            let bench = NetlistBench::load(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
+            // The digest the daemon journals is the digest of the shipped
+            // source, stable under include expansion (none here).
+            assert_eq!(
+                bench.digest(),
+                netlist_digest(bench.source()),
+                "{file}: digest disagrees with its own source"
+            );
+            let problem = bench.problem().unwrap_or_else(|e| panic!("{file}: {e}"));
+            problem.evaluator.set_solver(solver);
+            let eval = problem.evaluate_normalized(&vec![0.5; problem.dim()], 0);
+            let meas = eval
+                .measurements
+                .unwrap_or_else(|| panic!("{file}: midpoint fails: {:?}", eval.failure));
+            let got: Vec<String> = meas.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+            let label = solver.label();
+            assert_eq!(got, want.to_vec(), "{file} ({label}): midpoint measurements drifted");
+        }
+    }
+}
+
+#[test]
+fn degenerate_ac_sweeps_in_a_deck_are_typed_sweep_errors() {
+    // `asdex sim` on a deck whose `.ac` card has a non-finite stop
+    // frequency, or asks for a grid too large to allocate, fails with the
+    // sweep error rather than a singular system or an allocation abort.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, card) in [("inf_stop", ".ac dec 10 1k 1e400"), ("huge_ppd", ".ac dec 1e9 1k 1meg")] {
+        let deck = dir.join(format!("degenerate_sweep_{name}.cir"));
+        let source = format!("rc\nV1 in 0 0 AC 1\nR1 in out 1k\nC1 out 0 1n\n{card}\n.end\n");
+        std::fs::write(&deck, source).unwrap();
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_asdex"))
+            .arg("sim")
+            .arg(&deck)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{card}: {stderr}");
+        assert!(stderr.contains("bad sweep"), "{card}: {stderr}");
     }
 }
 
