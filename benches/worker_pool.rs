@@ -5,8 +5,8 @@
 //!
 //! Every configuration must produce bitwise-identical evaluations (the
 //! worker pool is a dispatcher, not a different simulator); the CSV
-//! quantifies what the pipe round-trip and the per-worker engine pools
-//! cost relative to shared-memory threads. No configuration has a memo,
+//! quantifies what the pipe round-trip and the per-worker workspace
+//! pools cost relative to shared-memory threads. No configuration has a memo,
 //! so every request is a full solve. Results land in
 //! `bench_results/worker_pool.csv`.
 //!
@@ -44,7 +44,7 @@ fn round_requests(template: &SizingProblem, round: usize) -> Vec<EvalRequest> {
 
 /// Times `ROUNDS` sign-off rounds on `problem` after warming up on the
 /// incumbent set (the steady state of a search mid-run, with every
-/// engine pool filled and compiled).
+/// workspace pool filled).
 fn run_rounds(problem: &SizingProblem) -> (f64, Vec<Vec<Evaluation>>) {
     let incumbents = round_requests(problem, 0)[..8 * problem.corners.len()].to_vec();
     let _ = problem.evaluate_batch(&incumbents, usize::MAX);

@@ -114,12 +114,12 @@ fn bench_planner() {
 /// `evaluate_with_effort` did before the batched pipeline existed (it
 /// kept no state between calls). The batch arm scores the same rounds
 /// through `evaluate_batch` on one long-lived problem at 4 worker
-/// threads, where pooled engines restamp in place and workspaces are
-/// reused. Neither arm has a memo, so every request in both arms, the
-/// repeated incumbents included, pays a full solve; the ratio measures
-/// engine pooling and threads. Both arms must produce identical
-/// evaluations round for round; the speedup is recorded to
-/// `bench_results/parallel_throughput.csv`.
+/// threads, where every request still compiles its circuit but solves
+/// in a pooled, reused workspace. Neither arm has a memo, so every
+/// request in both arms, the repeated incumbents included, pays a full
+/// solve; the ratio measures workspace pooling and threads. Both arms
+/// must produce identical evaluations round for round; the speedup is
+/// recorded to `bench_results/parallel_throughput.csv`.
 fn bench_parallel_throughput() {
     let amp = TwoStageOpamp::bsim45();
     let template =
@@ -158,7 +158,7 @@ fn bench_parallel_throughput() {
 
     // Batch / pooled: one long-lived problem, 4 worker threads. Warm up on
     // the incumbent set only — the steady state of a search mid-run, with
-    // the engine pool filled and compiled.
+    // the workspace pool filled.
     let batched = template.clone().with_threads(4);
     let incumbents: Vec<EvalRequest> =
         round_requests(0)[..8 * n_corners].to_vec();

@@ -1,28 +1,26 @@
-//! The one MNA evaluator behind every simulated bench, with the engine
-//! pool it owns.
+//! The one MNA evaluator behind every simulated bench, with the solver
+//! workspace pool it owns.
 //!
 //! A bench contributes only its circuit at `(x, corner)` and the
 //! measurements it reads off the converged operating point, through
-//! [`MnaBench`]. [`MnaEvaluator`] does everything else: engine-slot take
-//! and put, restamp-or-compile, the retry ladder's solver options and
+//! [`MnaBench`]. [`MnaEvaluator`] does everything else: workspace take
+//! and put, compiling the circuit, the retry ladder's solver options and
 //! initial guess, the operating point, and the finiteness guard. The
 //! two-stage opamp, the LDO and every netlist bench therefore run one
 //! solve path; two of them agree bit for bit exactly when their circuits
 //! do.
 //!
-//! Compiling a netlist and allocating solver matrices dominates the cost
-//! of a single evaluation once the Newton loop converges quickly. Every
-//! candidate an agent proposes shares the circuit *topology* — only
-//! element values change with `(x, corner)` — so each evaluator keeps a
-//! pool of `(Engine, SolverWorkspace)` slots: a worker takes a slot,
-//! restamps the compiled engine in place (full recompile on first use or
-//! topology mismatch), solves reusing the workspace buffers, and returns
-//! the slot. The pool is a plain `Mutex<Vec<_>>` held only around
-//! pop/push, so batch workers never serialize on it during a solve.
-//!
-//! Restamping and buffer reuse are bitwise-exact (`Engine::restamp` and
-//! `SolverWorkspace` zero all state a solve reads), so pooled evaluation
-//! returns the same `Evaluation`s as compiling from scratch every call.
+//! Every evaluation compiles its circuit with `Engine::compile`, the one
+//! lowering of a circuit into the MNA engine, at well under one percent
+//! of the cost of the operating point and AC sweep it feeds (DESIGN.md
+//! §5.6 has the measurements). What is worth reusing is the solver
+//! state, so each evaluator keeps a pool of `SolverWorkspace`s: a worker
+//! takes one, solves in its buffers (and, on the sparse backend, its
+//! symbolic factorization), and returns it. The pool is a plain
+//! `Mutex<Vec<_>>` held only around pop/push, so batch workers never
+//! serialize on it during a solve. A reused workspace zeroes all state a
+//! solve reads, so pooled evaluation returns the same `Evaluation`s as a
+//! fresh workspace every call.
 //!
 //! The evaluator keeps no memo: every call solves. Repeats across the
 //! campaigns of one daemon are served by the daemon's
@@ -58,12 +56,12 @@ pub(crate) trait MnaBench: Send + Sync {
     ) -> Result<Vec<f64>, EnvError>;
 }
 
-/// The MNA-backed [`Evaluator`] of a bench: pooled engine slots and
-/// restamp-in-place.
+/// The MNA-backed [`Evaluator`] of a bench: a compile and a solve in a
+/// pooled workspace per call.
 pub(crate) struct MnaEvaluator<B> {
     bench: B,
     names: Vec<String>,
-    pool: EnginePool,
+    pool: WorkspacePool,
 }
 
 impl<B: MnaBench> MnaEvaluator<B> {
@@ -72,32 +70,25 @@ impl<B: MnaBench> MnaEvaluator<B> {
         MnaEvaluator {
             bench,
             names: B::NAMES.iter().map(|s| (*s).to_string()).collect(),
-            pool: EnginePool::default(),
+            pool: WorkspacePool::default(),
         }
     }
 
-    /// The solve proper, running inside a pooled engine/workspace slot.
+    /// The solve proper, running in a pooled workspace.
     fn solve(
         &self,
-        slot: &mut EngineSlot,
+        ws: &mut SolverWorkspace,
         x: &[f64],
         corner: &PvtCorner,
         effort: EvalEffort,
     ) -> Result<Vec<f64>, EnvError> {
         let circuit = self.bench.circuit(x, corner)?;
-        let EngineSlot { engine, ws } = slot;
-        let engine = match engine.as_mut() {
-            Some(eng) => {
-                eng.restamp(&circuit)?;
-                eng
-            }
-            None => engine.insert(Engine::compile(&circuit)?),
-        };
+        let engine = Engine::compile(&circuit)?;
         let mut opts = OpOptions::default();
         effort.apply(&mut opts);
         let initial = effort.initial_guess(engine.dim());
         let op = engine.operating_point_with(&opts, initial.as_deref(), ws)?;
-        let meas = self.bench.measure(&circuit, engine, op, ws, corner)?;
+        let meas = self.bench.measure(&circuit, &engine, op, ws, corner)?;
         ensure_finite(&meas, "measurements")?;
         Ok(meas)
     }
@@ -118,9 +109,9 @@ impl<B: MnaBench> Evaluator for MnaEvaluator<B> {
         corner: &PvtCorner,
         effort: EvalEffort,
     ) -> Result<Vec<f64>, EnvError> {
-        let mut slot = self.pool.take();
-        let result = self.solve(&mut slot, x, corner, effort);
-        self.pool.put(slot);
+        let mut ws = self.pool.take();
+        let result = self.solve(&mut ws, x, corner, effort);
+        self.pool.put(ws);
         result
     }
 
@@ -129,54 +120,46 @@ impl<B: MnaBench> Evaluator for MnaEvaluator<B> {
     }
 }
 
-/// One worker's reusable compiled engine plus solver scratch space.
-#[derive(Default)]
-struct EngineSlot {
-    /// Compiled engine from a previous evaluation; `None` before first use.
-    engine: Option<Engine>,
-    /// Reusable Newton/AC matrices and the frequency-grid cache.
-    ws: SolverWorkspace,
-}
-
-/// A lock-guarded stack of [`EngineSlot`]s, all carrying the pool's
+/// A lock-guarded stack of [`SolverWorkspace`]s, all carrying the pool's
 /// pinned solver-backend choice.
 #[derive(Default)]
-struct EnginePool {
-    slots: Mutex<Vec<EngineSlot>>,
-    /// `None` defers to the `ASDEX_SOLVER` environment default at slot
-    /// creation; `Some` pins every slot to an explicit choice.
+struct WorkspacePool {
+    workspaces: Mutex<Vec<SolverWorkspace>>,
+    /// `None` defers to the `ASDEX_SOLVER` environment default at
+    /// workspace creation; `Some` pins every workspace to an explicit
+    /// choice.
     choice: Mutex<Option<SolverChoice>>,
 }
 
-impl EnginePool {
-    /// Takes a slot, creating a fresh one when the pool is empty (or its
-    /// lock was poisoned — evaluation must stay panic-free either way).
-    fn take(&self) -> EngineSlot {
-        if let Some(slot) = self.slots.lock().ok().and_then(|mut p| p.pop()) {
-            return slot;
+impl WorkspacePool {
+    /// Takes a workspace, creating a fresh one when the pool is empty (or
+    /// its lock was poisoned — evaluation must stay panic-free either
+    /// way).
+    fn take(&self) -> SolverWorkspace {
+        if let Some(ws) = self.workspaces.lock().ok().and_then(|mut p| p.pop()) {
+            return ws;
         }
-        let ws = match self.choice.lock().ok().and_then(|c| *c) {
+        match self.choice.lock().ok().and_then(|c| *c) {
             Some(choice) => SolverWorkspace::with_choice(choice),
             None => SolverWorkspace::new(),
-        };
-        EngineSlot { engine: None, ws }
-    }
-
-    /// Returns a slot for reuse. Dropping it on lock poisoning is safe:
-    /// the next `take` simply recompiles.
-    fn put(&self, slot: EngineSlot) {
-        if let Ok(mut p) = self.slots.lock() {
-            p.push(slot);
         }
     }
 
-    /// Pins the solver backend for every future slot and drops the
-    /// existing ones (their workspaces carry the old backend).
+    /// Returns a workspace for reuse. Dropping it on lock poisoning is
+    /// safe: the next `take` simply creates a fresh one.
+    fn put(&self, ws: SolverWorkspace) {
+        if let Ok(mut p) = self.workspaces.lock() {
+            p.push(ws);
+        }
+    }
+
+    /// Pins the solver backend for every future workspace and drops the
+    /// existing ones (they carry the old backend).
     fn set_choice(&self, choice: SolverChoice) {
         if let Ok(mut c) = self.choice.lock() {
             *c = Some(choice);
         }
-        if let Ok(mut p) = self.slots.lock() {
+        if let Ok(mut p) = self.workspaces.lock() {
             p.clear();
         }
     }

@@ -81,7 +81,7 @@ pub trait Evaluator: Send + Sync {
     /// [`asdex_spice::analysis::SolverChoice`]). The default is a no-op —
     /// analytic evaluators solve no linear systems — so only MNA-backed
     /// implementations need to override this; the MNA evaluator re-pins
-    /// its engine pool. Backends agree only within solver tolerance, not
+    /// its workspace pool. Backends agree only within solver tolerance, not
     /// bitwise, so the choice is part of a campaign's identity.
     fn set_solver(&self, choice: asdex_spice::analysis::SolverChoice) {
         let _ = choice;

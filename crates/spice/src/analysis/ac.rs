@@ -17,10 +17,27 @@ use crate::error::SpiceError;
 use asdex_linalg::Complex;
 use std::f64::consts::PI;
 
-/// Most points a sweep may expand to. Far above any sweep the benches
-/// run (the largest has 281 points), and low enough that a mistyped
-/// points-per-decade count is rejected before its grid is allocated.
+/// Most points a sweep may expand to: the frequencies of an AC sweep,
+/// the source values of a DC sweep, the time points of a transient. Far
+/// above any sweep the benches run (the largest AC sweep has 281 points,
+/// the largest transient 2 401), and low enough that a mistyped count or
+/// step is rejected before its results are allocated.
 pub const MAX_SWEEP_POINTS: usize = 100_000;
+
+/// A sweep's point count `n`, computed in floating point, as a count.
+///
+/// # Errors
+///
+/// [`SpiceError::BadSweep`] when `n` exceeds [`MAX_SWEEP_POINTS`] or is
+/// NaN.
+pub(crate) fn sweep_points(n: f64) -> Result<usize, SpiceError> {
+    if n <= MAX_SWEEP_POINTS as f64 {
+        Ok(n as usize)
+    } else {
+        let reason = format!("{n} points exceed the limit of {MAX_SWEEP_POINTS}");
+        Err(SpiceError::BadSweep { reason })
+    }
+}
 
 /// Frequency sweep specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +74,6 @@ impl Sweep {
     /// or a frequency whose angular frequency `2π·f` overflows.
     pub fn frequencies(&self) -> Result<Vec<f64>, SpiceError> {
         let bad = |reason: String| SpiceError::BadSweep { reason };
-        let too_many = |n: f64| bad(format!("{n} points exceed the limit of {MAX_SWEEP_POINTS}"));
         // Each range test is written so that a NaN bound fails it.
         let freqs = match *self {
             Sweep::Decade { fstart, fstop, points_per_decade } => {
@@ -71,10 +87,7 @@ impl Sweep {
                 // with it): n + 1 points. `n` is positive, possibly
                 // infinite, never NaN.
                 let n = ((fstop / fstart).log10() * points_per_decade as f64).ceil();
-                if n >= MAX_SWEEP_POINTS as f64 {
-                    return Err(too_many(n + 1.0));
-                }
-                let mut f: Vec<f64> = (0..=n as usize)
+                let mut f: Vec<f64> = (0..sweep_points(n + 1.0)?)
                     .map(|k| fstart * 10f64.powf(k as f64 / points_per_decade as f64))
                     .take_while(|&f| f < fstop * (1.0 + 1e-12))
                     .collect();
@@ -92,10 +105,7 @@ impl Sweep {
                         "linear sweep needs finite fstart < fstop and >= 2 points (got {fstart}, {fstop}, {points})"
                     )));
                 }
-                if points > MAX_SWEEP_POINTS {
-                    return Err(too_many(points as f64));
-                }
-                (0..points)
+                (0..sweep_points(points as f64)?)
                     .map(|k| fstart + (fstop - fstart) * k as f64 / (points - 1) as f64)
                     .collect()
             }

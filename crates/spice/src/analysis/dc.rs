@@ -1,10 +1,11 @@
 //! DC sweep analysis: solve the operating point while stepping one
 //! independent source — transfer curves, bias scans, I–V plots.
 
+use super::ac::sweep_points;
 use super::engine::{Compiled, Engine};
 use super::op::{solve_op_ws, OpOptions};
 use super::workspace::SolverWorkspace;
-use crate::circuit::{Circuit, NodeId};
+use crate::circuit::{Circuit, ElementKind, NodeId};
 use crate::error::SpiceError;
 
 /// Result of a DC sweep: one operating point per swept value.
@@ -52,35 +53,15 @@ impl DcSweepResult {
     }
 }
 
-impl Engine {
-    /// Overrides the DC value of a named independent source (voltage or
-    /// current). Returns `false` when no such source exists.
-    pub fn set_source_dc(&mut self, name: &str, value: f64) -> bool {
-        for (ename, e) in &mut self.elems {
-            if !ename.eq_ignore_ascii_case(name) {
-                continue;
-            }
-            match e {
-                Compiled::Vsource { dc, .. } | Compiled::Isource { dc, .. } => {
-                    *dc = value;
-                    return true;
-                }
-                _ => return false,
-            }
-        }
-        false
-    }
-}
-
 /// Sweeps the DC value of the named source from `start` to `stop` in
 /// increments of `step`, solving the nonlinear operating point at each
 /// value (warm-started from the previous point, as SPICE does).
 ///
 /// # Errors
 ///
-/// * [`SpiceError::UnknownNode`]-style lookup failure is reported as
-///   [`SpiceError::BadSweep`] when the source does not exist.
-/// * [`SpiceError::BadSweep`] for a zero/backwards step.
+/// * [`SpiceError::BadSweep`] when no independent source has that name,
+///   for a zero/backwards step or a non-finite bound, and for more than
+///   [`super::MAX_SWEEP_POINTS`] points.
 /// * Any operating-point failure at a sweep value.
 ///
 /// # Example
@@ -111,31 +92,51 @@ pub fn dc_sweep(
     step: f64,
     opts: &OpOptions,
 ) -> Result<DcSweepResult, SpiceError> {
+    // One workspace across the whole sweep: only source values change
+    // between points, so the backend state (and the sparse symbolic
+    // factorization) carries over untouched.
+    dc_sweep_in(circuit, source, start, stop, step, opts, &mut SolverWorkspace::new())
+}
+
+/// [`dc_sweep`] in the caller's workspace.
+pub(crate) fn dc_sweep_in(
+    circuit: &Circuit,
+    source: &str,
+    start: f64,
+    stop: f64,
+    step: f64,
+    opts: &OpOptions,
+    ws: &mut SolverWorkspace,
+) -> Result<DcSweepResult, SpiceError> {
     if step <= 0.0 || step.is_nan() || stop < start || !start.is_finite() || !stop.is_finite() {
         return Err(SpiceError::BadSweep {
             reason: format!("need start <= stop and step > 0 (got {start}, {stop}, {step})"),
         });
     }
-    let mut engine = Engine::compile(circuit)?;
-    if !engine.set_source_dc(source, start) {
+    let n_points = sweep_points(((stop - start) / step + 1e-9).floor() + 1.0)?;
+    // The engine compiles one element per circuit element, in order, so
+    // the swept source's index carries over.
+    let swept = circuit.elements().iter().position(|e| {
+        e.name.eq_ignore_ascii_case(source)
+            && matches!(e.kind, ElementKind::Vsource { .. } | ElementKind::Isource { .. })
+    });
+    let Some(swept) = swept else {
         return Err(SpiceError::BadSweep { reason: format!("no independent source named {source:?}") });
-    }
+    };
+    let mut engine = Engine::compile(circuit)?;
 
-    let n_points = (((stop - start) / step) + 1e-9).floor() as usize + 1;
     let mut values = Vec::with_capacity(n_points);
-    let mut solutions = Vec::with_capacity(n_points);
-    let mut warm: Option<Vec<f64>> = None;
-    // One workspace across the whole sweep: only source values change
-    // between points, so the backend state (and the sparse symbolic
-    // factorization) carries over untouched.
-    let mut ws = SolverWorkspace::new();
+    let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n_points);
     for k in 0..n_points {
         let v = start + k as f64 * step;
-        engine.set_source_dc(source, v);
-        let op = solve_op_ws(&engine, opts, warm.as_deref(), &mut ws)?;
-        warm = Some(op.unknowns().to_vec());
+        if let Some(Compiled::Vsource { dc, .. } | Compiled::Isource { dc, .. }) =
+            engine.elems.get_mut(swept)
+        {
+            *dc = v;
+        }
+        let op = solve_op_ws(&engine, opts, solutions.last().map(Vec::as_slice), ws)?;
         values.push(v);
-        solutions.push(op.unknowns().to_vec());
+        solutions.push(op.x);
     }
     Ok(DcSweepResult { values, solutions, n_nodes: engine.n_nodes })
 }
@@ -143,6 +144,7 @@ pub fn dc_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{SolverChoice, MAX_SWEEP_POINTS};
     use crate::devices::{MosGeometry, MosModel};
 
     #[test]
@@ -164,16 +166,7 @@ mod tests {
     fn nmos_transfer_curve_shape() {
         // Common-source stage: output high while the device is off, then
         // falls monotonically as the gate sweeps up.
-        let mut ckt = Circuit::new();
-        ckt.add_mos_model("nch", MosModel::default_nmos());
-        let vdd = ckt.node("vdd");
-        let g = ckt.node("g");
-        let d = ckt.node("d");
-        ckt.add_vsource("VDD", vdd, Circuit::GROUND, 1.8).unwrap();
-        ckt.add_vsource("VG", g, Circuit::GROUND, 0.0).unwrap();
-        ckt.add_resistor("RL", vdd, d, 50e3).unwrap();
-        ckt.add_mosfet("M1", d, g, Circuit::GROUND, Circuit::GROUND, "nch", MosGeometry::new(5e-6, 1e-6))
-            .unwrap();
+        let (ckt, d) = common_source();
         let sweep = dc_sweep(&ckt, "VG", 0.0, 1.8, 0.05, &OpOptions::default()).unwrap();
         let curve = sweep.node_curve(d);
         assert!((curve[0] - 1.8).abs() < 1e-6, "off device: output at VDD");
@@ -204,6 +197,40 @@ mod tests {
         assert!(dc_sweep(&ckt, "V1", 1.0, 0.0, 0.1, &opts).is_err(), "backwards");
         assert!(dc_sweep(&ckt, "VX", 0.0, 1.0, 0.1, &opts).is_err(), "unknown source");
         assert!(dc_sweep(&ckt, "R1", 0.0, 1.0, 0.1, &opts).is_err(), "not a source");
+        // Non-finite bounds and too many points are sweep errors, raised
+        // before any result is allocated.
+        for (start, stop, step) in [(0.0, f64::INFINITY, 0.1), (f64::NAN, 1.0, 0.1), (0.0, 1.0, 1e-15)]
+        {
+            let err = dc_sweep(&ckt, "V1", start, stop, step, &opts).unwrap_err();
+            assert!(matches!(err, SpiceError::BadSweep { .. }), "{start}, {stop}, {step}: {err}");
+        }
+        let last = (MAX_SWEEP_POINTS - 1) as f64;
+        assert_eq!(dc_sweep(&ckt, "V1", 0.0, last, 1.0, &opts).unwrap().len(), MAX_SWEEP_POINTS);
+        assert!(dc_sweep(&ckt, "V1", 0.0, last + 1.0, 1.0, &opts).is_err());
+    }
+
+    #[test]
+    fn nmos_sweep_matches_its_golden_bitwise() {
+        // Point count and FNV-1a over the bits of every swept value and
+        // every unknown, captured before the DC loader took transient
+        // steps and the engine lost its element names.
+        const GOLDENS: [(SolverChoice, usize, u64); 2] = [
+            (SolverChoice::Dense, 181, 0x3edd_7a8a_54e0_df58),
+            (SolverChoice::Sparse, 181, 0x3ce3_3acc_03b7_072d),
+        ];
+        let (ckt, _) = common_source();
+        for (choice, len, want) in GOLDENS {
+            let mut ws = SolverWorkspace::with_choice(choice);
+            let sweep =
+                dc_sweep_in(&ckt, "VG", 0.0, 1.8, 0.01, &OpOptions::default(), &mut ws).unwrap();
+            let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+            for word in sweep.values.iter().chain(sweep.solutions.iter().flatten()) {
+                for byte in word.to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!((sweep.len(), hash), (len, want), "{choice:?}");
+        }
     }
 
     #[test]
@@ -220,5 +247,20 @@ mod tests {
         let i_mid = sweep.branch_current(7, br).abs();
         let i_end = sweep.branch_current(sweep.len() - 1, br).abs();
         assert!(i_end > 10.0 * i_mid, "diode current {i_mid} -> {i_end}");
+    }
+
+    /// A resistor-loaded common-source NMOS stage with its gate on `VG`.
+    fn common_source() -> (Circuit, NodeId) {
+        let mut ckt = Circuit::new();
+        ckt.add_mos_model("nch", MosModel::default_nmos());
+        let vdd = ckt.node("vdd");
+        let g = ckt.node("g");
+        let d = ckt.node("d");
+        ckt.add_vsource("VDD", vdd, Circuit::GROUND, 1.8).unwrap();
+        ckt.add_vsource("VG", g, Circuit::GROUND, 0.0).unwrap();
+        ckt.add_resistor("RL", vdd, d, 50e3).unwrap();
+        ckt.add_mosfet("M1", d, g, Circuit::GROUND, Circuit::GROUND, "nch", MosGeometry::new(5e-6, 1e-6))
+            .unwrap();
+        (ckt, d)
     }
 }

@@ -3,8 +3,15 @@
 //! [`Engine`] compiles a [`Circuit`] into an indexed form: non-ground nodes
 //! map to unknowns `0..n_nodes`, and every element that needs a branch
 //! current (voltage sources, VCVS, inductors) gets an unknown in
-//! `n_nodes..n_nodes + n_branches`. The `load_*` methods assemble the
-//! Jacobian/admittance matrix and right-hand side for each analysis.
+//! `n_nodes..n_nodes + n_branches`. [`Engine::compile`] is the only way a
+//! circuit's values reach the engine: a sizing evaluation compiles its
+//! circuit afresh, a small fraction of the cost of the solves it feeds
+//! (DESIGN.md §5.6 has the measurements).
+//!
+//! Two loaders assemble the systems the analyses solve: `load_dc` the
+//! real Newton system of an operating point, a DC sweep point or a
+//! backward-Euler transient step, and `load_ac` the complex small-signal
+//! system.
 
 use crate::circuit::{AcSpec, Circuit, ElementKind, NodeId, Waveform};
 use crate::devices::{eval_diode, eval_mosfet, DiodeModel, MosGeometry, MosModel};
@@ -35,7 +42,7 @@ pub(crate) enum Compiled {
 pub struct Engine {
     pub(crate) n_nodes: usize,
     pub(crate) n_branches: usize,
-    pub(crate) elems: Vec<(String, Compiled)>,
+    pub(crate) elems: Vec<Compiled>,
     pub(crate) temp_kelvin: f64,
     /// Branch element names indexed by branch number.
     pub(crate) branch_names: Vec<String>,
@@ -143,7 +150,7 @@ impl Engine {
                     }
                 }
             };
-            elems.push((e.name.clone(), compiled));
+            elems.push(compiled);
         }
         // Resolve current-control references now that every voltage-defined
         // element has its branch index.
@@ -156,13 +163,13 @@ impl Engine {
             else {
                 return Err(SpiceError::UnknownModel {
                     model: format!("controlling source {ctrl_name}"),
-                    element: elem.0.clone(),
+                    element: source.name.clone(),
                 });
             };
             // The compiled element mirrors the source kind matched above;
             // anything else would be an internal inconsistency, which a
             // worker must not turn into a panic — skip it instead.
-            if let Compiled::Cccs { ctrl, .. } | Compiled::Ccvs { ctrl, .. } = &mut elem.1 {
+            if let Compiled::Cccs { ctrl, .. } | Compiled::Ccvs { ctrl, .. } = elem {
                 *ctrl = ctrl_idx;
             }
         }
@@ -185,169 +192,15 @@ impl Engine {
         self.branch_names.iter().position(|n| n.eq_ignore_ascii_case(name))
     }
 
-    /// Re-targets this compiled engine at `circuit`, cheaply when the
-    /// topology matches.
-    ///
-    /// Sizing loops rebuild the same netlist with different element values
-    /// (and temperature) for every design point; a full
-    /// [`Engine::compile`] re-allocates every name string and re-resolves
-    /// every model on each call. `restamp` instead walks the compiled
-    /// elements in lockstep with the circuit's and updates only the value
-    /// fields — conductances, capacitances, source levels, gains, model
-    /// cards, geometries — leaving the unknown indexing untouched. When
-    /// any structural detail differs (element count, kind, name, node
-    /// wiring, or a controlled source's reference), it falls back to a
-    /// full recompilation, so the result is always exactly what
-    /// `Engine::compile(circuit)` would have produced.
-    ///
-    /// # Errors
-    ///
-    /// [`SpiceError::UnknownModel`] when an element references a model
-    /// card that was never registered. The engine may then hold a mix of
-    /// old and new values; the next successful `restamp` or `compile`
-    /// rewrites every value field, so the state self-heals.
-    pub fn restamp(&mut self, circuit: &Circuit) -> Result<(), SpiceError> {
-        let idx = |n: NodeId| -> NodeIdx {
-            if n.is_ground() {
-                None
-            } else {
-                Some(n.0 - 1)
-            }
-        };
-        if self.elems.len() != circuit.elements().len()
-            || self.n_nodes != circuit.node_count() - 1
-        {
-            *self = Engine::compile(circuit)?;
-            return Ok(());
-        }
-        let mut mismatch = false;
-        let Engine { elems, branch_names, .. } = &mut *self;
-        let branch_names = &*branch_names;
-        for ((name, compiled), e) in elems.iter_mut().zip(circuit.elements()) {
-            if *name != e.name {
-                mismatch = true;
-                break;
-            }
-            let matched = match (compiled, &e.kind) {
-                (Compiled::Resistor { a, b, g }, ElementKind::Resistor { a: ca, b: cb, ohms })
-                    if *a == idx(*ca) && *b == idx(*cb) =>
-                {
-                    *g = 1.0 / ohms;
-                    true
-                }
-                (
-                    Compiled::Capacitor { a, b, c },
-                    ElementKind::Capacitor { a: ca, b: cb, farads },
-                ) if *a == idx(*ca) && *b == idx(*cb) => {
-                    *c = *farads;
-                    true
-                }
-                (
-                    Compiled::Inductor { a, b, l, .. },
-                    ElementKind::Inductor { a: ca, b: cb, henries },
-                ) if *a == idx(*ca) && *b == idx(*cb) => {
-                    *l = *henries;
-                    true
-                }
-                (
-                    Compiled::Vsource { p, n, dc, ac, wave, .. },
-                    ElementKind::Vsource { p: cp, n: cn, dc: cdc, ac: cac, wave: cwave },
-                ) if *p == idx(*cp) && *n == idx(*cn) => {
-                    *dc = *cdc;
-                    *ac = *cac;
-                    wave.clone_from(cwave);
-                    true
-                }
-                (
-                    Compiled::Isource { p, n, dc, ac, wave },
-                    ElementKind::Isource { p: cp, n: cn, dc: cdc, ac: cac, wave: cwave },
-                ) if *p == idx(*cp) && *n == idx(*cn) => {
-                    *dc = *cdc;
-                    *ac = *cac;
-                    wave.clone_from(cwave);
-                    true
-                }
-                (
-                    Compiled::Vcvs { p, n, cp, cn, gain, .. },
-                    ElementKind::Vcvs { p: ep, n: en, cp: ecp, cn: ecn, gain: egain },
-                ) if *p == idx(*ep) && *n == idx(*en) && *cp == idx(*ecp) && *cn == idx(*ecn) => {
-                    *gain = *egain;
-                    true
-                }
-                (
-                    Compiled::Vccs { p, n, cp, cn, gm },
-                    ElementKind::Vccs { p: ep, n: en, cp: ecp, cn: ecn, gm: egm },
-                ) if *p == idx(*ep) && *n == idx(*en) && *cp == idx(*ecp) && *cn == idx(*ecn) => {
-                    *gm = *egm;
-                    true
-                }
-                (
-                    Compiled::Cccs { p, n, ctrl, gain },
-                    ElementKind::Cccs { p: ep, n: en, ctrl: ectrl, gain: egain },
-                ) if *p == idx(*ep)
-                    && *n == idx(*en)
-                    && branch_names.get(*ctrl).is_some_and(|b| b.eq_ignore_ascii_case(ectrl)) =>
-                {
-                    *gain = *egain;
-                    true
-                }
-                (
-                    Compiled::Ccvs { p, n, ctrl, r, .. },
-                    ElementKind::Ccvs { p: ep, n: en, ctrl: ectrl, r: er },
-                ) if *p == idx(*ep)
-                    && *n == idx(*en)
-                    && branch_names.get(*ctrl).is_some_and(|b| b.eq_ignore_ascii_case(ectrl)) =>
-                {
-                    *r = *er;
-                    true
-                }
-                (
-                    Compiled::Diode { p, n, model },
-                    ElementKind::Diode { p: ep, n: en, model: emodel, area },
-                ) if *p == idx(*ep) && *n == idx(*en) => {
-                    let card =
-                        circuit.diode_model(emodel).ok_or_else(|| SpiceError::UnknownModel {
-                            model: emodel.clone(),
-                            element: e.name.clone(),
-                        })?;
-                    *model = card.clone();
-                    model.is *= area;
-                    model.cj0 *= area;
-                    true
-                }
-                (
-                    Compiled::Mosfet { d, g, s, b, model, geom },
-                    ElementKind::Mosfet { d: ed, g: eg, s: es, b: eb, model: emodel, geom: egeom },
-                ) if *d == idx(*ed) && *g == idx(*eg) && *s == idx(*es) && *b == idx(*eb) => {
-                    let card =
-                        circuit.mos_model(emodel).ok_or_else(|| SpiceError::UnknownModel {
-                            model: emodel.clone(),
-                            element: e.name.clone(),
-                        })?;
-                    *model = card.clone();
-                    *geom = *egeom;
-                    true
-                }
-                _ => false,
-            };
-            if !matched {
-                mismatch = true;
-                break;
-            }
-        }
-        if mismatch {
-            *self = Engine::compile(circuit)?;
-            return Ok(());
-        }
-        self.temp_kelvin = circuit.temp_kelvin();
-        Ok(())
-    }
-
-    /// Assembles the DC Newton system linearized at `x`.
+    /// Assembles the real Newton system linearized at `x`: an operating
+    /// point (or DC sweep point), or with `step` a backward-Euler
+    /// transient step.
     ///
     /// `gmin` adds a shunt conductance from every node to ground
     /// (continuation aid); `src_scale` scales all independent sources
-    /// (source stepping).
+    /// (source stepping). A transient `step` sets each source with a
+    /// waveform to its value at the step's time, and stamps each
+    /// capacitance's companion right after its element's other stamps.
     pub(crate) fn load_dc(
         &self,
         x: &[f64],
@@ -355,38 +208,45 @@ impl Engine {
         z: &mut [f64],
         gmin: f64,
         src_scale: f64,
+        step: Option<&TranStep>,
     ) {
         a.reset();
         z.fill(0.0);
         let nb = self.n_nodes;
-        let v = |i: NodeIdx| i.map_or(0.0, |k| x[k]);
+        let v = |i: NodeIdx| voltage(x, i);
+        let level = |dc: f64, wave: &Option<Waveform>| {
+            step.zip(wave.as_ref()).map_or(dc, |(st, w)| w.value_at(st.t)) * src_scale
+        };
+        let mut caps = step.map(|st| st.caps.iter());
 
         // Global gmin shunt.
         for i in 0..self.n_nodes {
             a.add(i, i, gmin);
         }
 
-        for (_, e) in &self.elems {
+        for e in &self.elems {
             match e {
                 Compiled::Resistor { a: na, b: nbx, g } => stamp_g(a, *na, *nbx, *g),
-                Compiled::Capacitor { .. } => {} // open in DC
-                Compiled::Inductor { a: na, b: nbx, br, .. } => {
-                    stamp_branch_voltage(a, *na, *nbx, nb + *br);
-                    // v_a - v_b = 0 in DC; RHS stays 0.
+                // Open in DC.
+                Compiled::Capacitor { a: na, b: nbx, c } => {
+                    if let Some(st) = step {
+                        st.companion(a, z, *na, *nbx, *c);
+                    }
                 }
-                Compiled::Vsource { p, n, dc, br, .. } => {
+                // v_a - v_b = 0 in DC; L·di/dt in a transient step.
+                Compiled::Inductor { a: na, b: nbx, l, br } => {
+                    let row = nb + *br;
+                    stamp_branch_voltage(a, *na, *nbx, row);
+                    if let Some(st) = step {
+                        a.add(row, row, -(l / st.h));
+                        z[row] = -(l / st.h) * st.x_prev[row];
+                    }
+                }
+                Compiled::Vsource { p, n, dc, wave, br, .. } => {
                     stamp_branch_voltage(a, *p, *n, nb + *br);
-                    z[nb + *br] = dc * src_scale;
+                    z[nb + *br] = level(*dc, wave);
                 }
-                Compiled::Isource { p, n, dc, .. } => {
-                    let i = dc * src_scale;
-                    if let Some(k) = p {
-                        z[*k] -= i;
-                    }
-                    if let Some(k) = n {
-                        z[*k] += i;
-                    }
-                }
+                Compiled::Isource { p, n, dc, wave, .. } => inject(z, *p, *n, level(*dc, wave)),
                 Compiled::Vcvs { p, n, cp, cn, gain, br } => {
                     let row = nb + *br;
                     stamp_branch_voltage(a, *p, *n, row);
@@ -407,13 +267,10 @@ impl Engine {
                 Compiled::Diode { p, n, model } => {
                     let vd = v(*p) - v(*n);
                     let op = eval_diode(model, vd, self.temp_kelvin);
-                    let ieq = op.id - op.gd * vd;
                     stamp_g(a, *p, *n, op.gd);
-                    if let Some(k) = p {
-                        z[*k] -= ieq;
-                    }
-                    if let Some(k) = n {
-                        z[*k] += ieq;
+                    inject(z, *p, *n, op.id - op.gd * vd);
+                    if let Some(st) = step.filter(|_| model.cj0 > 0.0) {
+                        st.companion(a, z, *p, *n, model.cj0);
                     }
                 }
                 Compiled::Mosfet { d, g, s, b, model, geom } => {
@@ -428,11 +285,18 @@ impl Engine {
                     let vbs_e = v(*b) - v(es);
                     let ieq = op.ids - op.gm * vgs_e - op.gds * vds_e - op.gmbs * vbs_e;
                     stamp_mos(a, ed, *g, es, *b, MosGm { gm: op.gm, gds: op.gds, gmbs: op.gmbs });
-                    if let Some(k) = ed {
-                        z[k] -= ieq;
-                    }
-                    if let Some(k) = es {
-                        z[k] += ieq;
+                    inject(z, ed, es, ieq);
+                    // Meyer caps frozen at the previous time point, on the
+                    // physical terminals. `c <= 0.0` skips only real
+                    // non-positive caps: a NaN one is stamped.
+                    if let (Some(st), Some(cap)) = (step, caps.as_mut().and_then(Iterator::next)) {
+                        let gate_caps = [(*s, cap.cgs), (*d, cap.cgd), (*b, cap.cgb)];
+                        for (other, c) in gate_caps {
+                            if c <= 0.0 {
+                                continue;
+                            }
+                            st.companion(a, z, *g, other, c);
+                        }
                     }
                 }
             }
@@ -456,10 +320,10 @@ impl Engine {
         y.reset();
         z.fill(Complex::ZERO);
         let nb = self.n_nodes;
-        let v = |i: NodeIdx| i.map_or(0.0, |k| x_op[k]);
+        let v = |i: NodeIdx| voltage(x_op, i);
         let jw = Complex::new(0.0, omega);
 
-        for (_, e) in &self.elems {
+        for e in &self.elems {
             match e {
                 Compiled::Resistor { a, b, g } => stamp_g(y, *a, *b, Complex::from_re(*g)),
                 Compiled::Capacitor { a, b, c } => stamp_g(y, *a, *b, jw * *c),
@@ -528,152 +392,13 @@ impl Engine {
         }
     }
 
-    /// Assembles the transient Newton system at time `t` with step `h`,
-    /// linearized at guess `x`, using backward-Euler companion models with
-    /// history `x_prev` (the converged solution at `t - h`).
-    ///
-    /// `caps` carries the Meyer gate capacitances frozen at the previous
-    /// time point (computed by [`Engine::mos_caps_at`]).
-    #[allow(clippy::too_many_arguments)] // internal assembly routine: every input is load-bearing
-    pub(crate) fn load_tran(
-        &self,
-        x: &[f64],
-        x_prev: &[f64],
-        t: f64,
-        h: f64,
-        caps: &[MosCaps],
-        a: &mut dyn Assembler<f64>,
-        z: &mut [f64],
-    ) {
-        // Start from the DC load (nonlinear devices + resistive parts),
-        // with sources evaluated at time t.
-        a.reset();
-        z.fill(0.0);
-        let nb = self.n_nodes;
-        let v = |xv: &[f64], i: NodeIdx| -> f64 { i.map_or(0.0, |k| xv[k]) };
-        let geq_of = |c: f64| c / h;
-        let mut mos_idx = 0usize;
-
-        for (_, e) in &self.elems {
-            match e {
-                Compiled::Resistor { a: na, b: nbx, g } => stamp_g(a, *na, *nbx, *g),
-                Compiled::Capacitor { a: na, b: nbx, c } => {
-                    let geq = geq_of(*c);
-                    let v_old = v(x_prev, *na) - v(x_prev, *nbx);
-                    stamp_g(a, *na, *nbx, geq);
-                    if let Some(k) = na {
-                        z[*k] += geq * v_old;
-                    }
-                    if let Some(k) = nbx {
-                        z[*k] -= geq * v_old;
-                    }
-                }
-                Compiled::Inductor { a: na, b: nbx, l, br } => {
-                    let row = nb + *br;
-                    stamp_branch_voltage(a, *na, *nbx, row);
-                    a.add(row, row, -(l / h));
-                    z[row] = -(l / h) * x_prev[row];
-                }
-                Compiled::Vsource { p, n, dc, wave, br, .. } => {
-                    let row = nb + *br;
-                    stamp_branch_voltage(a, *p, *n, row);
-                    z[row] = wave.as_ref().map_or(*dc, |w| w.value_at(t));
-                }
-                Compiled::Isource { p, n, dc, wave, .. } => {
-                    let i = wave.as_ref().map_or(*dc, |w| w.value_at(t));
-                    if let Some(k) = p {
-                        z[*k] -= i;
-                    }
-                    if let Some(k) = n {
-                        z[*k] += i;
-                    }
-                }
-                Compiled::Vcvs { p, n, cp, cn, gain, br } => {
-                    let row = nb + *br;
-                    stamp_branch_voltage(a, *p, *n, row);
-                    if let Some(k) = cp {
-                        a.add(row, *k, -gain);
-                    }
-                    if let Some(k) = cn {
-                        a.add(row, *k, *gain);
-                    }
-                }
-                Compiled::Vccs { p, n, cp, cn, gm } => stamp_vccs(a, *p, *n, *cp, *cn, *gm),
-                Compiled::Cccs { p, n, ctrl, gain } => stamp_cccs(a, *p, *n, nb + *ctrl, *gain),
-                Compiled::Ccvs { p, n, ctrl, r, br } => {
-                    let row = nb + *br;
-                    stamp_branch_voltage(a, *p, *n, row);
-                    a.add(row, nb + *ctrl, -r);
-                }
-                Compiled::Diode { p, n, model } => {
-                    let vd = v(x, *p) - v(x, *n);
-                    let op = eval_diode(model, vd, self.temp_kelvin);
-                    let ieq = op.id - op.gd * vd;
-                    stamp_g(a, *p, *n, op.gd);
-                    if let Some(k) = p {
-                        z[*k] -= ieq;
-                    }
-                    if let Some(k) = n {
-                        z[*k] += ieq;
-                    }
-                    if model.cj0 > 0.0 {
-                        let geq = geq_of(model.cj0);
-                        let v_old = v(x_prev, *p) - v(x_prev, *n);
-                        stamp_g(a, *p, *n, geq);
-                        if let Some(k) = p {
-                            z[*k] += geq * v_old;
-                        }
-                        if let Some(k) = n {
-                            z[*k] -= geq * v_old;
-                        }
-                    }
-                }
-                Compiled::Mosfet { d, g, s, b, model, geom } => {
-                    let vgs = v(x, *g) - v(x, *s);
-                    let vds = v(x, *d) - v(x, *s);
-                    let vbs = v(x, *b) - v(x, *s);
-                    let op = eval_mosfet(model, geom, vgs, vds, vbs);
-                    let (ed, es) = if op.swapped { (*s, *d) } else { (*d, *s) };
-                    let vgs_e = v(x, *g) - v(x, es);
-                    let vds_e = v(x, ed) - v(x, es);
-                    let vbs_e = v(x, *b) - v(x, es);
-                    let ieq = op.ids - op.gm * vgs_e - op.gds * vds_e - op.gmbs * vbs_e;
-                    stamp_mos(a, ed, *g, es, *b, MosGm { gm: op.gm, gds: op.gds, gmbs: op.gmbs });
-                    if let Some(k) = ed {
-                        z[k] -= ieq;
-                    }
-                    if let Some(k) = es {
-                        z[k] += ieq;
-                    }
-                    // Frozen Meyer caps as companion conductances.
-                    let cap = &caps[mos_idx];
-                    for &(na, nbx, c) in &[(*g, *s, cap.cgs), (*g, *d, cap.cgd), (*g, *b, cap.cgb)] {
-                        if c <= 0.0 {
-                            continue;
-                        }
-                        let geq = geq_of(c);
-                        let v_old = v(x_prev, na) - v(x_prev, nbx);
-                        stamp_g(a, na, nbx, geq);
-                        if let Some(k) = na {
-                            z[k] += geq * v_old;
-                        }
-                        if let Some(k) = nbx {
-                            z[k] -= geq * v_old;
-                        }
-                    }
-                    mos_idx += 1;
-                }
-            }
-        }
-    }
-
     /// Evaluates the Meyer gate capacitances of every MOSFET at solution
     /// `x`, in element order.
     pub(crate) fn mos_caps_at(&self, x: &[f64]) -> Vec<MosCaps> {
-        let v = |i: NodeIdx| i.map_or(0.0, |k| x[k]);
+        let v = |i: NodeIdx| voltage(x, i);
         self.elems
             .iter()
-            .filter_map(|(_, e)| match e {
+            .filter_map(|e| match e {
                 Compiled::Mosfet { d, g, s, b, model, geom } => {
                     let op = eval_mosfet(model, geom, v(*g) - v(*s), v(*d) - v(*s), v(*b) - v(*s));
                     Some(MosCaps { cgs: op.cgs, cgd: op.cgd, cgb: op.cgb })
@@ -683,25 +408,17 @@ impl Engine {
             .collect()
     }
 
-    /// Number of MOSFET elements (size of the `mos_caps_at` vector).
-    pub(crate) fn mosfet_count(&self) -> usize {
-        self.elems
-            .iter()
-            .filter(|(_, e)| matches!(e, Compiled::Mosfet { .. }))
-            .count()
-    }
-
     /// Stamps the structural nonzero pattern of every analysis into `a`
     /// using zero values — purely a function of the compiled topology.
     ///
     /// This is how a sparse backend learns its pattern *before* any
     /// values exist, so the symbolic factorization never depends on an
     /// operating point: the position set is the union of everything
-    /// [`Engine::load_dc`], [`Engine::load_ac`], and [`Engine::load_tran`]
-    /// can touch (including both MOSFET source/drain orientations, whose
-    /// stamps cover the same index set, and all companion-model and gate
-    /// capacitance positions, which subset the element conductance
-    /// patterns stamped here).
+    /// [`Engine::load_dc`] (with or without a transient step) and
+    /// [`Engine::load_ac`] can touch (including both MOSFET source/drain
+    /// orientations, whose stamps cover the same index set, and all
+    /// companion-model and gate capacitance positions, which subset the
+    /// element conductance patterns stamped here).
     pub(crate) fn stamp_pattern<S: Scalar>(&self, a: &mut dyn Assembler<S>) {
         let nb = self.n_nodes;
         let zero = S::zero();
@@ -709,7 +426,7 @@ impl Engine {
         for i in 0..self.n_nodes {
             a.add(i, i, zero);
         }
-        for (_, e) in &self.elems {
+        for e in &self.elems {
             match e {
                 Compiled::Resistor { a: na, b, .. } | Compiled::Capacitor { a: na, b, .. } => {
                     stamp_g(a, *na, *b, zero)
@@ -761,6 +478,48 @@ pub(crate) struct MosCaps {
     pub cgs: f64,
     pub cgd: f64,
     pub cgb: f64,
+}
+
+/// The backward-Euler step a transient Newton solve is taken at.
+#[derive(Debug)]
+pub(crate) struct TranStep<'a> {
+    /// Time at the end of the step \[s\].
+    pub t: f64,
+    /// Step size \[s\].
+    pub h: f64,
+    /// Converged solution at `t - h`.
+    pub x_prev: &'a [f64],
+    /// Meyer capacitances of every MOSFET at `x_prev`, in element order
+    /// ([`Engine::mos_caps_at`]).
+    pub caps: &'a [MosCaps],
+}
+
+impl TranStep<'_> {
+    /// Stamps the companion of capacitance `c` between `p` and `n`: the
+    /// conductance `c/h` in parallel with the current source that holds
+    /// the voltage across it at the previous time point.
+    fn companion(&self, a: &mut dyn Assembler<f64>, z: &mut [f64], p: NodeIdx, n: NodeIdx, c: f64) {
+        let geq = c / self.h;
+        let v_old = voltage(self.x_prev, p) - voltage(self.x_prev, n);
+        stamp_g(a, p, n, geq);
+        inject(z, p, n, -(geq * v_old));
+    }
+}
+
+/// The voltage of node `i` in the unknown vector `x` (0 for ground).
+fn voltage(x: &[f64], i: NodeIdx) -> f64 {
+    i.map_or(0.0, |k| x[k])
+}
+
+/// Adds current `i` flowing from `p` to `n` through an element to the
+/// right-hand side.
+fn inject(z: &mut [f64], p: NodeIdx, n: NodeIdx, i: f64) {
+    if let Some(k) = p {
+        z[k] -= i;
+    }
+    if let Some(k) = n {
+        z[k] += i;
+    }
 }
 
 fn stamp_g<S: Scalar>(a: &mut dyn Assembler<S>, i: NodeIdx, j: NodeIdx, g: S) {
@@ -919,7 +678,7 @@ mod tests {
         let mut a = asdex_linalg::Matrix::zeros(eng.dim(), eng.dim());
         let mut z = vec![0.0; eng.dim()];
         let x = vec![0.0; eng.dim()];
-        eng.load_dc(&x, &mut a, &mut z, 0.0, 1.0);
+        eng.load_dc(&x, &mut a, &mut z, 0.0, 1.0, None);
         let sol = asdex_linalg::solve(a, &z).unwrap();
         assert!((sol[0] - 2.0).abs() < 1e-12, "v(in)");
         assert!((sol[1] - 1.0).abs() < 1e-12, "v(out)");
@@ -942,7 +701,7 @@ mod tests {
         let eng = Engine::compile(&c).unwrap();
         let mut a_m = asdex_linalg::Matrix::zeros(eng.dim(), eng.dim());
         let mut z = vec![0.0; eng.dim()];
-        eng.load_dc(&vec![0.0; eng.dim()], &mut a_m, &mut z, 0.0, 1.0);
+        eng.load_dc(&vec![0.0; eng.dim()], &mut a_m, &mut z, 0.0, 1.0, None);
         let sol = asdex_linalg::solve(a_m, &z).unwrap();
         // i(V1) = −1 mA (the source *sinks* the resistor current in MNA
         // convention), so the mirrored current is gain·i = −2 mA flowing
@@ -964,7 +723,7 @@ mod tests {
         let eng = Engine::compile(&c).unwrap();
         let mut a_m = asdex_linalg::Matrix::zeros(eng.dim(), eng.dim());
         let mut z = vec![0.0; eng.dim()];
-        eng.load_dc(&vec![0.0; eng.dim()], &mut a_m, &mut z, 0.0, 1.0);
+        eng.load_dc(&vec![0.0; eng.dim()], &mut a_m, &mut z, 0.0, 1.0, None);
         let sol = asdex_linalg::solve(a_m, &z).unwrap();
         // i(V1) = −1 mA → v(out) = 5e3 · (−1e-3) = −5 V.
         assert!((sol[1] + 5.0).abs() < 1e-9, "v(out) = {}", sol[1]);
@@ -977,92 +736,6 @@ mod tests {
         c.add_cccs("F1", Circuit::GROUND, out, "VMISSING", 1.0).unwrap();
         c.add_resistor("R1", out, Circuit::GROUND, 1e3).unwrap();
         assert!(matches!(Engine::compile(&c), Err(SpiceError::UnknownModel { .. })));
-    }
-
-    fn divider(r2: f64, vdc: f64, temp_celsius: f64) -> Circuit {
-        let mut c = Circuit::new();
-        c.add_diode_model("d1", crate::devices::DiodeModel::default());
-        let vin = c.node("in");
-        let out = c.node("out");
-        c.add_vsource("V1", vin, Circuit::GROUND, vdc).unwrap();
-        c.add_resistor("R1", vin, out, 1e3).unwrap();
-        c.add_resistor("R2", out, Circuit::GROUND, r2).unwrap();
-        c.add_diode("D1", out, Circuit::GROUND, "d1", 2.0).unwrap();
-        c.temp_celsius = temp_celsius;
-        c
-    }
-
-    fn dc_solution(eng: &Engine) -> Vec<f64> {
-        let mut a = asdex_linalg::Matrix::zeros(eng.dim(), eng.dim());
-        let mut z = vec![0.0; eng.dim()];
-        eng.load_dc(&vec![0.25; eng.dim()], &mut a, &mut z, 0.0, 1.0);
-        asdex_linalg::solve(a, &z).unwrap()
-    }
-
-    #[test]
-    fn restamp_matches_fresh_compile_bitwise() {
-        let mut eng = Engine::compile(&divider(1e3, 2.0, 27.0)).unwrap();
-        let next = divider(3e3, 1.5, 85.0);
-        eng.restamp(&next).unwrap();
-        let fresh = Engine::compile(&next).unwrap();
-        assert_eq!(eng.temp_kelvin, fresh.temp_kelvin);
-        assert_eq!(dc_solution(&eng), dc_solution(&fresh), "restamp must be exact");
-    }
-
-    #[test]
-    fn restamp_falls_back_on_topology_change() {
-        let mut eng = Engine::compile(&divider(1e3, 2.0, 27.0)).unwrap();
-        // A structurally different circuit: extra node and element.
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        let q = c.node("q");
-        c.add_vsource("V1", a, Circuit::GROUND, 1.0).unwrap();
-        c.add_resistor("R1", a, b, 1e3).unwrap();
-        c.add_resistor("R2", b, q, 1e3).unwrap();
-        c.add_resistor("R3", q, Circuit::GROUND, 1e3).unwrap();
-        eng.restamp(&c).unwrap();
-        let fresh = Engine::compile(&c).unwrap();
-        assert_eq!(eng.dim(), fresh.dim());
-        assert_eq!(dc_solution(&eng), dc_solution(&fresh));
-    }
-
-    #[test]
-    fn restamp_falls_back_on_renamed_element() {
-        let mut eng = Engine::compile(&divider(1e3, 2.0, 27.0)).unwrap();
-        // Same shape, different element name: branch_of lookups depend on
-        // names, so a full recompile is required.
-        let mut c = Circuit::new();
-        c.add_diode_model("d1", crate::devices::DiodeModel::default());
-        let vin = c.node("in");
-        let out = c.node("out");
-        c.add_vsource("VX", vin, Circuit::GROUND, 2.0).unwrap();
-        c.add_resistor("R1", vin, out, 1e3).unwrap();
-        c.add_resistor("R2", out, Circuit::GROUND, 1e3).unwrap();
-        c.add_diode("D1", out, Circuit::GROUND, "d1", 2.0).unwrap();
-        eng.restamp(&c).unwrap();
-        assert_eq!(eng.branch_of("VX"), Some(0));
-        assert_eq!(eng.branch_of("V1"), None);
-    }
-
-    #[test]
-    fn restamp_reports_missing_model() {
-        let mut eng = Engine::compile(&divider(1e3, 2.0, 27.0)).unwrap();
-        // Same shape, but the diode references a model that was never
-        // registered.
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let out = c.node("out");
-        c.add_vsource("V1", vin, Circuit::GROUND, 2.0).unwrap();
-        c.add_resistor("R1", vin, out, 1e3).unwrap();
-        c.add_resistor("R2", out, Circuit::GROUND, 1e3).unwrap();
-        c.add_diode("D1", out, Circuit::GROUND, "missing", 2.0).unwrap();
-        assert!(matches!(eng.restamp(&c), Err(SpiceError::UnknownModel { .. })));
-        // A later successful restamp self-heals any partial update.
-        let good = divider(2e3, 1.0, 27.0);
-        eng.restamp(&good).unwrap();
-        let fresh = Engine::compile(&good).unwrap();
-        assert_eq!(dc_solution(&eng), dc_solution(&fresh));
     }
 
     #[test]
@@ -1112,7 +785,7 @@ mod tests {
 
         let mut dc = SparseAssembler::<f64>::new();
         dc.begin(dim);
-        eng.load_dc(&x, &mut dc, &mut z, 1e-12, 1.0);
+        eng.load_dc(&x, &mut dc, &mut z, 1e-12, 1.0, None);
         for p in dc.pos() {
             assert!(pattern.contains(p), "dc stamped {p:?} outside the pattern");
         }
@@ -1127,9 +800,10 @@ mod tests {
 
         let caps = eng.mos_caps_at(&x);
         let x_prev = vec![0.2; dim];
+        let step = TranStep { t: 1e-9, h: 1e-9, x_prev: &x_prev, caps: &caps };
         let mut tr = SparseAssembler::<f64>::new();
         tr.begin(dim);
-        eng.load_tran(&x, &x_prev, 1e-9, 1e-9, &caps, &mut tr, &mut z);
+        eng.load_dc(&x, &mut tr, &mut z, 0.0, 1.0, Some(&step));
         for p in tr.pos() {
             assert!(pattern.contains(p), "tran stamped {p:?} outside the pattern");
         }
@@ -1145,7 +819,7 @@ mod tests {
         let eng = Engine::compile(&c).unwrap();
         let mut a = asdex_linalg::Matrix::zeros(eng.dim(), eng.dim());
         let mut z = vec![0.0; eng.dim()];
-        eng.load_dc(&[0.0], &mut a, &mut z, 0.0, 1.0);
+        eng.load_dc(&[0.0], &mut a, &mut z, 0.0, 1.0, None);
         let sol = asdex_linalg::solve(a, &z).unwrap();
         assert!((sol[0] - 1.0).abs() < 1e-12);
     }

@@ -1,8 +1,7 @@
 //! Nonlinear DC operating-point analysis: Newton–Raphson with gmin and
 //! source stepping continuation.
 
-use super::engine::Engine;
-use super::solver::Backend;
+use super::engine::{Engine, TranStep};
 use super::workspace::SolverWorkspace;
 use crate::circuit::{Circuit, NodeId};
 use crate::error::SpiceError;
@@ -250,7 +249,7 @@ pub(crate) fn solve_op_ws(
     };
 
     // Stage 1: straight Newton.
-    match newton(engine, x0.clone(), 0.0, 1.0, opts, &mut ws.real, &mut ws.z, &mut meter) {
+    match newton(engine, x0.clone(), 0.0, 1.0, None, opts, ws, &mut meter) {
         Ok((x, it)) => return Ok(OpResult { x, n_nodes: engine.n_nodes, iterations: it }),
         Err(NewtonFailure::Timeout) => return Err(timeout(&meter)),
         Err(_) => {}
@@ -262,7 +261,7 @@ pub(crate) fn solve_op_ws(
     let mut ok = true;
     for k in 0..=10i32 {
         let gmin = 10f64.powi(-k - 2); // 1e-2 … 1e-12
-        match newton(engine, x.clone(), gmin, 1.0, opts, &mut ws.real, &mut ws.z, &mut meter) {
+        match newton(engine, x.clone(), gmin, 1.0, None, opts, ws, &mut meter) {
             Ok((xn, it)) => {
                 x = xn;
                 total_iters += it;
@@ -276,7 +275,7 @@ pub(crate) fn solve_op_ws(
     }
     if ok {
         // Final polish without gmin.
-        match newton(engine, x, 0.0, 1.0, opts, &mut ws.real, &mut ws.z, &mut meter) {
+        match newton(engine, x, 0.0, 1.0, None, opts, ws, &mut meter) {
             Ok((x, it)) => {
                 return Ok(OpResult { x, n_nodes: engine.n_nodes, iterations: total_iters + it })
             }
@@ -289,7 +288,7 @@ pub(crate) fn solve_op_ws(
     let mut x = vec![0.0; dim];
     for k in 1..=20 {
         let scale = k as f64 / 20.0;
-        match newton(engine, x.clone(), 1e-12, scale, opts, &mut ws.real, &mut ws.z, &mut meter) {
+        match newton(engine, x.clone(), 1e-12, scale, None, opts, ws, &mut meter) {
             Ok((xn, it)) => {
                 x = xn;
                 total_iters += it;
@@ -303,7 +302,7 @@ pub(crate) fn solve_op_ws(
             }
         }
     }
-    match newton(engine, x, 0.0, 1.0, opts, &mut ws.real, &mut ws.z, &mut meter) {
+    match newton(engine, x, 0.0, 1.0, None, opts, ws, &mut meter) {
         Ok((x, it)) => {
             return Ok(OpResult { x, n_nodes: engine.n_nodes, iterations: total_iters + it })
         }
@@ -323,21 +322,21 @@ pub(crate) enum NewtonFailure {
     Timeout,
 }
 
-/// One Newton solve at fixed (gmin, source scale), assembling into the
-/// caller's prepared [`Backend`] and right-hand side (every iteration
-/// overwrites them; the backend factors in place, no per-iteration
-/// clone). Returns the solution and the iteration count. Every iteration
-/// is charged to `meter`, the watchdog shared by all stages of the
-/// enclosing analysis.
+/// One Newton solve at fixed (gmin, source scale), or of one transient
+/// `step`, assembling into the workspace's prepared real backend and
+/// right-hand side (every iteration overwrites them; the backend factors
+/// in place, no per-iteration clone). Returns the solution and the
+/// iteration count. Every iteration is charged to `meter`, the watchdog
+/// shared by all stages (or time steps) of the enclosing analysis.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn newton(
     engine: &Engine,
     mut x: Vec<f64>,
     gmin: f64,
     src_scale: f64,
+    step: Option<&TranStep>,
     opts: &OpOptions,
-    backend: &mut Backend<f64>,
-    z: &mut [f64],
+    ws: &mut SolverWorkspace,
     meter: &mut SolveMeter,
 ) -> Result<(Vec<f64>, usize), NewtonFailure> {
     let dim = engine.dim();
@@ -345,8 +344,8 @@ pub(crate) fn newton(
         if !meter.tick() {
             return Err(NewtonFailure::Timeout);
         }
-        engine.load_dc(&x, backend.assembler(), z, gmin, src_scale);
-        let x_new = backend.factor_solve(z).map_err(NewtonFailure::Singular)?;
+        engine.load_dc(&x, ws.real.assembler(), &mut ws.z, gmin, src_scale, step);
+        let x_new = ws.real.factor_solve(&ws.z).map_err(NewtonFailure::Singular)?;
 
         // Damped update: limit each unknown's change.
         let mut converged = true;

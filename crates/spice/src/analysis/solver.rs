@@ -356,7 +356,7 @@ mod tests {
             be.prepare(&engine);
             assert_eq!(be.is_sparse(), choice == SolverChoice::Sparse);
             let mut z = vec![0.0; dim];
-            engine.load_dc(&x0, be.assembler(), &mut z, 0.0, 1.0);
+            engine.load_dc(&x0, be.assembler(), &mut z, 0.0, 1.0, None);
             let x = be.factor_solve(&z).unwrap().to_vec();
             assert!((x[0] - 2.0).abs() < 1e-12, "v(a)");
             assert!((x[1] - 1.0).abs() < 1e-12, "v(b)");
@@ -385,7 +385,7 @@ mod tests {
             // re-derived pattern must be adopted, not re-analyzed.
             be.prepare(&engine);
             for _ in 0..4 {
-                engine.load_dc(&x0, be.assembler(), &mut z, 0.0, 1.0);
+                engine.load_dc(&x0, be.assembler(), &mut z, 0.0, 1.0, None);
                 be.factor_solve(&z).unwrap();
             }
         }

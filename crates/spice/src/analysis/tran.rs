@@ -1,8 +1,16 @@
 //! Transient analysis with backward-Euler integration and a Newton solve
 //! per time step.
+//!
+//! A time step is the operating-point Newton loop (`op::newton`) run on
+//! the DC loader with the step attached: sources take their waveform
+//! values at the step's time, and every capacitance (capacitors, diode
+//! junctions, MOSFET Meyer caps frozen at the previous time point) and
+//! inductor adds its backward-Euler companion after its element's own
+//! stamps.
 
-use super::engine::Engine;
-use super::op::{solve_op_ws, OpOptions, SolveMeter};
+use super::ac::sweep_points;
+use super::engine::{Engine, TranStep};
+use super::op::{newton, solve_op_ws, NewtonFailure, OpOptions, SolveMeter};
 use super::workspace::SolverWorkspace;
 use crate::circuit::{Circuit, NodeId};
 use crate::error::SpiceError;
@@ -83,7 +91,9 @@ impl TranResult {
 ///
 /// # Errors
 ///
-/// * [`SpiceError::BadSweep`] for a non-positive step or stop time.
+/// * [`SpiceError::BadSweep`] unless `0 < tstep < tstop < inf`, and for
+///   more than [`super::MAX_SWEEP_POINTS`] time points.
+/// * [`SpiceError::Singular`] when a time step's system is singular.
 /// * [`SpiceError::NoConvergence`] when a time step fails to converge.
 /// * [`SpiceError::Timeout`] when the [`super::SolveBudget`] in
 ///   `opts.op.budget` expires, summed across all time steps.
@@ -109,36 +119,41 @@ impl TranResult {
 /// # }
 /// ```
 pub fn transient(circuit: &Circuit, opts: &TranOptions) -> Result<TranResult, SpiceError> {
-    if opts.tstep <= 0.0 || opts.tstop <= opts.tstep || opts.tstep.is_nan() || opts.tstop.is_nan() {
-        return Err(SpiceError::BadSweep {
-            reason: format!("need 0 < tstep < tstop (got {}, {})", opts.tstep, opts.tstop),
-        });
-    }
-    let engine = Engine::compile(circuit)?;
-    let dim = engine.dim();
-
     // One workspace (backend choice from the environment) shared by the
     // initial OP and every time step: the sparse backend's symbolic
     // factorization is computed once and replayed per step.
-    let mut ws = SolverWorkspace::new();
+    transient_in(circuit, opts, &mut SolverWorkspace::new())
+}
+
+/// [`transient`] in the caller's workspace.
+pub(crate) fn transient_in(
+    circuit: &Circuit,
+    opts: &TranOptions,
+    ws: &mut SolverWorkspace,
+) -> Result<TranResult, SpiceError> {
+    // Written so that a NaN step or stop time fails it.
+    if !(0.0 < opts.tstep && opts.tstep < opts.tstop && opts.tstop.is_finite()) {
+        return Err(SpiceError::BadSweep {
+            reason: format!("need 0 < tstep < tstop < inf (got {}, {})", opts.tstep, opts.tstop),
+        });
+    }
+    let n_steps = sweep_points((opts.tstop / opts.tstep).ceil() + 1.0)? - 1;
+    let engine = Engine::compile(circuit)?;
+    let dim = engine.dim();
 
     // Initial condition.
     let x0 = if opts.uic {
         vec![0.0; dim]
     } else {
-        solve_op_ws(&engine, &opts.op, None, &mut ws)?.unknowns().to_vec()
+        solve_op_ws(&engine, &opts.op, None, ws)?.x
     };
     ws.ensure_dc(&engine);
 
-    let n_steps = (opts.tstop / opts.tstep).ceil() as usize;
     let mut times = Vec::with_capacity(n_steps + 1);
     let mut samples = Vec::with_capacity(n_steps + 1);
     times.push(0.0);
-    samples.push(x0.clone());
+    samples.push(x0);
 
-    let mut x_prev = x0;
-    let mut caps = engine.mos_caps_at(&x_prev);
-    debug_assert_eq!(caps.len(), engine.mosfet_count());
     // One watchdog across every time step (the initial OP above ran under
     // its own): a transient that grinds without converging is cut off as a
     // typed timeout instead of monopolizing a worker.
@@ -146,50 +161,27 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> Result<TranResult, Sp
 
     for step in 1..=n_steps {
         let t = (step as f64 * opts.tstep).min(opts.tstop);
-        let h = t - times.last().copied().unwrap_or(0.0);
+        let h = t - times[step - 1];
         if h <= 0.0 {
             break;
         }
-        // Newton at this time point, warm-started from the previous one.
-        let mut x = x_prev.clone();
-        let mut converged = false;
-        for _ in 0..opts.op.max_iter {
-            if !meter.tick() {
-                return Err(SpiceError::Timeout {
-                    analysis: "tran",
-                    iterations: meter.iterations(),
-                });
-            }
-            engine.load_tran(&x, &x_prev, t, h, &caps, ws.real.assembler(), &mut ws.z);
-            let x_new = ws.real.factor_solve(&ws.z)?;
-            let mut done = true;
-            for i in 0..dim {
-                let mut delta = x_new[i] - x[i];
-                if delta.abs() > opts.op.max_step {
-                    delta = opts.op.max_step.copysign(delta);
-                    done = false;
+        // Newton at this time point, warm-started from the previous one,
+        // with the Meyer caps frozen there.
+        let x_prev = &samples[step - 1];
+        let caps = engine.mos_caps_at(x_prev);
+        let at = TranStep { t, h, x_prev, caps: &caps };
+        let (x, _) = newton(&engine, x_prev.clone(), 0.0, 1.0, Some(&at), &opts.op, ws, &mut meter)
+            .map_err(|failure| match failure {
+                NewtonFailure::Timeout => {
+                    SpiceError::Timeout { analysis: "tran", iterations: meter.iterations() }
                 }
-                let abstol = if i < engine.n_nodes { opts.op.vabstol } else { opts.op.iabstol };
-                if delta.abs() > abstol + opts.op.reltol * x[i].abs().max(x_new[i].abs()) {
-                    done = false;
+                NewtonFailure::Singular(e) => SpiceError::Singular(e),
+                NewtonFailure::NoConverge => {
+                    SpiceError::NoConvergence { analysis: "tran", iterations: step }
                 }
-                x[i] += delta;
-            }
-            if x.iter().any(|v| !v.is_finite()) {
-                return Err(SpiceError::NoConvergence { analysis: "tran", iterations: step });
-            }
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            return Err(SpiceError::NoConvergence { analysis: "tran", iterations: step });
-        }
-        caps = engine.mos_caps_at(&x);
+            })?;
         times.push(t);
-        samples.push(x.clone());
-        x_prev = x;
+        samples.push(x);
     }
 
     Ok(TranResult { times, samples, n_nodes: engine.n_nodes })
@@ -198,7 +190,9 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> Result<TranResult, Sp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{SolverChoice, MAX_SWEEP_POINTS};
     use crate::circuit::Waveform;
+    use crate::devices::{DiodeModel, MosGeometry};
 
     #[test]
     fn rc_charge_curve() {
@@ -259,6 +253,20 @@ mod tests {
         let ckt = Circuit::new();
         assert!(transient(&ckt, &TranOptions::new(0.0, 1.0)).is_err());
         assert!(transient(&ckt, &TranOptions::new(1.0, 0.5)).is_err());
+        // Non-finite times and too many steps are sweep errors, raised
+        // before any result is allocated.
+        for (tstep, tstop) in [(1e-9, f64::INFINITY), (1e-9, f64::NAN), (f64::NAN, 1.0), (1e-15, 1.0)]
+        {
+            let err = transient(&ckt, &TranOptions::new(tstep, tstop)).unwrap_err();
+            assert!(matches!(err, SpiceError::BadSweep { .. }), "{tstep}, {tstop}: {err}");
+        }
+        // The limit counts time points, t = 0 included.
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.add_resistor("R1", a, Circuit::GROUND, 1e3).unwrap();
+        let last = (MAX_SWEEP_POINTS - 1) as f64;
+        assert_eq!(transient(&ckt, &TranOptions::new(1.0, last)).unwrap().len(), MAX_SWEEP_POINTS);
+        assert!(transient(&ckt, &TranOptions::new(1.0, last + 1.0)).is_err());
     }
 
     #[test]
@@ -295,5 +303,131 @@ mod tests {
         let tr = transient(&ckt, &opts).unwrap();
         assert_eq!(tr.voltage(0, out), 0.0, "UIC: t=0 state is zero");
         assert!((tr.voltage(tr.len() - 1, out) - 1.0).abs() < 1e-6);
+    }
+
+    /// FNV-1a over the bits of every time point and every unknown of
+    /// every sample, in order.
+    fn digest(tr: &TranResult) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for word in tr.times.iter().chain(tr.samples.iter().flatten()) {
+            for byte in word.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// The five-stage CMOS ring of `examples/ring_oscillator.rs`, started
+    /// by a PWL supply ramp: every step stamps frozen Meyer caps.
+    fn ring_oscillator() -> Circuit {
+        let node = crate::process::ProcessNode::bsim45();
+        let (nmos, pmos) = node.models_at(crate::process::ProcessCorner::Tt, 27.0);
+        let l = 4.0 * node.lmin;
+        let mut ckt = Circuit::new();
+        ckt.add_mos_model("nch", nmos);
+        ckt.add_mos_model("pch", pmos);
+        let vdd = ckt.node("vdd");
+        let ramp = Waveform::Pwl(vec![(0.0, 0.0), (0.3e-9, node.vdd)]);
+        ckt.add_vsource_full("VDD", vdd, Circuit::GROUND, node.vdd, None, Some(ramp)).unwrap();
+        let nodes: Vec<_> = (0..5).map(|k| ckt.node(&format!("n{k}"))).collect();
+        for k in 0..5 {
+            let (inp, out) = (nodes[k], nodes[(k + 1) % 5]);
+            let (wp, wn) = (MosGeometry::new(4e-6, l), MosGeometry::new(2e-6, l));
+            ckt.add_mosfet(&format!("MP{k}"), out, inp, vdd, vdd, "pch", wp).unwrap();
+            let gnd = Circuit::GROUND;
+            ckt.add_mosfet(&format!("MN{k}"), out, inp, gnd, gnd, "nch", wn).unwrap();
+            ckt.add_capacitor(&format!("C{k}"), out, gnd, 150e-15).unwrap();
+        }
+        ckt
+    }
+
+    /// A SIN source into a series RLC tank clamped by a diode with
+    /// junction capacitance, a PULSE current source into the tank, and a
+    /// VCVS buffering the tank voltage into a load.
+    fn rlc_with_diode() -> Circuit {
+        let mut ckt = Circuit::new();
+        ckt.add_diode_model("dj", DiodeModel { cj0: 5e-12, ..DiodeModel::default() });
+        let (a, b, c, out) = (ckt.node("a"), ckt.node("b"), ckt.node("c"), ckt.node("out"));
+        let gnd = Circuit::GROUND;
+        let sin = Waveform::Sin { vo: 0.2, va: 1.0, freq: 20e6, td: 0.0, theta: 0.0 };
+        ckt.add_vsource_full("V1", a, gnd, 0.2, None, Some(sin)).unwrap();
+        ckt.add_resistor("R1", a, b, 50.0).unwrap();
+        ckt.add_inductor("L1", b, c, 1e-6).unwrap();
+        ckt.add_capacitor("C1", c, gnd, 100e-12).unwrap();
+        ckt.add_diode("D1", c, gnd, "dj", 1.0).unwrap();
+        let pulse =
+            Waveform::Pulse { v1: 0.0, v2: 1e-3, td: 10e-9, tr: 2e-9, tf: 2e-9, pw: 20e-9, per: 50e-9 };
+        ckt.add_isource_full("I1", gnd, c, 0.0, None, Some(pulse)).unwrap();
+        ckt.add_vcvs("E1", out, gnd, c, gnd, 2.0).unwrap();
+        ckt.add_resistor("RL", out, gnd, 1e3).unwrap();
+        ckt
+    }
+
+    #[test]
+    fn transients_match_their_goldens_bitwise() {
+        // Sample count and `digest` per case and backend, captured before
+        // the transient step moved onto the DC loader and Newton loop.
+        const GOLDENS: &[(&str, SolverChoice, usize, u64)] = &[
+            ("ring", SolverChoice::Dense, 2401, 0x21f1_934e_05f3_b0f6),
+            ("ring", SolverChoice::Sparse, 2401, 0x8357_71ca_1c21_1dda),
+            ("ring_uic", SolverChoice::Dense, 2401, 0x9bf7_c6cd_1c37_de08),
+            ("ring_uic", SolverChoice::Sparse, 2401, 0x636e_c0fd_f448_c558),
+            ("rlc", SolverChoice::Dense, 401, 0x9cca_87c8_ba21_cf9b),
+            ("rlc", SolverChoice::Sparse, 401, 0xb774_60b6_83fc_b5dc),
+        ];
+        for &(case, choice, len, want) in GOLDENS {
+            let (ckt, mut opts) = match case {
+                "rlc" => (rlc_with_diode(), TranOptions::new(0.5e-9, 200e-9)),
+                _ => (ring_oscillator(), TranOptions::new(25e-12, 60e-9)),
+            };
+            opts.uic = case == "ring_uic";
+            let tr = transient_in(&ckt, &opts, &mut SolverWorkspace::with_choice(choice)).unwrap();
+            assert_eq!((tr.len(), digest(&tr)), (len, want), "{case} on {choice:?}");
+        }
+    }
+
+    #[test]
+    fn backward_euler_steps_match_their_closed_forms() {
+        // From a zero state (UIC), a DC source V charges an RC node as
+        // v_k = V·(1 − (τ/(τ+h))^k) and ramps an LR branch current as
+        // i_k = (V/R)·(1 − (L/(L+R·h))^k): backward Euler, solved exactly.
+        let (v, r, c, l) = (1.5, 1e3, 1e-9, 1e-3);
+        let gnd = Circuit::GROUND;
+        let mut rc = Circuit::new();
+        let (vin, out) = (rc.node("in"), rc.node("out"));
+        rc.add_vsource("V1", vin, gnd, v).unwrap();
+        rc.add_resistor("R1", vin, out, r).unwrap();
+        rc.add_capacitor("C1", out, gnd, c).unwrap();
+        let mut lr = Circuit::new();
+        let (a, b) = (lr.node("a"), lr.node("b"));
+        lr.add_vsource("V1", a, gnd, v).unwrap();
+        lr.add_inductor("L1", a, b, l).unwrap();
+        lr.add_resistor("R1", b, gnd, r).unwrap();
+        let branch = Engine::compile(&lr).unwrap().branch_of("L1").unwrap();
+        // τ = R·C = L/R = 1 µs.
+        let tau = r * c;
+        for choice in [SolverChoice::Dense, SolverChoice::Sparse] {
+            for steps_per_tau in [200.0, 10.0, 1.0, 1.0 / 3.0] {
+                let h = tau / steps_per_tau;
+                let n = (10.0 * steps_per_tau).ceil().max(4.0);
+                let mut opts = TranOptions::new(h, n * h);
+                opts.uic = true;
+                let run = |ckt| transient_in(ckt, &opts, &mut SolverWorkspace::with_choice(choice));
+                let (charge, ramp) = (run(&rc).unwrap(), run(&lr).unwrap());
+                assert_eq!((charge.len(), ramp.len()), (n as usize + 1, n as usize + 1));
+                for k in 1..charge.len() {
+                    let pow = |ratio: f64| ratio.powi(k as i32);
+                    let cases = [
+                        ("RC", charge.voltage(k, out), v * (1.0 - pow(tau / (tau + h)))),
+                        ("LR", ramp.branch_current(k, branch), v / r * (1.0 - pow(l / (l + r * h)))),
+                    ];
+                    for (name, got, want) in cases {
+                        let err = (got - want).abs() / want.abs();
+                        let at = format!("{name} {choice:?} h = τ/{steps_per_tau}, step {k}");
+                        assert!(err <= 1e-12, "{at}: {got} vs {want}");
+                    }
+                }
+            }
+        }
     }
 }

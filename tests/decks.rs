@@ -450,11 +450,18 @@ fn sizing_decks_compile_and_match_midpoint_goldens_bitwise() {
 
 #[test]
 fn degenerate_ac_sweeps_in_a_deck_are_typed_sweep_errors() {
-    // `asdex sim` on a deck whose `.ac` card has a non-finite stop
-    // frequency, or asks for a grid too large to allocate, fails with the
-    // sweep error rather than a singular system or an allocation abort.
+    // `asdex sim` on a deck whose `.ac`, `.tran` or `.dc` card has a
+    // non-finite stop value, or asks for more points than can be
+    // allocated, fails with the sweep error rather than a singular system,
+    // an allocation abort or a spent solve budget.
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
-    for (name, card) in [("inf_stop", ".ac dec 10 1k 1e400"), ("huge_ppd", ".ac dec 1e9 1k 1meg")] {
+    for (name, card) in [
+        ("inf_stop", ".ac dec 10 1k 1e400"),
+        ("huge_ppd", ".ac dec 1e9 1k 1meg"),
+        ("tiny_tstep", ".tran 1e-15 1"),
+        ("inf_tstop", ".tran 1n 1e400"),
+        ("tiny_dc_step", ".dc V1 0 1 1e-15"),
+    ] {
         let deck = dir.join(format!("degenerate_sweep_{name}.cir"));
         let source = format!("rc\nV1 in 0 0 AC 1\nR1 in out 1k\nC1 out 0 1n\n{card}\n.end\n");
         std::fs::write(&deck, source).unwrap();

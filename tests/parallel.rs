@@ -139,8 +139,8 @@ fn batch_results_identical_under_worker_panics() {
 
 #[test]
 fn opamp_batch_identical_across_thread_counts() {
-    // The MNA-backed path: pooled engines and reused workspaces must
-    // both be invisible in the results.
+    // The MNA-backed path: pooled, reused workspaces must be invisible
+    // in the results.
     let amp = TwoStageOpamp::bsim45();
     let template = amp.problem().expect("problem builds");
     let reqs = requests(3, template.corners.len(), template.dim());
@@ -152,7 +152,7 @@ fn opamp_batch_identical_across_thread_counts() {
         &reqs,
         usize::MAX,
     );
-    // Re-evaluating through one long-lived problem (warm engine pool)
+    // Re-evaluating through one long-lived problem (warm workspace pool)
     // must also reproduce a cold problem's evaluations exactly.
     let warm = template.with_threads(2);
     let first = warm.evaluate_batch(&reqs, usize::MAX);
