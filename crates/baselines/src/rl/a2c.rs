@@ -4,13 +4,11 @@
 //! regularization, and Adam updates — a faithful small-scale port of the
 //! Stable-Baselines agent the paper benchmarks in Table I.
 
-use crate::rl::env::SizingEnv;
 use crate::rl::policy::{Policy, ValueNet};
-use crate::rl::{policy_is_trained, RlSentinel};
+use crate::rl::{discounted_returns, sum_gradients, train, RlSentinel, Rollout, UpdateRule};
 use asdex_env::{SearchBudget, SearchOutcome, Searcher, SizingProblem};
 use asdex_nn::{Adam, Optimizer};
 use asdex_rng::rngs::StdRng;
-use asdex_rng::SeedableRng;
 
 /// A2C hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,127 +63,50 @@ impl Searcher for A2c {
     }
 
     fn search(&mut self, problem: &SizingProblem, budget: SearchBudget, seed: u64) -> SearchOutcome {
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut env = SizingEnv::with_budget(problem, cfg.horizon, budget.max_sims);
-        let mut policy = Policy::new(env.obs_dim(), env.n_heads(), cfg.hidden, &mut rng);
-        let mut value = ValueNet::new(env.obs_dim(), cfg.hidden, &mut rng);
-        let mut policy_opt = Adam::new(cfg.lr);
-        let mut value_opt = Adam::new(cfg.value_lr);
-        let mut sentinel = RlSentinel::new();
-        sentinel.snapshot(&policy, &value);
+        let c = self.config;
+        let mut rule =
+            A2cUpdate { c, policy_opt: Adam::new(c.lr), value_opt: Adam::new(c.value_lr) };
+        train(problem, budget, seed, c.hidden, c.horizon, c.n_steps, &mut rule)
+    }
+}
 
-        let mut obs = env.reset(&mut rng);
-        let mut solved_at: Option<usize> = None;
-        while env.sims() < budget.max_sims && solved_at.is_none() {
-            // Collect an n-step rollout.
-            let mut observations = Vec::with_capacity(cfg.n_steps);
-            let mut actions_taken = Vec::with_capacity(cfg.n_steps);
-            let mut rewards = Vec::with_capacity(cfg.n_steps);
-            let mut dones = Vec::with_capacity(cfg.n_steps);
-            let mut last_obs = obs.clone();
-            for _ in 0..cfg.n_steps {
-                if env.sims() >= budget.max_sims {
-                    break;
-                }
-                let sample = policy.act(&last_obs, &mut rng);
-                let step = env.step(&sample.actions);
-                observations.push(last_obs.clone());
-                actions_taken.push(sample.actions);
-                rewards.push(step.reward);
-                dones.push(step.done);
-                last_obs = if step.done { env.reset(&mut rng) } else { step.obs };
-            }
-            if observations.is_empty() {
-                break;
-            }
+/// A2C's update: one actor-critic step on the gradients averaged over
+/// the rollout, with bootstrapped n-step returns as critic targets.
+struct A2cUpdate {
+    c: A2cConfig,
+    policy_opt: Adam,
+    value_opt: Adam,
+}
 
-            // Bootstrapped n-step returns.
-            let mut ret = if *dones.last().expect("nonempty") {
-                0.0
-            } else {
-                value.value(&last_obs)
-            };
-            let mut returns = vec![0.0; rewards.len()];
-            for t in (0..rewards.len()).rev() {
-                if dones[t] {
-                    ret = 0.0;
-                }
-                ret = rewards[t] + cfg.gamma * ret;
-                returns[t] = ret;
-            }
-
-            // Accumulate gradients over the rollout.
-            let mut policy_grad: Option<asdex_nn::Gradients> = None;
-            let mut value_grad: Option<asdex_nn::Gradients> = None;
-            for t in 0..observations.len() {
-                let adv = returns[t] - value.value(&observations[t]);
-                let g = policy.policy_gradient(&observations[t], &actions_taken[t], adv, cfg.ent_coef);
-                match &mut policy_grad {
-                    Some(acc) => acc.add(&g),
-                    None => policy_grad = Some(g),
-                }
-                let vg = value.td_gradient(&observations[t], returns[t]);
-                match &mut value_grad {
-                    Some(acc) => acc.add(&vg),
-                    None => value_grad = Some(vg),
-                }
-            }
-            let n = observations.len() as f64;
-            if let Some(mut g) = policy_grad {
-                g.scale(1.0 / n);
-                if sentinel.admit(g.flat_mut()) {
-                    policy_opt.step(policy.net_mut(), g.flat());
-                }
-            }
-            if let Some(mut g) = value_grad {
-                g.scale(1.0 / n);
-                if sentinel.admit(g.flat_mut()) {
-                    value_opt.step(value.net_mut(), g.flat());
-                }
-            }
-            // Entropy-collapse / NaN-weight sentinel: a healthy policy is
-            // snapshotted as the rollback target, a collapsed one is
-            // restored from the last-good snapshot with fresh optimizer
-            // moments.
-            if RlSentinel::policy_healthy(&policy, &observations, None) {
-                sentinel.snapshot(&policy, &value);
-            } else if sentinel.rollback(&mut policy, &mut value) {
-                policy_opt.reset();
-                value_opt.reset();
-            }
-            // Paper-style success check: a deterministic episode of the
-            // *trained* policy must reach a feasible point.
-            if policy_is_trained(&policy, &mut env, budget, &mut rng) {
-                solved_at = Some(env.sims());
-                break;
-            }
-            obs = env.reset(&mut rng);
-            let _ = last_obs;
+impl UpdateRule for A2cUpdate {
+    fn update(
+        &mut self,
+        policy: &mut Policy,
+        value: &mut ValueNet,
+        r: &Rollout,
+        sentinel: &mut RlSentinel,
+        _rng: &mut StdRng,
+    ) {
+        let returns = discounted_returns(r, value, self.c.gamma);
+        let (n, obs) = (r.observations.len(), &r.observations);
+        let mut g = sum_gradients(n, |t| {
+            let adv = returns[t] - value.value(&obs[t]);
+            policy.policy_gradient(&obs[t], &r.samples[t].actions, adv, self.c.ent_coef)
+        });
+        g.scale(1.0 / n as f64);
+        if sentinel.admit(g.flat_mut()) {
+            self.policy_opt.step(policy.net_mut(), g.flat());
         }
-
-        let stats = env.stats().clone();
-        let (best_value, best_point) = env.best();
-        match solved_at {
-            Some(sims) => SearchOutcome {
-                success: true,
-                simulations: sims,
-                best_point: best_point.to_vec(),
-                best_value,
-                best_measurements: None,
-                stats,
-                health: sentinel.stats(),
-            },
-            None => SearchOutcome {
-                success: false,
-                simulations: budget.max_sims,
-                best_point: best_point.to_vec(),
-                best_value,
-                best_measurements: None,
-                stats,
-                health: sentinel.stats(),
-            },
+        let mut g = sum_gradients(n, |t| value.td_gradient(&obs[t], returns[t]));
+        g.scale(1.0 / n as f64);
+        if sentinel.admit(g.flat_mut()) {
+            self.value_opt.step(value.net_mut(), g.flat());
         }
+    }
+
+    fn reset(&mut self) {
+        self.policy_opt.reset();
+        self.value_opt.reset();
     }
 }
 

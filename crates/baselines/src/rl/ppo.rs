@@ -4,14 +4,12 @@
 //! surrogate updates per batch, entropy regularization — the
 //! Stable-Baselines-style PPO the paper benchmarks in Table I.
 
-use crate::rl::env::SizingEnv;
 use crate::rl::policy::{Policy, ValueNet, MOVES};
-use crate::rl::{policy_is_trained, RlSentinel};
+use crate::rl::{normalize, train, RlSentinel, Rollout, UpdateRule};
 use asdex_env::{SearchBudget, SearchOutcome, Searcher, SizingProblem};
 use asdex_nn::{log_prob_grad, Adam, Optimizer};
 use asdex_rng::rngs::StdRng;
 use asdex_rng::seq::SliceRandom;
-use asdex_rng::SeedableRng;
 
 /// PPO hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,18 +53,6 @@ impl Default for PpoConfig {
     }
 }
 
-/// Raw rollout record: (obs, actions, reward, old log-prob, done, V(s)).
-type RawStep = (Vec<f64>, Vec<usize>, f64, f64, bool, f64);
-
-/// One stored transition.
-struct Transition {
-    obs: Vec<f64>,
-    actions: Vec<usize>,
-    old_log_prob: f64,
-    advantage: f64,
-    ret: f64,
-}
-
 /// The PPO agent.
 #[derive(Debug, Clone, Default)]
 pub struct Ppo {
@@ -87,153 +73,103 @@ impl Searcher for Ppo {
     }
 
     fn search(&mut self, problem: &SizingProblem, budget: SearchBudget, seed: u64) -> SearchOutcome {
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut env = SizingEnv::with_budget(problem, cfg.horizon, budget.max_sims);
-        let mut policy = Policy::new(env.obs_dim(), env.n_heads(), cfg.hidden, &mut rng);
-        let mut value = ValueNet::new(env.obs_dim(), cfg.hidden, &mut rng);
-        let mut policy_opt = Adam::new(cfg.lr);
-        let mut value_opt = Adam::new(cfg.value_lr);
-        let mut sentinel = RlSentinel::new();
-        sentinel.snapshot(&policy, &value);
+        let c = self.config;
+        let mut rule =
+            PpoUpdate { c, policy_opt: Adam::new(c.lr), value_opt: Adam::new(c.value_lr) };
+        train(problem, budget, seed, c.hidden, c.horizon, c.batch, &mut rule)
+    }
+}
 
-        let mut obs = env.reset(&mut rng);
-        let mut solved_at: Option<usize> = None;
-        while env.sims() < budget.max_sims && solved_at.is_none() {
-            // --- Collect a batch. -------------------------------------------
-            let mut raw: Vec<RawStep> = Vec::new();
-            let mut last_obs = obs.clone();
-            for _ in 0..cfg.batch {
-                if env.sims() >= budget.max_sims {
-                    break;
-                }
-                let sample = policy.act(&last_obs, &mut rng);
-                let v_est = value.value(&last_obs);
-                let step = env.step(&sample.actions);
-                raw.push((last_obs.clone(), sample.actions, step.reward, sample.log_prob, step.done, v_est));
-                last_obs = if step.done { env.reset(&mut rng) } else { step.obs };
-            }
-            if raw.is_empty() {
-                break;
-            }
+/// PPO's update: GAE(λ) advantages, then epochs of clipped-surrogate and
+/// value steps over the batch in shuffled order.
+struct PpoUpdate {
+    c: PpoConfig,
+    policy_opt: Adam,
+    value_opt: Adam,
+}
 
-            // --- GAE(λ). ----------------------------------------------------
-            let mut transitions: Vec<Transition> = Vec::with_capacity(raw.len());
-            let mut gae = 0.0;
-            let mut next_value = if raw.last().expect("nonempty").4 { 0.0 } else { value.value(&last_obs) };
-            for (o, a, r, old_lp, done, v_est) in raw.into_iter().rev() {
-                if done {
-                    next_value = 0.0;
-                    gae = 0.0;
-                }
-                let delta = r + cfg.gamma * next_value - v_est;
-                gae = delta + cfg.gamma * cfg.lam * gae;
-                next_value = v_est;
-                transitions.push(Transition {
-                    obs: o,
-                    actions: a,
-                    old_log_prob: old_lp,
-                    advantage: gae,
-                    ret: gae + v_est,
-                });
-            }
-            transitions.reverse();
-            // Advantage normalization.
-            let mean = transitions.iter().map(|t| t.advantage).sum::<f64>() / transitions.len() as f64;
-            let var = transitions
-                .iter()
-                .map(|t| (t.advantage - mean) * (t.advantage - mean))
-                .sum::<f64>()
-                / transitions.len() as f64;
-            let std = var.sqrt().max(1e-8);
-            for t in &mut transitions {
-                t.advantage = (t.advantage - mean) / std;
-            }
+impl UpdateRule for PpoUpdate {
+    // Several epochs can carry the policy far from the one that collected
+    // the batch.
+    const BOUNDS_KL: bool = true;
 
-            // --- Clipped-surrogate epochs. ----------------------------------
-            // Pre-update distribution for the post-epochs KL blow-up check
-            // (at this point the current policy *is* the old policy).
-            let obs_batch: Vec<Vec<f64>> = transitions.iter().map(|t| t.obs.clone()).collect();
-            let pre_logits: Vec<Vec<f64>> = obs_batch.iter().map(|o| policy.logits(o)).collect();
-            let mut order: Vec<usize> = (0..transitions.len()).collect();
-            for _ in 0..cfg.epochs {
-                order.shuffle(&mut rng);
-                for &i in &order {
-                    let t = &transitions[i];
-                    let n_heads = policy.n_heads();
-                    let (clip, ent_coef, adv, old_lp) = (cfg.clip, cfg.ent_coef, t.advantage, t.old_log_prob);
-                    let actions = t.actions.clone();
-                    let mut g = policy.grad_with(&t.obs, |logits| {
-                        let new_lp = Policy::log_prob_of(logits, &actions);
-                        let ratio = (new_lp - old_lp).exp();
-                        let clipped = ratio < 1.0 - clip || ratio > 1.0 + clip;
-                        // Surrogate L = min(ratio·adv, clip(ratio)·adv);
-                        // gradient flows only through the unclipped branch
-                        // when it is the active minimum.
-                        let pass_through = if adv >= 0.0 { !(clipped && ratio > 1.0 + clip) } else { !(clipped && ratio < 1.0 - clip) };
-                        let mut d = vec![0.0; logits.len()];
-                        for (h, &a) in actions.iter().enumerate().take(n_heads) {
-                            let head = &logits[h * MOVES..(h + 1) * MOVES];
-                            let lp_grad = log_prob_grad(head, a);
-                            let ent = asdex_nn::entropy_grad(head);
-                            for k in 0..MOVES {
-                                let surrogate = if pass_through { -adv * ratio * lp_grad[k] } else { 0.0 };
-                                d[h * MOVES + k] = surrogate - ent_coef * ent[k] / n_heads as f64;
-                            }
+    fn update(
+        &mut self,
+        policy: &mut Policy,
+        value: &mut ValueNet,
+        r: &Rollout,
+        sentinel: &mut RlSentinel,
+        rng: &mut StdRng,
+    ) {
+        let PpoConfig { gamma, lam, clip, ent_coef, epochs, .. } = self.c;
+        let n = r.observations.len();
+
+        // --- GAE(λ). ----------------------------------------------------
+        let v_est: Vec<f64> = r.observations.iter().map(|o| value.value(o)).collect();
+        let mut advantages = vec![0.0; n];
+        let mut returns = vec![0.0; n];
+        let mut gae = 0.0;
+        let mut next_value = if r.dones[n - 1] { 0.0 } else { value.value(&r.last_obs) };
+        for t in (0..n).rev() {
+            if r.dones[t] {
+                next_value = 0.0;
+                gae = 0.0;
+            }
+            let delta = r.rewards[t] + gamma * next_value - v_est[t];
+            gae = delta + gamma * lam * gae;
+            next_value = v_est[t];
+            advantages[t] = gae;
+            returns[t] = gae + v_est[t];
+        }
+        normalize(&mut advantages);
+
+        // --- Clipped-surrogate epochs. ----------------------------------
+        let mut order: Vec<usize> = (0..n).collect();
+        for _ in 0..epochs {
+            order.shuffle(rng);
+            for &i in &order {
+                let n_heads = policy.n_heads();
+                let (adv, old_lp) = (advantages[i], r.samples[i].log_prob);
+                let actions = &r.samples[i].actions;
+                let mut g = policy.grad_with(&r.observations[i], |logits| {
+                    let new_lp = Policy::log_prob_of(logits, actions);
+                    let ratio = (new_lp - old_lp).exp();
+                    let clipped = ratio < 1.0 - clip || ratio > 1.0 + clip;
+                    // Surrogate L = min(ratio·adv, clip(ratio)·adv);
+                    // gradient flows only through the unclipped branch
+                    // when it is the active minimum.
+                    let pass_through = if adv >= 0.0 {
+                        !(clipped && ratio > 1.0 + clip)
+                    } else {
+                        !(clipped && ratio < 1.0 - clip)
+                    };
+                    let mut d = vec![0.0; logits.len()];
+                    for (h, &a) in actions.iter().enumerate().take(n_heads) {
+                        let head = &logits[h * MOVES..(h + 1) * MOVES];
+                        let lp_grad = log_prob_grad(head, a);
+                        let ent = asdex_nn::entropy_grad(head);
+                        for k in 0..MOVES {
+                            let surrogate =
+                                if pass_through { -adv * ratio * lp_grad[k] } else { 0.0 };
+                            d[h * MOVES + k] = surrogate - ent_coef * ent[k] / n_heads as f64;
                         }
-                        d
-                    });
-                    if sentinel.admit(g.flat_mut()) {
-                        policy_opt.step(policy.net_mut(), g.flat());
                     }
-                    let mut vg = value.td_gradient(&transitions[i].obs, transitions[i].ret);
-                    if sentinel.admit(vg.flat_mut()) {
-                        value_opt.step(value.net_mut(), vg.flat());
-                    }
+                    d
+                });
+                if sentinel.admit(g.flat_mut()) {
+                    self.policy_opt.step(policy.net_mut(), g.flat());
+                }
+                let mut vg = value.td_gradient(&r.observations[i], returns[i]);
+                if sentinel.admit(vg.flat_mut()) {
+                    self.value_opt.step(value.net_mut(), vg.flat());
                 }
             }
-            // Entropy-collapse / KL-blow-up sentinel: a healthy policy is
-            // snapshotted as the rollback target; a collapsed or blown-up
-            // one is restored from the last-good snapshot with fresh
-            // optimizer moments.
-            if RlSentinel::policy_healthy(&policy, &obs_batch, Some(&pre_logits)) {
-                sentinel.snapshot(&policy, &value);
-            } else if sentinel.rollback(&mut policy, &mut value) {
-                policy_opt.reset();
-                value_opt.reset();
-            }
-            // Paper-style success check: a deterministic episode of the
-            // *trained* policy must reach a feasible point.
-            if policy_is_trained(&policy, &mut env, budget, &mut rng) {
-                solved_at = Some(env.sims());
-                break;
-            }
-            obs = env.reset(&mut rng);
-            let _ = last_obs;
         }
+    }
 
-        let stats = env.stats().clone();
-        let (best_value, best_point) = env.best();
-        match solved_at {
-            Some(sims) => SearchOutcome {
-                success: true,
-                simulations: sims,
-                best_point: best_point.to_vec(),
-                best_value,
-                best_measurements: None,
-                stats,
-                health: sentinel.stats(),
-            },
-            None => SearchOutcome {
-                success: false,
-                simulations: budget.max_sims,
-                best_point: best_point.to_vec(),
-                best_value,
-                best_measurements: None,
-                stats,
-                health: sentinel.stats(),
-            },
-        }
+    fn reset(&mut self) {
+        self.policy_opt.reset();
+        self.value_opt.reset();
     }
 }
 

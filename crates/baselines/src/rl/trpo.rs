@@ -7,13 +7,13 @@
 //! KL trust region. This is the same *optimization-side* trust region the
 //! paper's title contrasts with its *design-space* trust region.
 
-use crate::rl::env::SizingEnv;
 use crate::rl::policy::{Policy, ValueNet};
-use crate::rl::{policy_is_trained, RlSentinel};
+use crate::rl::{
+    discounted_returns, normalize, sum_gradients, train, RlSentinel, Rollout, UpdateRule,
+};
 use asdex_env::{SearchBudget, SearchOutcome, Searcher, SizingProblem};
 use asdex_nn::{Adam, Optimizer};
 use asdex_rng::rngs::StdRng;
-use asdex_rng::SeedableRng;
 
 /// TRPO hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,229 +78,150 @@ impl Searcher for Trpo {
     }
 
     fn search(&mut self, problem: &SizingProblem, budget: SearchBudget, seed: u64) -> SearchOutcome {
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut env = SizingEnv::with_budget(problem, cfg.horizon, budget.max_sims);
-        let mut policy = Policy::new(env.obs_dim(), env.n_heads(), cfg.hidden, &mut rng);
-        let mut value = ValueNet::new(env.obs_dim(), cfg.hidden, &mut rng);
-        let mut value_opt = Adam::new(cfg.value_lr);
-        let mut sentinel = RlSentinel::new();
-        sentinel.snapshot(&policy, &value);
+        let c = self.config;
+        let mut rule = TrpoUpdate { c, value_opt: Adam::new(c.value_lr) };
+        train(problem, budget, seed, c.hidden, c.horizon, c.batch, &mut rule)
+    }
+}
 
-        let mut obs = env.reset(&mut rng);
-        let mut solved_at: Option<usize> = None;
-        while env.sims() < budget.max_sims && solved_at.is_none() {
-            // --- Collect a batch. -------------------------------------------
-            let mut observations = Vec::new();
-            let mut actions_taken: Vec<Vec<usize>> = Vec::new();
-            let mut rewards = Vec::new();
-            let mut dones = Vec::new();
-            let mut old_logits: Vec<Vec<f64>> = Vec::new();
-            let mut old_log_probs = Vec::new();
-            let mut last_obs = obs.clone();
-            for _ in 0..cfg.batch {
-                if env.sims() >= budget.max_sims {
+/// TRPO's update: a KL-constrained natural-gradient policy step, then
+/// value regression on the discounted returns.
+struct TrpoUpdate {
+    c: TrpoConfig,
+    value_opt: Adam,
+}
+
+impl UpdateRule for TrpoUpdate {
+    fn update(
+        &mut self,
+        policy: &mut Policy,
+        value: &mut ValueNet,
+        rollout: &Rollout,
+        sentinel: &mut RlSentinel,
+        _rng: &mut StdRng,
+    ) {
+        let cfg = self.c;
+        let (observations, samples) = (&rollout.observations, &rollout.samples);
+
+        // --- Advantages (discounted returns − baseline). ----------------
+        let returns = discounted_returns(rollout, value, cfg.gamma);
+        let mut advantages: Vec<f64> =
+            returns.iter().zip(observations).map(|(ret, o)| ret - value.value(o)).collect();
+        normalize(&mut advantages);
+
+        // --- Policy gradient g of the surrogate. ------------------------
+        // Surrogate L(θ) = E[ratio·adv]; at θ_old its gradient equals
+        // E[∇logπ·adv]. `policy_gradient` returns −∇logπ·adv, so negate.
+        let batch = observations.len();
+        let mut g = sum_gradients(batch, |t| {
+            policy.policy_gradient(&observations[t], &samples[t].actions, advantages[t], 0.0)
+        });
+        g.scale(-1.0 / batch as f64);
+        let mut g = g.flat().to_vec();
+        // A non-finite policy gradient poisons CG, the FVP, and the line
+        // search all at once — skip the policy update entirely (the value
+        // net and the next batch still proceed).
+        let g_ok = sentinel.admit(&mut g);
+
+        // --- Fisher-vector product via KL-gradient finite differences. --
+        let theta0 = policy.flat_params();
+        let mean_kl_grad = |p: &mut Policy| -> Vec<f64> {
+            let mut acc =
+                sum_gradients(batch, |t| p.kl_gradient(&observations[t], &samples[t].logits));
+            acc.scale(1.0 / batch as f64);
+            acc.flat().to_vec()
+        };
+        let eps = 1e-5;
+        let fvp = |v: &[f64], p: &mut Policy| -> Vec<f64> {
+            // ∇KL(θ0) = 0, so F·v ≈ ∇KL(θ0 + εv)/ε (+ damping).
+            let theta: Vec<f64> = theta0.iter().zip(v).map(|(t, vi)| t + eps * vi).collect();
+            p.set_flat_params(&theta);
+            let grad = mean_kl_grad(p);
+            p.set_flat_params(&theta0);
+            grad.iter().zip(v).map(|(gk, vk)| gk / eps + cfg.damping * vk).collect()
+        };
+
+        if g_ok {
+            // --- Conjugate gradient: solve F s = g. ---------------------
+            let n = g.len();
+            let mut s = vec![0.0; n];
+            let mut r = g.clone();
+            let mut p_dir = g.clone();
+            let mut rr = dot(&r, &r);
+            for _ in 0..cfg.cg_iters {
+                if rr < 1e-12 {
                     break;
                 }
-                let sample = policy.act(&last_obs, &mut rng);
-                let step = env.step(&sample.actions);
-                observations.push(last_obs.clone());
-                actions_taken.push(sample.actions);
-                old_logits.push(sample.logits);
-                old_log_probs.push(sample.log_prob);
-                rewards.push(step.reward);
-                dones.push(step.done);
-                last_obs = if step.done { env.reset(&mut rng) } else { step.obs };
-            }
-            if observations.is_empty() {
-                break;
-            }
-
-            // --- Advantages (discounted returns − baseline). ----------------
-            let mut ret = if *dones.last().expect("nonempty") { 0.0 } else { value.value(&last_obs) };
-            let mut advantages = vec![0.0; rewards.len()];
-            let mut returns = vec![0.0; rewards.len()];
-            for t in (0..rewards.len()).rev() {
-                if dones[t] {
-                    ret = 0.0;
+                let fp = fvp(&p_dir, policy);
+                let alpha = rr / dot(&p_dir, &fp).max(1e-12);
+                for i in 0..n {
+                    s[i] += alpha * p_dir[i];
+                    r[i] -= alpha * fp[i];
                 }
-                ret = rewards[t] + cfg.gamma * ret;
-                returns[t] = ret;
-                advantages[t] = ret - value.value(&observations[t]);
-            }
-            let mean = advantages.iter().sum::<f64>() / advantages.len() as f64;
-            let var = advantages.iter().map(|a| (a - mean) * (a - mean)).sum::<f64>()
-                / advantages.len() as f64;
-            let std = var.sqrt().max(1e-8);
-            for a in &mut advantages {
-                *a = (*a - mean) / std;
-            }
-
-            // --- Policy gradient g of the surrogate. ------------------------
-            // Surrogate L(θ) = E[ratio·adv]; at θ_old its gradient equals
-            // E[∇logπ·adv]. `policy_gradient` returns −∇logπ·adv, so negate.
-            let mut g: Option<asdex_nn::Gradients> = None;
-            for t in 0..observations.len() {
-                let grad = policy.policy_gradient(&observations[t], &actions_taken[t], advantages[t], 0.0);
-                match &mut g {
-                    Some(acc) => acc.add(&grad),
-                    None => g = Some(grad),
+                let rr_new = dot(&r, &r);
+                let beta = rr_new / rr;
+                for i in 0..n {
+                    p_dir[i] = r[i] + beta * p_dir[i];
                 }
+                rr = rr_new;
             }
-            let mut g = g.expect("nonempty batch");
-            g.scale(-1.0 / observations.len() as f64);
-            let mut g = g.flat().to_vec();
-            // A non-finite policy gradient poisons CG, the FVP, and the
-            // line search all at once — skip the policy update entirely
-            // (the value net and the next batch still proceed).
-            let g_ok = sentinel.admit(&mut g);
 
-            // --- Fisher-vector product via KL-gradient finite differences. --
-            let theta0 = policy.flat_params();
-            let mean_kl_grad = |p: &mut Policy| -> Vec<f64> {
-                let mut acc: Option<asdex_nn::Gradients> = None;
-                for t in 0..observations.len() {
-                    let grad = p.kl_gradient(&observations[t], &old_logits[t]);
-                    match &mut acc {
-                        Some(a) => a.add(&grad),
-                        None => acc = Some(grad),
+            // --- Step size from the KL constraint + line search. --------
+            let fs = fvp(&s, policy);
+            let shs = dot(&s, &fs).max(1e-12);
+            let step_scale = (2.0 * cfg.max_kl / shs).sqrt();
+            if s.iter().all(|v| v.is_finite()) && shs.is_finite() && step_scale.is_finite() {
+                let surrogate = |p: &Policy| -> f64 {
+                    let mut total = 0.0;
+                    for t in 0..observations.len() {
+                        let new_lp = p.log_prob(&observations[t], &samples[t].actions);
+                        total += (new_lp - samples[t].log_prob).exp() * advantages[t];
                     }
-                }
-                let mut acc = acc.expect("nonempty");
-                acc.scale(1.0 / observations.len() as f64);
-                acc.flat().to_vec()
-            };
-            let eps = 1e-5;
-            let fvp = |v: &[f64], p: &mut Policy| -> Vec<f64> {
-                // ∇KL(θ0) = 0, so F·v ≈ ∇KL(θ0 + εv)/ε (+ damping).
-                let theta: Vec<f64> = theta0.iter().zip(v).map(|(t, vi)| t + eps * vi).collect();
-                p.set_flat_params(&theta);
-                let grad = mean_kl_grad(p);
-                p.set_flat_params(&theta0);
-                grad.iter().zip(v).map(|(gk, vk)| gk / eps + cfg.damping * vk).collect()
-            };
-
-            if g_ok {
-                // --- Conjugate gradient: solve F s = g. ---------------------
-                let n = g.len();
-                let mut s = vec![0.0; n];
-                let mut r = g.clone();
-                let mut p_dir = g.clone();
-                let mut rr = dot(&r, &r);
-                for _ in 0..cfg.cg_iters {
-                    if rr < 1e-12 {
+                    total / observations.len() as f64
+                };
+                let mean_kl = |p: &Policy| -> f64 {
+                    observations
+                        .iter()
+                        .zip(samples)
+                        .map(|(o, s)| p.kl_from(o, &s.logits))
+                        .sum::<f64>()
+                        / observations.len() as f64
+                };
+                let base_surrogate = surrogate(policy);
+                let mut accepted = false;
+                let mut frac = 1.0;
+                for _ in 0..cfg.backtracks {
+                    let theta: Vec<f64> =
+                        theta0.iter().zip(&s).map(|(t, si)| t + frac * step_scale * si).collect();
+                    policy.set_flat_params(&theta);
+                    if surrogate(policy) > base_surrogate && mean_kl(policy) <= cfg.max_kl * 1.5 {
+                        accepted = true;
                         break;
                     }
-                    let fp = fvp(&p_dir, &mut policy);
-                    let alpha = rr / dot(&p_dir, &fp).max(1e-12);
-                    for i in 0..n {
-                        s[i] += alpha * p_dir[i];
-                        r[i] -= alpha * fp[i];
-                    }
-                    let rr_new = dot(&r, &r);
-                    let beta = rr_new / rr;
-                    for i in 0..n {
-                        p_dir[i] = r[i] + beta * p_dir[i];
-                    }
-                    rr = rr_new;
+                    frac *= 0.5;
                 }
-
-                // --- Step size from the KL constraint + line search. --------
-                let fs = fvp(&s, &mut policy);
-                let shs = dot(&s, &fs).max(1e-12);
-                let step_scale = (2.0 * cfg.max_kl / shs).sqrt();
-                if s.iter().all(|v| v.is_finite()) && shs.is_finite() && step_scale.is_finite() {
-                    let surrogate = |p: &Policy| -> f64 {
-                        let mut total = 0.0;
-                        for t in 0..observations.len() {
-                            let new_lp = p.log_prob(&observations[t], &actions_taken[t]);
-                            total += (new_lp - old_log_probs[t]).exp() * advantages[t];
-                        }
-                        total / observations.len() as f64
-                    };
-                    let mean_kl = |p: &Policy| -> f64 {
-                        observations
-                            .iter()
-                            .zip(&old_logits)
-                            .map(|(o, ol)| p.kl_from(o, ol))
-                            .sum::<f64>()
-                            / observations.len() as f64
-                    };
-                    let base_surrogate = surrogate(&policy);
-                    let mut accepted = false;
-                    let mut frac = 1.0;
-                    for _ in 0..cfg.backtracks {
-                        let theta: Vec<f64> = theta0
-                            .iter()
-                            .zip(&s)
-                            .map(|(t, si)| t + frac * step_scale * si)
-                            .collect();
-                        policy.set_flat_params(&theta);
-                        if surrogate(&policy) > base_surrogate
-                            && mean_kl(&policy) <= cfg.max_kl * 1.5
-                        {
-                            accepted = true;
-                            break;
-                        }
-                        frac *= 0.5;
-                    }
-                    if !accepted {
-                        policy.set_flat_params(&theta0);
-                    }
-                } else {
-                    // The CG direction or KL step scale went non-finite:
-                    // abandon the natural-gradient step and keep θ₀.
-                    sentinel.flag_nonfinite();
+                if !accepted {
                     policy.set_flat_params(&theta0);
                 }
+            } else {
+                // The CG direction or KL step scale went non-finite:
+                // abandon the natural-gradient step and keep θ₀.
+                sentinel.flag_nonfinite();
+                policy.set_flat_params(&theta0);
             }
-
-            // --- Value-net regression. --------------------------------------
-            for t in 0..observations.len() {
-                let mut vg = value.td_gradient(&observations[t], returns[t]);
-                if sentinel.admit(vg.flat_mut()) {
-                    value_opt.step(value.net_mut(), vg.flat());
-                }
-            }
-            // Entropy-collapse / NaN-weight sentinel, as in A2C (the KL
-            // trust region itself is already enforced by the line search).
-            if RlSentinel::policy_healthy(&policy, &observations, None) {
-                sentinel.snapshot(&policy, &value);
-            } else if sentinel.rollback(&mut policy, &mut value) {
-                value_opt.reset();
-            }
-            // Paper-style success check: a deterministic episode of the
-            // *trained* policy must reach a feasible point.
-            if policy_is_trained(&policy, &mut env, budget, &mut rng) {
-                solved_at = Some(env.sims());
-                break;
-            }
-            obs = env.reset(&mut rng);
-            let _ = last_obs;
         }
 
-        let stats = env.stats().clone();
-        let (best_value, best_point) = env.best();
-        match solved_at {
-            Some(sims) => SearchOutcome {
-                success: true,
-                simulations: sims,
-                best_point: best_point.to_vec(),
-                best_value,
-                best_measurements: None,
-                stats,
-                health: sentinel.stats(),
-            },
-            None => SearchOutcome {
-                success: false,
-                simulations: budget.max_sims,
-                best_point: best_point.to_vec(),
-                best_value,
-                best_measurements: None,
-                stats,
-                health: sentinel.stats(),
-            },
+        // --- Value-net regression. --------------------------------------
+        for t in 0..observations.len() {
+            let mut vg = value.td_gradient(&observations[t], returns[t]);
+            if sentinel.admit(vg.flat_mut()) {
+                self.value_opt.step(value.net_mut(), vg.flat());
+            }
         }
+    }
+
+    fn reset(&mut self) {
+        self.value_opt.reset();
     }
 }
 

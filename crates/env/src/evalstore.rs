@@ -25,13 +25,13 @@
 //! campaign's results versus running alone. That holds because only
 //! *pure* results are published:
 //!
-//! * [`FailureKind::Cancelled`] placeholders are per-campaign drain
-//!   artifacts, never published (mirroring the journal, which never
-//!   records them),
-//! * [`FailureKind::WorkerPanic`] results are never published: a
-//!   quarantine short-circuit depends on the owning campaign's quarantine
-//!   history, and excluding the whole kind keeps the publish rule
-//!   state-free,
+//! * [`FailureKind::Cancelled`](crate::stats::FailureKind::Cancelled)
+//!   placeholders are per-campaign drain artifacts, never published
+//!   (mirroring the journal, which never records them),
+//! * [`FailureKind::WorkerPanic`](crate::stats::FailureKind::WorkerPanic)
+//!   results are never published: a quarantine short-circuit depends on
+//!   the owning campaign's quarantine history, and excluding the whole
+//!   kind keeps the publish rule state-free,
 //! * everything else — successes, typed simulator failures, the retry
 //!   ladder's terminal outcomes — is a pure function of the key and is
 //!   shared bit for bit.

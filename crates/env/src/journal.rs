@@ -89,6 +89,11 @@ impl JournalMeta {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
+    /// The `(key, value)` pairs, in the order they were first set.
+    pub fn pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.pairs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
+
     /// The `M …` line, newline included.
     fn to_line(&self) -> String {
         let mut line = String::from("M");

@@ -59,7 +59,7 @@ use crate::space::{DesignSpace, Param};
 use crate::spec::{Spec, SpecSet};
 use crate::value::ValueFn;
 use asdex_spice::analysis::{Engine, OpResult, SolverWorkspace};
-use asdex_spice::parser::{parse_netlist_into, read_deck_source};
+use asdex_spice::parser::{deck_cards, parse_netlist_into, read_deck_source};
 use asdex_spice::process::ProcessNode;
 use asdex_spice::units::parse_value;
 use asdex_spice::Circuit;
@@ -141,7 +141,7 @@ impl NetlistBench {
         let mut goals: Vec<Spec> = Vec::new();
         let mut fom: Option<(usize, f64)> = None;
 
-        for (line, card) in stanza_cards(source) {
+        for (line, card) in stanza_cards(source)? {
             let tokens: Vec<&str> = card.split_whitespace().collect();
             match tokens[0].to_ascii_lowercase().as_str() {
                 ".process" => {
@@ -434,34 +434,16 @@ fn slug(title: &str) -> String {
     }
 }
 
-/// Iterates the deck's cards with continuation lines joined, skipping the
-/// title, comments, and blanks — the same card shape the circuit parser
-/// sees, so the stanza and the template agree on line numbers.
-fn stanza_cards(source: &str) -> Vec<(usize, String)> {
-    let mut cards: Vec<(usize, String)> = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
-        let line_no = idx + 1;
-        if line_no == 1 {
-            continue;
-        }
-        let end = raw.find([';', '$']).unwrap_or(raw.len());
-        let trimmed = raw[..end].trim();
-        if trimmed.is_empty() || trimmed.starts_with('*') {
-            continue;
-        }
-        if let Some(rest) = trimmed.strip_prefix('+') {
-            if let Some((_, card)) = cards.last_mut() {
-                card.push(' ');
-                card.push_str(rest.trim());
-            }
-        } else {
-            if trimmed.eq_ignore_ascii_case(".end") {
-                break;
-            }
-            cards.push((line_no, trimmed.to_string()));
-        }
-    }
-    cards
+/// The deck's cards before `.end`, continuation lines joined: the cards
+/// the circuit parser sees, so the stanza and the template agree on line
+/// numbers.
+fn stanza_cards(source: &str) -> Result<Vec<(usize, String)>, NetbenchError> {
+    let mut cards = deck_cards(source)?;
+    let end = cards.iter().position(|(_, card)| {
+        card.split_whitespace().next().is_some_and(|t| t.eq_ignore_ascii_case(".end"))
+    });
+    cards.truncate(end.unwrap_or(cards.len()));
+    Ok(cards)
 }
 
 /// Index of a measurement name in [`meas::NAMES`].

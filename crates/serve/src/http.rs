@@ -6,9 +6,6 @@
 //! misbehaving client cannot balloon memory. This is a wire format, not a
 //! web framework — routing lives in [`crate::server`].
 
-use std::fmt;
-use std::io::{self, BufRead, Write};
-
 /// Largest accepted request head + body, in bytes.
 pub const MAX_BODY: usize = 1 << 20;
 /// Largest accepted request-line/header line, in bytes.
@@ -34,91 +31,6 @@ impl Request {
     }
 }
 
-/// Why a request could not be parsed.
-#[derive(Debug)]
-pub enum HttpError {
-    /// The underlying socket failed.
-    Io(io::Error),
-    /// The request was malformed or exceeded a size bound; the payload is
-    /// the status line to answer with.
-    Bad(&'static str),
-}
-
-impl fmt::Display for HttpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HttpError::Io(e) => write!(f, "socket error: {e}"),
-            HttpError::Bad(reason) => write!(f, "bad request: {reason}"),
-        }
-    }
-}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
-
-fn read_line(reader: &mut impl BufRead) -> Result<String, HttpError> {
-    let mut line = Vec::new();
-    let n = reader.by_ref().take(MAX_LINE as u64 + 1).read_until(b'\n', &mut line)?;
-    if n > MAX_LINE {
-        return Err(HttpError::Bad("header line too long"));
-    }
-    if line.last() == Some(&b'\n') {
-        line.pop();
-    }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line).map_err(|_| HttpError::Bad("header is not UTF-8"))
-}
-
-use std::io::Read;
-
-/// Reads one request from the stream. Returns `Ok(None)` if the peer
-/// closed the connection before sending anything.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
-    let request_line = read_line(reader)?;
-    if request_line.is_empty() {
-        return Ok(None);
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().ok_or(HttpError::Bad("missing method"))?.to_uppercase();
-    let path = parts.next().ok_or(HttpError::Bad("missing path"))?.to_string();
-    let version = parts.next().unwrap_or("HTTP/1.1");
-    if !version.starts_with("HTTP/1") {
-        return Err(HttpError::Bad("unsupported HTTP version"));
-    }
-
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(reader)?;
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.trim().to_lowercase(), value.trim().to_string()));
-        }
-        if headers.len() > 100 {
-            return Err(HttpError::Bad("too many headers"));
-        }
-    }
-
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse::<usize>().map_err(|_| HttpError::Bad("bad content-length")))
-        .transpose()?
-        .unwrap_or(0);
-    if content_length > MAX_BODY {
-        return Err(HttpError::Bad("body too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(HttpError::Io)?;
-    Ok(Some(Request { method, path, headers, body }))
-}
-
 /// Progress of the incremental request parser used by the nonblocking
 /// connection reactor; see [`parse_request`].
 #[derive(Debug)]
@@ -136,8 +48,8 @@ pub enum ParseStatus {
 
 /// Incrementally parses one request from an accumulation buffer.
 ///
-/// Unlike [`read_request`] this never blocks: callers append whatever a
-/// nonblocking read produced and re-invoke. Size bounds are enforced on
+/// This never blocks: callers append whatever a nonblocking read produced
+/// and re-invoke. Size bounds are enforced on
 /// the *partial* input too — a header line that already exceeds
 /// [`MAX_LINE`] or more than 100 header lines is rejected immediately,
 /// without waiting for a newline, so a flooding client cannot grow the
@@ -274,12 +186,6 @@ impl Response {
         self
     }
 
-    /// Writes the response (status line, headers, body) and flushes.
-    pub fn write_to(&self, writer: &mut impl Write) -> io::Result<()> {
-        writer.write_all(&self.to_bytes())?;
-        writer.flush()
-    }
-
     /// The full wire form of the response, for buffered nonblocking
     /// writers.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -321,36 +227,10 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
-
-    #[test]
-    fn parses_a_post_with_body() {
-        let raw = b"POST /campaigns HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd";
-        let req = read_request(&mut BufReader::new(&raw[..])).unwrap().unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/campaigns");
-        assert_eq!(req.header("host"), Some("x"));
-        assert_eq!(req.body, b"abcd");
-    }
-
-    #[test]
-    fn empty_connection_is_none() {
-        let raw = b"";
-        assert!(read_request(&mut BufReader::new(&raw[..])).unwrap().is_none());
-    }
-
-    #[test]
-    fn oversized_body_is_rejected() {
-        let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
-        let err = read_request(&mut BufReader::new(raw.as_bytes())).unwrap_err();
-        assert!(matches!(err, HttpError::Bad(_)));
-    }
 
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        Response::json(200, "{}".to_string()).write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(Response::json(200, "{}".to_string()).to_bytes()).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 2\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
@@ -382,16 +262,6 @@ mod tests {
                 assert_eq!(consumed, raw.len());
             }
             other => panic!("full request must be Complete, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn incremental_parser_agrees_with_blocking_reader() {
-        let raw = b"GET /healthz HTTP/1.1\r\nAccept: */*\r\n\r\n";
-        let blocking = read_request(&mut BufReader::new(&raw[..])).unwrap().unwrap();
-        match parse_request(raw) {
-            ParseStatus::Complete(incremental, _) => assert_eq!(*incremental, blocking),
-            other => panic!("expected Complete, got {other:?}"),
         }
     }
 

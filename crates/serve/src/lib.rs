@@ -63,7 +63,6 @@ pub use manifest::{Manifest, ManifestError, ManifestPhase, TerminalRecord};
 pub use metrics::{Metrics, WorkerStats};
 pub use pool::{WorkerPool, WorkerPoolConfig};
 pub use protocol::{outcome_json, CampaignSpec};
-pub use reactor::ReactorConfig;
 pub use scheduler::{CampaignStatus, RateLimit, Scheduler, SchedulerConfig, StartError, SubmitError};
 pub use server::{DrainHandle, Server, ServerConfig};
 pub use worker::{run_worker, WorkerConfig};

@@ -211,22 +211,14 @@ impl Manifest {
     ///
     /// [`ManifestError::Storage`] when the append or fsync fails.
     pub fn append_admitted(&mut self, id: &str, spec: &CampaignSpec) -> Result<(), ManifestError> {
-        let mut line = format!(
-            "A id={} bench={} agent={} seed={} budget={} corners={} checkpoint_every={} solver={}",
-            field_safe(id),
-            field_safe(&spec.bench),
-            field_safe(&spec.agent),
-            spec.seed,
-            spec.budget,
-            field_safe(&spec.corners),
-            spec.checkpoint_every,
-            field_safe(&spec.solver),
-        );
-        // The netlist digest is part of the campaign identity: recovery
-        // re-admits from this record alone, and the re-run must refuse a
-        // deck edited since admission.
-        if let Some(digest) = spec.netlist_digest {
-            line.push_str(&format!(" netlist_digest={}", hex_u64(digest)));
+        // The spec's journal metadata, which `parse_record` reads back
+        // with `CampaignSpec::from_meta`. It includes the netlist digest,
+        // part of the campaign identity: recovery re-admits from this
+        // record alone, and the re-run must refuse a deck edited since
+        // admission.
+        let mut line = format!("A id={}", field_safe(id));
+        for (key, value) in spec.to_meta().pairs() {
+            line.push_str(&format!(" {key}={value}"));
         }
         line.push('\n');
         self.log.append(&line)

@@ -10,16 +10,16 @@
 //! messages, campaign work running on scheduler threads) that trades a
 //! negligible idle latency for a fully bounded front end:
 //!
-//! * **connection cap** — beyond [`ReactorConfig::max_conns`] open
-//!   connections, new arrivals get a typed `503` + `Retry-After` and are
-//!   closed (never parsed); beyond a small overflow allowance they are
-//!   dropped outright, so the shed path itself is bounded.
+//! * **connection cap** — beyond `--max-conns` open connections, new
+//!   arrivals get a typed `503` + `Retry-After` and are closed (never
+//!   parsed); beyond a small overflow allowance they are dropped
+//!   outright, so the shed path itself is bounded.
 //! * **phase deadlines** — header, body, and write deadlines per
 //!   connection (see [`crate::conn`]) reap slow-loris writers, half-open
 //!   peers, and stalled readers within `--conn-timeout`.
 //! * **drain** — once the drain flag flips, accepting stops immediately;
-//!   in-flight connections get [`ReactorConfig::drain_grace`] to finish
-//!   before the loop returns.
+//!   in-flight connections get five seconds to finish before the loop
+//!   returns.
 
 use crate::conn::{Conn, ConnDeadlines, Drive};
 use crate::http::{Request, Response};
@@ -30,26 +30,8 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-/// Reactor knobs.
-#[derive(Debug, Clone)]
-pub struct ReactorConfig {
-    /// Open-connection cap; arrivals beyond it are shed with a 503.
-    pub max_conns: usize,
-    /// Per-phase connection deadline (header, body, and write each).
-    pub conn_timeout: Duration,
-    /// How long in-flight connections may finish after a drain request.
-    pub drain_grace: Duration,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            max_conns: 256,
-            conn_timeout: Duration::from_secs(10),
-            drain_grace: Duration::from_secs(5),
-        }
-    }
-}
+/// How long in-flight connections may finish after a drain request.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Accepted connections allowed above the cap solely to carry a shed
 /// response; beyond `max_conns + SHED_OVERFLOW` arrivals are dropped
@@ -61,19 +43,22 @@ const SHED_OVERFLOW: usize = 64;
 const ACCEPT_BURST: usize = 64;
 
 /// Runs the reactor until `drain` is pulled and the grace period passes
-/// (or every connection finishes). `handler` routes one parsed request
-/// to a response; `retry_after` supplies the `Retry-After` hint for
-/// connection-cap sheds.
+/// (or every connection finishes). Arrivals beyond `max_conns` open
+/// connections are shed with a 503; `conn_timeout` is the per-phase
+/// connection deadline (header, body, and write each). `handler` routes
+/// one parsed request to a response; `retry_after` supplies the
+/// `Retry-After` hint for connection-cap sheds.
 pub fn run_reactor(
     listener: &TcpListener,
-    cfg: &ReactorConfig,
+    max_conns: usize,
+    conn_timeout: Duration,
     drain: &DrainHandle,
     metrics: &Metrics,
     mut handler: impl FnMut(&Request, std::net::SocketAddr) -> Response,
     retry_after: impl Fn() -> u64,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    let deadlines = ConnDeadlines::uniform(cfg.conn_timeout);
+    let deadlines = ConnDeadlines::uniform(conn_timeout);
     let mut conns: Vec<Conn> = Vec::new();
     let mut draining_since: Option<Instant> = None;
     loop {
@@ -83,7 +68,8 @@ pub fn run_reactor(
             draining_since = Some(now);
         }
         if draining_since.is_none() {
-            progressed |= accept_burst(listener, cfg, metrics, &mut conns, now, deadlines, &retry_after);
+            progressed |=
+                accept_burst(listener, max_conns, metrics, &mut conns, now, deadlines, &retry_after);
         }
         for conn in &mut conns {
             match conn.poll(now) {
@@ -109,7 +95,7 @@ pub fn run_reactor(
         conns.retain(|c| !c.is_done());
         metrics.connections_open.store(conns.len() as u64, Ordering::Relaxed);
         if let Some(since) = draining_since {
-            if conns.is_empty() || now >= since + cfg.drain_grace {
+            if conns.is_empty() || now >= since + DRAIN_GRACE {
                 metrics.connections_open.store(0, Ordering::Relaxed);
                 return Ok(());
             }
@@ -124,7 +110,7 @@ pub fn run_reactor(
 /// cap. Returns whether anything was accepted.
 fn accept_burst(
     listener: &TcpListener,
-    cfg: &ReactorConfig,
+    max_conns: usize,
     metrics: &Metrics,
     conns: &mut Vec<Conn>,
     now: Instant,
@@ -137,10 +123,10 @@ fn accept_burst(
             Ok((stream, peer)) => {
                 progressed = true;
                 metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
-                if conns.len() >= cfg.max_conns {
+                if conns.len() >= max_conns {
                     metrics.connections_shed.fetch_add(1, Ordering::Relaxed);
                     metrics.shed_conn_cap.fetch_add(1, Ordering::Relaxed);
-                    shed(stream, peer, now, deadlines, conns, cfg, retry_after());
+                    shed(stream, peer, now, deadlines, conns, max_conns, retry_after());
                 } else if let Ok(conn) = Conn::accept(stream, peer, now, deadlines) {
                     conns.push(conn);
                 }
@@ -163,10 +149,10 @@ fn shed(
     now: Instant,
     deadlines: ConnDeadlines,
     conns: &mut Vec<Conn>,
-    cfg: &ReactorConfig,
+    max_conns: usize,
     retry_after: u64,
 ) {
-    if conns.len() >= cfg.max_conns + SHED_OVERFLOW {
+    if conns.len() >= max_conns + SHED_OVERFLOW {
         return; // drop: the shed path itself stays bounded
     }
     let body = Json::obj()

@@ -76,10 +76,10 @@ pub struct SchedulerConfig {
     /// address via [`Scheduler::submit_from`]. `None` disables.
     pub rate_limit: Option<RateLimit>,
     /// Whether concurrent campaigns share a cross-campaign evaluation
-    /// dedup store (one store per `(bench, corners, solver)` identity):
-    /// identical points are simulated once and the result is handed to
-    /// every waiting campaign. Never changes results — only who computes
-    /// them.
+    /// dedup store (one store per bench, corner set, solver and netlist
+    /// digest): identical points are simulated once and the result is
+    /// handed to every waiting campaign. Never changes results — only who
+    /// computes them.
     pub dedup: bool,
 }
 
@@ -329,6 +329,10 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
+/// What a campaign's evaluations depend on besides the point: bench,
+/// corner-set name, solver and netlist digest.
+type StoreIdentity = (String, String, String, Option<u64>);
+
 /// The multi-campaign scheduler. Create with [`Scheduler::start`]; shut
 /// down with [`Scheduler::drain`].
 #[derive(Debug)]
@@ -350,11 +354,11 @@ pub struct Scheduler {
     /// Per-client admission token buckets ([`Scheduler::submit_from`]).
     buckets: Mutex<HashMap<String, Bucket>>,
     /// Cross-campaign evaluation dedup stores, one per
-    /// `(bench, corners, solver)` identity. The store key inside is
-    /// `(point bits, corner index, attempt cap)` — a pure function of the
-    /// evaluation — so sharing is only ever between campaigns whose
-    /// evaluations are bitwise interchangeable.
-    stores: Mutex<HashMap<(String, String, String), Arc<EvalStore>>>,
+    /// `(bench, corners, solver, netlist digest)` identity. The store key
+    /// inside is `(point bits, corner index, attempt cap)` — a pure
+    /// function of the evaluation — so sharing is only ever between
+    /// campaigns whose evaluations are bitwise interchangeable.
+    stores: Mutex<HashMap<StoreIdentity, Arc<EvalStore>>>,
 }
 
 impl Scheduler {
@@ -694,9 +698,16 @@ impl Scheduler {
     /// The dedup store for a campaign's evaluation identity. The
     /// corner-set name is part of the key: the store is indexed by corner
     /// *index*, which only means the same thing within one named corner
-    /// list.
+    /// list. So is the netlist digest: a `netlist:<path>` bench names a
+    /// file, and campaigns admitted before and after an edit of that file
+    /// simulate different decks.
     fn store_for(&self, spec: &CampaignSpec) -> Arc<EvalStore> {
-        let key = (spec.bench.clone(), spec.corners.clone(), spec.solver.clone());
+        let key = (
+            spec.bench.clone(),
+            spec.corners.clone(),
+            spec.solver.clone(),
+            spec.netlist_digest,
+        );
         Arc::clone(self.stores.lock().unwrap().entry(key).or_insert_with(EvalStore::shared))
     }
 
@@ -1533,6 +1544,29 @@ mod tests {
             "the twin campaign's evaluations must all be hits: {stats:?}"
         );
         assert_eq!(stats.aborts, 0, "no owner died mid-flight: {stats:?}");
+        scheduler.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dedup_stores_are_keyed_on_the_netlist_digest() {
+        let dir = temp_dir("store-identity");
+        let scheduler = Scheduler::start(
+            SchedulerConfig { journal_dir: dir.clone(), ..SchedulerConfig::default() },
+            Arc::new(Metrics::new()),
+        )
+        .unwrap();
+        // Campaigns admitted before and after an edit of one deck file
+        // name the same bench but pin different digests.
+        let spec = |digest| CampaignSpec {
+            bench: "netlist:deck.sp".into(),
+            netlist_digest: digest,
+            ..CampaignSpec::default()
+        };
+        let store = scheduler.store_for(&spec(Some(1)));
+        assert!(Arc::ptr_eq(&store, &scheduler.store_for(&spec(Some(1)))), "same identity");
+        assert!(!Arc::ptr_eq(&store, &scheduler.store_for(&spec(Some(2)))), "edited deck");
+        assert!(!Arc::ptr_eq(&store, &scheduler.store_for(&spec(None))), "unpinned deck");
         scheduler.drain();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -27,7 +27,7 @@ use crate::json::Json;
 use crate::logging;
 use crate::metrics::Metrics;
 use crate::protocol::{outcome_json, CampaignSpec};
-use crate::reactor::{run_reactor, ReactorConfig};
+use crate::reactor::run_reactor;
 use crate::scheduler::{Scheduler, SchedulerConfig, SubmitError};
 use asdex_env::recordlog::{hex_f64, hex_u64};
 use std::net::{SocketAddr, TcpListener};
@@ -140,17 +140,13 @@ impl Server {
     /// flips; campaign work drains through the scheduler's own protocol.
     pub fn run(&self) -> std::io::Result<()> {
         logging::info(format!("serving on http://{}", self.local_addr()?));
-        let reactor_cfg = ReactorConfig {
-            max_conns: self.max_conns,
-            conn_timeout: self.conn_timeout,
-            drain_grace: Duration::from_secs(5),
-        };
         let scheduler = Arc::clone(&self.scheduler);
         let metrics = Arc::clone(&self.metrics);
         let drain = self.drain.clone();
         let result = run_reactor(
             &self.listener,
-            &reactor_cfg,
+            self.max_conns,
+            self.conn_timeout,
             &self.drain,
             &self.metrics,
             |request, peer| {

@@ -92,14 +92,9 @@ pub struct Deck {
 pub fn parse_deck(source: &str) -> Result<Deck, ParseNetlistError> {
     let circuit = parse_netlist(source)?;
     let mut analyses = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
-        let line_no = idx + 1;
-        if line_no == 1 {
-            continue;
-        }
-        let trimmed = strip_comment(raw).trim().to_string();
-        let lower = trimmed.to_ascii_lowercase();
-        let tokens: Vec<&str> = trimmed.split_whitespace().collect();
+    for (line_no, card) in deck_cards(source)? {
+        let lower = card.to_ascii_lowercase();
+        let tokens: Vec<&str> = card.split_whitespace().collect();
         if lower.starts_with(".op") && !lower.starts_with(".option") {
             analyses.push(AnalysisCard::Op);
         } else if lower.starts_with(".dc") {
@@ -174,39 +169,8 @@ pub fn parse_netlist(source: &str) -> Result<Circuit, ParseNetlistError> {
 /// the same node and element ordering (and therefore the same MNA
 /// structure).
 pub fn parse_netlist_into(source: &str, circuit: &mut Circuit) -> Result<(), ParseNetlistError> {
-    // Join continuation lines, remembering the original line number of the
-    // card start for diagnostics.
-    let mut cards: Vec<(usize, String)> = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
-        let line_no = idx + 1;
-        if line_no == 1 {
-            continue; // title line
-        }
-        let line = strip_comment(raw);
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('*') {
-            continue;
-        }
-        if let Some(rest) = trimmed.strip_prefix('+') {
-            match cards.last_mut() {
-                Some((_, card)) => {
-                    card.push(' ');
-                    card.push_str(rest.trim());
-                }
-                None => {
-                    return Err(ParseNetlistError {
-                        line: line_no,
-                        message: "continuation line with no preceding card".to_string(),
-                    })
-                }
-            }
-        } else {
-            cards.push((line_no, trimmed.to_string()));
-        }
-    }
-
     // Process `.param` constant cards and substitute `{name}` references.
-    let cards = substitute_params(cards)?;
+    let cards = substitute_params(deck_cards(source)?)?;
 
     // Collect .subckt definitions, then expand X instantiations.
     let (top_cards, subckts) = split_subcircuits(&cards)?;
@@ -220,6 +184,37 @@ pub fn parse_netlist_into(source: &str, circuit: &mut Circuit) -> Result<(), Par
     Ok(())
 }
 
+/// Splits a deck into its cards: the title line, comments and blank lines
+/// are dropped, and each `+` continuation line is joined onto the card it
+/// continues. Every card carries the line number of its first line, for
+/// diagnostics. Cards after `.end` are kept; callers stop where they need
+/// to.
+///
+/// # Errors
+///
+/// [`ParseNetlistError`] on a continuation line with no card before it.
+pub fn deck_cards(source: &str) -> Result<Vec<(usize, String)>, ParseNetlistError> {
+    let mut cards: Cards = Vec::new();
+    // The first line is the title.
+    for (idx, raw) in source.lines().enumerate().skip(1) {
+        let line_no = idx + 1;
+        let trimmed = strip_comment(raw).trim();
+        if trimmed.is_empty() || trimmed.starts_with('*') {
+            continue;
+        }
+        if let Some(rest) = trimmed.strip_prefix('+') {
+            let (_, card) = cards
+                .last_mut()
+                .ok_or_else(|| err(line_no, "continuation line with no preceding card"))?;
+            card.push(' ');
+            card.push_str(rest.trim());
+        } else {
+            cards.push((line_no, trimmed.to_string()));
+        }
+    }
+    Ok(cards)
+}
+
 /// Maximum `.include` nesting depth (guards against include cycles the
 /// path-based cycle check cannot see, e.g. through symlinks).
 const MAX_INCLUDE_DEPTH: usize = 8;
@@ -229,7 +224,7 @@ const MAX_INCLUDE_DEPTH: usize = 8;
 /// Include paths are resolved relative to the directory of the file that
 /// contains the directive. They must be relative and free of `..`
 /// components — a typed [`ParseNetlistError`] reports attempted escapes,
-/// missing files, cycles, and nesting deeper than [`MAX_INCLUDE_DEPTH`].
+/// missing files, cycles, and nesting more than eight levels deep.
 /// The expansion is purely textual, so the result can be fed to
 /// [`parse_netlist`] / [`parse_deck`] or digested for reproducibility.
 pub fn read_deck_source(path: &Path) -> Result<String, ParseNetlistError> {
@@ -997,26 +992,29 @@ mod tests {
 
     #[test]
     fn deck_analysis_directives() {
-        let deck = parse_deck(
+        // The same directives on single lines and with a continued `.ac`.
+        for source in [
             "t\nV1 a 0 1\nR1 a 0 1k\n.op\n.dc V1 0 2 0.5\n.ac dec 10 1k 1meg\n.tran 1n 1u\n.end",
-        )
-        .unwrap();
-        assert_eq!(deck.analyses.len(), 4);
-        assert_eq!(deck.analyses[0], AnalysisCard::Op);
-        assert_eq!(
-            deck.analyses[1],
-            AnalysisCard::Dc { source: "V1".into(), start: 0.0, stop: 2.0, step: 0.5 }
-        );
-        match deck.analyses[2] {
-            AnalysisCard::Ac { points_per_decade, fstart, fstop } => {
-                assert_eq!(points_per_decade, 10);
-                assert_eq!(fstart, 1e3);
-                assert_eq!(fstop, 1e6);
+            "t\nV1 a 0 1\nR1 a 0 1k\n.op\n.dc V1 0 2 0.5\n.ac dec 10\n+ 1k 1meg\n.tran 1n 1u\n.end",
+        ] {
+            let deck = parse_deck(source).unwrap();
+            assert_eq!(deck.analyses.len(), 4);
+            assert_eq!(deck.analyses[0], AnalysisCard::Op);
+            assert_eq!(
+                deck.analyses[1],
+                AnalysisCard::Dc { source: "V1".into(), start: 0.0, stop: 2.0, step: 0.5 }
+            );
+            match deck.analyses[2] {
+                AnalysisCard::Ac { points_per_decade, fstart, fstop } => {
+                    assert_eq!(points_per_decade, 10);
+                    assert_eq!(fstart, 1e3);
+                    assert_eq!(fstop, 1e6);
+                }
+                ref other => panic!("{other:?}"),
             }
-            ref other => panic!("{other:?}"),
+            assert_eq!(deck.analyses[3], AnalysisCard::Tran { tstep: 1e-9, tstop: 1e-6 });
+            assert_eq!(deck.circuit.elements().len(), 2);
         }
-        assert_eq!(deck.analyses[3], AnalysisCard::Tran { tstep: 1e-9, tstop: 1e-6 });
-        assert_eq!(deck.circuit.elements().len(), 2);
     }
 
     #[test]
