@@ -75,7 +75,8 @@ pub struct WarmStart {
 pub struct ExplorerArtifacts {
     /// Final approximator state (weights + normalizers).
     pub model: crate::approximator::ModelState,
-    /// Final center (normalized coordinates).
+    /// Center for the next node to start from: the outcome's best point
+    /// (normalized coordinates).
     pub center: Vec<f64>,
 }
 
@@ -143,82 +144,105 @@ impl LocalExplorer {
         }
         let mut health = HealthMonitor::new(cfg.health);
 
-        let exhausted = |stats: &EvalStats, best_point: Vec<f64>, best_value: f64, best_meas: Option<Vec<f64>>, model: &SpiceApproximator, health: &HealthMonitor| {
-            self.note(ProgressPhase::Done, budget.max_sims, best_value, false);
-            (
-                SearchOutcome {
-                    success: false,
-                    simulations: budget.max_sims,
-                    best_point: best_point.clone(),
-                    best_value,
-                    best_measurements: best_meas,
-                    stats: stats.clone(),
-                    health: health.stats(),
-                },
-                ExplorerArtifacts { model: model.export_state(), center: best_point },
-            )
-        };
-
-        'episode: loop {
-            // --- Lines 2–5: seed the episode. -------------------------------
-            let mut center: Vec<f64>;
-            let mut center_value: f64;
-            if let Some(warm_center) = warm.center.as_ref().filter(|_| first_episode) {
+        // Every exit yields (success, simulations, best point, best value,
+        // best measurements); the outcome, artifacts and `Done` event are
+        // built once, after the block. A failed search reports the whole
+        // budget.
+        let (success, simulations, best_point, best_value, best_measurements) = 'search: {
+            'episode: loop {
+                // --- Lines 2–5: seed the episode. ---------------------------
                 // A warm center that cannot be snapped (wrong dimension,
                 // ported from a different space) falls back to mid-grid —
                 // counted, not silent, so telemetry flags the bad hand-off.
-                center = match problem.space.snap(warm_center) {
-                    Ok(c) => c,
-                    Err(_) => {
+                let warm_center = warm.center.as_ref().filter(|_| first_episode).map(|c| {
+                    problem.space.snap(c).unwrap_or_else(|_| {
                         stats.snap_fallbacks += 1;
                         vec![0.5; dim]
+                    })
+                });
+                if stats.sims >= budget.max_sims {
+                    break 'search (false, budget.max_sims, best_point, best_value, best_meas);
+                }
+                let mut center: Vec<f64>;
+                let mut center_value: f64;
+                if let Some(warm_center) = warm_center {
+                    center = warm_center;
+                    let e = problem.evaluate_with_budget(&center, corner_idx, budget.max_sims - stats.sims);
+                    stats.record(&e);
+                    center_value = e.value;
+                    if e.value > best_value {
+                        best_value = e.value;
+                        best_point = e.x_norm.clone();
+                        best_meas = e.measurements.clone();
                     }
-                };
-                if stats.sims >= budget.max_sims {
-                    return exhausted(&stats, best_point, best_value, best_meas, &model, &health);
+                    if let Some(m) = e.measurements {
+                        model.push(e.x_norm.clone(), m);
+                    }
+                    if e.feasible {
+                        break 'search (true, stats.sims, center, center_value, best_meas);
+                    }
+                } else {
+                    center = vec![0.5; dim];
+                    center_value = f64::NEG_INFINITY;
+                    // Lines 2–3 as one batch: sampling consumes the rng,
+                    // evaluation does not, so drawing every seed up front
+                    // preserves the serial rng stream; batch admission caps
+                    // total attempts at the remaining budget.
+                    let requests: Vec<EvalRequest> = (0..cfg.n_init)
+                        .map(|_| EvalRequest::new(problem.space.sample(&mut rng), corner_idx))
+                        .collect();
+                    let evals = problem.evaluate_batch(&requests, budget.max_sims - stats.sims);
+                    let mut feasible: Option<Evaluation> = None;
+                    for e in evals {
+                        stats.record(&e);
+                        if let Some(m) = &e.measurements {
+                            model.push(e.x_norm.clone(), m.clone());
+                        }
+                        if e.value > best_value {
+                            best_value = e.value;
+                            best_point = e.x_norm.clone();
+                            best_meas = e.measurements.clone();
+                        }
+                        if e.value > center_value {
+                            center_value = e.value;
+                            center = e.x_norm.clone();
+                        }
+                        if e.feasible && feasible.is_none() {
+                            feasible = Some(e);
+                        }
+                    }
+                    if let Some(e) = feasible {
+                        break 'search (true, stats.sims, e.x_norm, e.value, e.measurements);
+                    }
                 }
-                let e = problem.evaluate_with_budget(&center, corner_idx, budget.max_sims - stats.sims);
-                stats.record(&e);
-                center_value = e.value;
-                if e.value > best_value {
-                    best_value = e.value;
-                    best_point = e.x_norm.clone();
-                    best_meas = e.measurements.clone();
-                }
-                if let Some(m) = e.measurements {
-                    model.push(e.x_norm.clone(), m);
-                }
-                if e.feasible {
-                    self.note(ProgressPhase::Done, stats.sims, center_value, true);
-                    return (
-                        SearchOutcome {
-                            success: true,
-                            simulations: stats.sims,
-                            best_point: center.clone(),
-                            best_value: center_value,
-                            best_measurements: best_meas,
-                            stats,
-                            health: health.stats(),
-                        },
-                        ExplorerArtifacts { model: model.export_state(), center },
+                first_episode = false;
+                health.reset_episode();
+                self.note(ProgressPhase::Seeded, stats.sims, best_value, false);
+
+                // --- Lines 6–18: local trust-region search. -----------------
+                let mut trust = TrustRegion::new(cfg.trust);
+                let mut stall = 0usize;
+                loop {
+                    if stats.sims >= budget.max_sims {
+                        break 'search (false, budget.max_sims, best_point, best_value, best_meas);
+                    }
+                    model.fit(cfg.train_epochs);
+                    health.after_fit(&mut model);
+                    let proposal = planner.propose(
+                        &problem.space,
+                        &center,
+                        trust.radius(),
+                        &model,
+                        &problem.value_fn,
+                        &problem.specs,
+                        &mut rng,
                     );
-                }
-            } else {
-                center = vec![0.5; dim];
-                center_value = f64::NEG_INFINITY;
-                if stats.sims >= budget.max_sims {
-                    return exhausted(&stats, best_point, best_value, best_meas, &model, &health);
-                }
-                // Lines 2–3 as one batch: sampling consumes the rng,
-                // evaluation does not, so drawing every seed up front
-                // preserves the serial rng stream; batch admission caps
-                // total attempts at the remaining budget.
-                let requests: Vec<EvalRequest> = (0..cfg.n_init)
-                    .map(|_| EvalRequest::new(problem.space.sample(&mut rng), corner_idx))
-                    .collect();
-                let evals = problem.evaluate_batch(&requests, budget.max_sims - stats.sims);
-                let mut feasible: Option<Evaluation> = None;
-                for e in evals {
+                    let Some(p) = proposal else {
+                        // The region collapsed onto the center: escape.
+                        self.note(ProgressPhase::Restart, stats.sims, best_value, false);
+                        continue 'episode;
+                    };
+                    let e = problem.evaluate_with_budget(&p.x, corner_idx, budget.max_sims - stats.sims);
                     stats.record(&e);
                     if let Some(m) = &e.measurements {
                         model.push(e.x_norm.clone(), m.clone());
@@ -228,108 +252,48 @@ impl LocalExplorer {
                         best_point = e.x_norm.clone();
                         best_meas = e.measurements.clone();
                     }
-                    if e.value > center_value {
+                    if e.feasible {
+                        break 'search (true, stats.sims, e.x_norm, e.value, e.measurements);
+                    }
+
+                    let improved = e.value > center_value;
+                    let step = trust.assess(p.predicted_value - center_value, e.value - center_value);
+                    if step.accepted {
+                        center = e.x_norm;
                         center_value = e.value;
-                        center = e.x_norm.clone();
                     }
-                    if e.feasible && feasible.is_none() {
-                        feasible = Some(e);
-                    }
-                }
-                if let Some(e) = feasible {
-                    self.note(ProgressPhase::Done, stats.sims, e.value, true);
-                    return (
-                        SearchOutcome {
-                            success: true,
-                            simulations: stats.sims,
-                            best_point: e.x_norm.clone(),
-                            best_value: e.value,
-                            best_measurements: e.measurements,
-                            stats,
-                            health: health.stats(),
-                        },
-                        ExplorerArtifacts { model: model.export_state(), center: e.x_norm },
-                    );
-                }
-            }
-            first_episode = false;
-            health.reset_episode();
-            self.note(ProgressPhase::Seeded, stats.sims, best_value, false);
-
-            // --- Lines 6–18: local trust-region search. ---------------------
-            let mut trust = TrustRegion::new(cfg.trust);
-            let mut stall = 0usize;
-            loop {
-                if stats.sims >= budget.max_sims {
-                    return exhausted(&stats, best_point, best_value, best_meas, &model, &health);
-                }
-                model.fit(cfg.train_epochs);
-                health.after_fit(&mut model);
-                let proposal = planner.propose(
-                    &problem.space,
-                    &center,
-                    trust.radius(),
-                    &model,
-                    &problem.value_fn,
-                    &problem.specs,
-                    &mut rng,
-                );
-                let Some(p) = proposal else {
-                    // The region collapsed onto the center: escape.
-                    self.note(ProgressPhase::Restart, stats.sims, best_value, false);
-                    continue 'episode;
-                };
-                let e = problem.evaluate_with_budget(&p.x, corner_idx, budget.max_sims - stats.sims);
-                stats.record(&e);
-                if let Some(m) = &e.measurements {
-                    model.push(e.x_norm.clone(), m.clone());
-                }
-                if e.value > best_value {
-                    best_value = e.value;
-                    best_point = e.x_norm.clone();
-                    best_meas = e.measurements.clone();
-                }
-                if e.feasible {
-                    self.note(ProgressPhase::Done, stats.sims, e.value, true);
-                    return (
-                        SearchOutcome {
-                            success: true,
-                            simulations: stats.sims,
-                            best_point: e.x_norm.clone(),
-                            best_value: e.value,
-                            best_measurements: e.measurements,
-                            stats,
-                            health: health.stats(),
-                        },
-                        ExplorerArtifacts { model: model.export_state(), center: e.x_norm },
-                    );
-                }
-
-                let improved = e.value > center_value;
-                let step = trust.assess(p.predicted_value - center_value, e.value - center_value);
-                if step.accepted {
-                    center = e.x_norm;
-                    center_value = e.value;
-                }
-                if health.observe_step(&trust, step.accepted) {
-                    // Trust-region collapse: radius pinned at its minimum
-                    // with no accepted step for the whole patience window.
-                    // Re-seed per Algorithm 1's restart semantics.
-                    self.note(ProgressPhase::Restart, stats.sims, best_value, false);
-                    continue 'episode;
-                }
-                if improved {
-                    stall = 0;
-                } else {
-                    stall += 1;
-                    if stall > cfg.restart_after {
+                    if health.observe_step(&trust, step.accepted) {
+                        // Trust-region collapse: radius pinned at its minimum
+                        // with no accepted step for the whole patience window.
+                        // Re-seed per Algorithm 1's restart semantics.
                         self.note(ProgressPhase::Restart, stats.sims, best_value, false);
                         continue 'episode;
                     }
+                    if improved {
+                        stall = 0;
+                    } else {
+                        stall += 1;
+                        if stall > cfg.restart_after {
+                            self.note(ProgressPhase::Restart, stats.sims, best_value, false);
+                            continue 'episode;
+                        }
+                    }
+                    self.note(ProgressPhase::Round, stats.sims, best_value, false);
                 }
-                self.note(ProgressPhase::Round, stats.sims, best_value, false);
             }
-        }
+        };
+        self.note(ProgressPhase::Done, simulations, best_value, success);
+        let artifacts = ExplorerArtifacts { model: model.export_state(), center: best_point.clone() };
+        let outcome = SearchOutcome {
+            success,
+            simulations,
+            best_point,
+            best_value,
+            best_measurements,
+            stats,
+            health: health.stats(),
+        };
+        (outcome, artifacts)
     }
 }
 

@@ -15,16 +15,6 @@ use asdex_env::{EvalRequest, EvalStats, HealthStats, SearchBudget, SizingProblem
 use asdex_rng::rngs::StdRng;
 use asdex_rng::{Rng, SeedableRng};
 
-/// Folds the per-corner training monitors and the campaign-level
-/// trust-region monitor into one telemetry record.
-fn merged_health(monitors: &[HealthMonitor], tr: &HealthMonitor) -> HealthStats {
-    let mut h = tr.stats();
-    for m in monitors {
-        h.merge(&m.stats());
-    }
-    h
-}
-
 /// Strategy for covering the PVT corner set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PvtStrategy {
@@ -74,7 +64,9 @@ pub struct LedgerEntry {
 pub struct PvtOutcome {
     /// `true` when a point passing **all** corners was found in budget.
     pub success: bool,
-    /// Total simulator invocations (the Table III "steps" metric).
+    /// Total simulator invocations (the Table III "steps" metric). A
+    /// failed run spends its whole budget, so this equals
+    /// `budget.max_sims` exactly when `success` is false.
     pub simulations: usize,
     /// Best point found (normalized).
     pub best_point: Vec<f64>,
@@ -175,80 +167,12 @@ impl PvtExplorer {
             (0..n_corners).map(|_| HealthMonitor::new(cfg.health)).collect();
         let mut tr_health = HealthMonitor::new(cfg.health);
 
-        // Pick the starting active set.
-        let mut active: Vec<usize> = match self.strategy {
-            PvtStrategy::BruteForce => (0..n_corners).collect(),
-            PvtStrategy::ProgressiveRandom => vec![rng.gen_range(0..n_corners)],
-            PvtStrategy::ProgressiveHardest => {
-                // Probe a few random points on every corner — each probe
-                // point fans out across all corners as one batch; the
-                // corner with the lowest mean value is "hardest".
-                let mut means = vec![0.0; n_corners];
-                for _ in 0..self.hardness_probes {
-                    if stats.sims >= budget.max_sims {
-                        return PvtOutcome {
-                            success: false,
-                            simulations: budget.max_sims,
-                            best_point,
-                            best_value,
-                            ledger,
-                            activation_order: vec![],
-                            stats,
-                            health: merged_health(&monitors, &tr_health),
-                        };
-                    }
-                    let u = problem.space.sample(&mut rng);
-                    let requests = EvalRequest::fan_out(&u, n_corners);
-                    let evals =
-                        problem.evaluate_batch(&requests, budget.max_sims - stats.sims);
-                    let truncated = evals.len() < requests.len();
-                    for (c, e) in evals.into_iter().enumerate() {
-                        stats.record(&e);
-                        let entry = LedgerEntry {
-                            sim: stats.sims,
-                            round,
-                            corner: c,
-                            value: e.value,
-                            pass: e.feasible,
-                            verification: false,
-                        };
-                        self.note_entry(&entry, best_value);
-                        ledger.push(entry);
-                        if let Some(m) = e.measurements {
-                            models[c].push(e.x_norm.clone(), m);
-                        }
-                        means[c] += e.value / self.hardness_probes as f64;
-                    }
-                    if truncated {
-                        return PvtOutcome {
-                            success: false,
-                            simulations: stats.sims,
-                            best_point,
-                            best_value,
-                            ledger,
-                            activation_order: vec![],
-                            stats,
-                            health: merged_health(&monitors, &tr_health),
-                        };
-                    }
-                }
-                let hardest = means
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite values"))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                vec![hardest]
-            }
-        };
-        let mut activation_order = active.clone();
-
-        // Evaluate a point on every active corner as one batch; returns
-        // worst value and whether all active corners passed. Logs to the
-        // ledger in corner order — batch results come back in request
-        // order, so ledger `sim` indices stay strictly increasing. A batch
-        // the budget could not fully admit reports `out_of_budget`, just
-        // like the serial path running dry mid-loop.
+        // Evaluate a point on every listed corner as one batch; returns
+        // the worst value, its corner, whether all corners passed, each
+        // admitted corner's value, and whether the budget cut the batch
+        // short. Logs to the ledger in corner order — batch results come
+        // back in request order, so ledger `sim` indices stay strictly
+        // increasing.
         macro_rules! eval_active {
             ($u:expr, $verification:expr, $corners:expr) => {{
                 let corners: &[usize] = $corners;
@@ -260,6 +184,7 @@ impl PvtExplorer {
                 let mut worst = f64::INFINITY;
                 let mut worst_corner = 0usize;
                 let mut all_pass = true;
+                let mut values = Vec::with_capacity(evals.len());
                 for (e, &c) in evals.into_iter().zip(corners) {
                     stats.record(&e);
                     let entry = LedgerEntry {
@@ -280,154 +205,171 @@ impl PvtExplorer {
                         worst = e.value;
                         worst_corner = c;
                     }
+                    values.push(e.value);
                 }
-                (worst, worst_corner, all_pass, out_of_budget)
+                (worst, worst_corner, all_pass, values, out_of_budget)
             }};
         }
 
-        'episode: loop {
-            round += 1;
-            // New episode ⇒ fresh region and radius; the collapse tracker
-            // must not carry pinned-reject counts across the boundary.
-            tr_health.reset_episode();
-            // Seed phase over active corners.
-            let mut center = vec![0.5; dim];
-            let mut center_value = f64::NEG_INFINITY;
-            for _ in 0..cfg.n_init {
-                let u = problem.space.sample(&mut rng);
-                let (worst, _, _, oob) = eval_active!(&u, false, &active);
-                if oob {
-                    break;
-                }
-                if worst > center_value {
-                    center_value = worst;
-                    center = u;
-                }
-                if worst > best_value {
-                    best_value = worst;
-                    best_point = center.clone();
-                }
-            }
-            if stats.sims >= budget.max_sims {
-                return PvtOutcome {
-                    success: false,
-                    simulations: budget.max_sims,
-                    best_point,
-                    best_value,
-                    ledger,
-                    activation_order,
-                    stats,
-                    health: merged_health(&monitors, &tr_health),
-                };
-            }
-
-            let mut trust = TrustRegion::new(cfg.trust);
-            let mut stall = 0usize;
-            loop {
-                if stats.sims >= budget.max_sims {
-                    return PvtOutcome {
-                        success: false,
-                        simulations: budget.max_sims,
-                        best_point,
-                        best_value,
-                        ledger,
-                        activation_order,
-                        stats,
-                        health: merged_health(&monitors, &tr_health),
-                    };
-                }
-                for &c in &active {
-                    models[c].fit(cfg.train_epochs);
-                    monitors[c].after_fit(&mut models[c]);
-                }
-                let model_refs: Vec<&SpiceApproximator> = active.iter().map(|&c| &models[c]).collect();
-                let proposal = planner.propose_multi(
-                    &problem.space,
-                    &center,
-                    trust.radius(),
-                    &model_refs,
-                    &problem.value_fn,
-                    &problem.specs,
-                    &mut rng,
-                );
-                let Some(p) = proposal else {
-                    continue 'episode;
-                };
-                round += 1;
-                let (worst, _, all_pass, oob) = eval_active!(&p.x, false, &active);
-                if oob {
-                    continue;
-                }
-                if worst > best_value {
-                    best_value = worst;
-                    best_point = p.x.clone();
-                }
-
-                if all_pass {
-                    // Verification over the corners not in the active set.
-                    let inactive: Vec<usize> =
-                        (0..n_corners).filter(|c| !active.contains(c)).collect();
-                    if inactive.is_empty() {
-                        return PvtOutcome {
-                            success: true,
-                            simulations: stats.sims,
-                            best_point: p.x,
-                            best_value: worst,
-                            ledger,
-                            activation_order,
-                            stats,
-                            health: merged_health(&monitors, &tr_health),
-                        };
+        // Pick the starting active set.
+        let mut active: Vec<usize> = match self.strategy {
+            PvtStrategy::BruteForce => (0..n_corners).collect(),
+            PvtStrategy::ProgressiveRandom => vec![rng.gen_range(0..n_corners)],
+            PvtStrategy::ProgressiveHardest => {
+                // Probe a few random points on every corner — each probe
+                // point fans out across all corners as one batch; the
+                // corner with the lowest mean value is "hardest". A batch
+                // the budget cuts short ends the probes, and the ranking
+                // uses the values seen so far.
+                let all: Vec<usize> = (0..n_corners).collect();
+                let mut means = vec![0.0; n_corners];
+                for _ in 0..self.hardness_probes {
+                    let u = problem.space.sample(&mut rng);
+                    let (_, _, _, values, oob) = eval_active!(&u, false, &all);
+                    for (mean, v) in means.iter_mut().zip(values) {
+                        *mean += v / self.hardness_probes as f64;
                     }
+                    if oob {
+                        break;
+                    }
+                }
+                let hardest = means
+                    .iter()
+                    .enumerate()
+                    .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite values"))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0);
+                vec![hardest]
+            }
+        };
+        let mut activation_order = active.clone();
+
+        // Every exit yields (success, simulations, best point, best value);
+        // the outcome is built once, after the block. A failed search
+        // reports the whole budget.
+        let (success, simulations, best_point, best_value) = 'search: {
+            'episode: loop {
+                round += 1;
+                // New episode ⇒ fresh region and radius; the collapse tracker
+                // must not carry pinned-reject counts across the boundary.
+                tr_health.reset_episode();
+                // Seed phase over active corners.
+                let mut center = vec![0.5; dim];
+                let mut center_value = f64::NEG_INFINITY;
+                for _ in 0..cfg.n_init {
+                    let u = problem.space.sample(&mut rng);
+                    let (worst, _, _, _, oob) = eval_active!(&u, false, &active);
+                    if oob {
+                        break;
+                    }
+                    if worst > center_value {
+                        center_value = worst;
+                        center = u;
+                    }
+                    if worst > best_value {
+                        best_value = worst;
+                        best_point = center.clone();
+                    }
+                }
+
+                let mut trust = TrustRegion::new(cfg.trust);
+                let mut stall = 0usize;
+                loop {
+                    if stats.sims >= budget.max_sims {
+                        break 'search (false, budget.max_sims, best_point, best_value);
+                    }
+                    for &c in &active {
+                        models[c].fit(cfg.train_epochs);
+                        monitors[c].after_fit(&mut models[c]);
+                    }
+                    let model_refs: Vec<&SpiceApproximator> = active.iter().map(|&c| &models[c]).collect();
+                    let proposal = planner.propose_multi(
+                        &problem.space,
+                        &center,
+                        trust.radius(),
+                        &model_refs,
+                        &problem.value_fn,
+                        &problem.specs,
+                        &mut rng,
+                    );
+                    let Some(p) = proposal else {
+                        continue 'episode;
+                    };
                     round += 1;
-                    let (v_worst, v_worst_corner, v_all, oob) = eval_active!(&p.x, true, &inactive);
+                    let (worst, _, all_pass, _, oob) = eval_active!(&p.x, false, &active);
                     if oob {
                         continue;
                     }
-                    if v_all {
-                        return PvtOutcome {
-                            success: true,
-                            simulations: stats.sims,
-                            best_point: p.x,
-                            best_value: v_worst.min(worst),
-                            ledger,
-                            activation_order,
-                            stats,
-                            health: merged_health(&monitors, &tr_health),
-                        };
+                    if worst > best_value {
+                        best_value = worst;
+                        best_point = p.x.clone();
                     }
-                    // Promote the worst failing corner and keep searching
-                    // from the current point.
-                    active.push(v_worst_corner);
-                    activation_order.push(v_worst_corner);
-                    center = p.x;
-                    center_value = v_worst;
-                    trust.reset();
-                    tr_health.reset_episode();
-                    stall = 0;
-                    continue;
-                }
 
-                let improved = worst > center_value;
-                let step = trust.assess(p.predicted_value - center_value, worst - center_value);
-                if step.accepted {
-                    center = p.x;
-                    center_value = worst;
-                }
-                // Collapse sentinel: radius pinned at its minimum with no
-                // accepted step for the patience window ⇒ re-seed.
-                if tr_health.observe_step(&trust, step.accepted) {
-                    continue 'episode;
-                }
-                if improved {
-                    stall = 0;
-                } else {
-                    stall += 1;
-                    if stall > cfg.restart_after {
+                    if all_pass {
+                        // Verification over the corners not in the active set.
+                        let inactive: Vec<usize> =
+                            (0..n_corners).filter(|c| !active.contains(c)).collect();
+                        if inactive.is_empty() {
+                            break 'search (true, stats.sims, p.x, worst);
+                        }
+                        round += 1;
+                        let (v_worst, v_worst_corner, v_all, _, oob) =
+                            eval_active!(&p.x, true, &inactive);
+                        if oob {
+                            continue;
+                        }
+                        if v_all {
+                            break 'search (true, stats.sims, p.x, v_worst.min(worst));
+                        }
+                        // Promote the worst failing corner and keep searching
+                        // from the current point.
+                        active.push(v_worst_corner);
+                        activation_order.push(v_worst_corner);
+                        center = p.x;
+                        center_value = v_worst;
+                        trust.reset();
+                        tr_health.reset_episode();
+                        stall = 0;
+                        continue;
+                    }
+
+                    let improved = worst > center_value;
+                    let step = trust.assess(p.predicted_value - center_value, worst - center_value);
+                    if step.accepted {
+                        center = p.x;
+                        center_value = worst;
+                    }
+                    // Collapse sentinel: radius pinned at its minimum with no
+                    // accepted step for the patience window ⇒ re-seed.
+                    if tr_health.observe_step(&trust, step.accepted) {
                         continue 'episode;
+                    }
+                    if improved {
+                        stall = 0;
+                    } else {
+                        stall += 1;
+                        if stall > cfg.restart_after {
+                            continue 'episode;
+                        }
                     }
                 }
             }
+        };
+        // One telemetry record: the per-corner training monitors folded
+        // into the campaign-level trust-region monitor.
+        let mut health = tr_health.stats();
+        for m in &monitors {
+            health.merge(&m.stats());
+        }
+        PvtOutcome {
+            success,
+            simulations,
+            best_point,
+            best_value,
+            ledger,
+            activation_order,
+            stats,
+            health,
         }
     }
 }
@@ -507,6 +449,35 @@ mod tests {
         assert!(out.ledger.len() <= 50);
         for w in out.ledger.windows(2) {
             assert!(w[1].sim > w[0].sim);
+        }
+    }
+
+    #[test]
+    fn a_failed_search_spends_exactly_its_budget() {
+        // Small budgets cut fan-out batches short at every phase, the
+        // hardest-corner probes included; faults make requests cost more
+        // than one attempt.
+        use asdex_env::{FaultConfig, FaultInjectingEvaluator};
+        let mut faulty = pvt_problem();
+        faulty.evaluator = std::sync::Arc::new(FaultInjectingEvaluator::new(
+            faulty.evaluator.clone(),
+            FaultConfig::new(0.3, 7),
+        ));
+        for problem in [pvt_problem(), faulty] {
+            for strategy in [
+                PvtStrategy::BruteForce,
+                PvtStrategy::ProgressiveRandom,
+                PvtStrategy::ProgressiveHardest,
+            ] {
+                for (budget, seed) in (1..=40).flat_map(|b| [(b, 0), (b, 1)]) {
+                    let out = PvtExplorer::new(strategy).run(&problem, SearchBudget::new(budget), seed);
+                    let case = format!("{} budget {budget} seed {seed}", strategy.label());
+                    assert_eq!(out.simulations, out.stats.sims, "{case}");
+                    if !out.success {
+                        assert_eq!(out.simulations, budget, "{case}");
+                    }
+                }
+            }
         }
     }
 

@@ -72,21 +72,23 @@ impl SizingProblem {
     /// The worker count this batch call will use: the dynamic fair-share
     /// source (if attached and non-zero) wins, then the explicit
     /// [`SizingProblem::threads`] setting, then the attached dispatcher's
-    /// parallelism hint (a worker-process pool wants one feeder thread per
-    /// worker), then `ASDEX_THREADS`, then 1.
+    /// parallelism hint, then `ASDEX_THREADS`, then 1. A worker-process
+    /// pool wants one feeder thread per worker, so a fair share is floored
+    /// at the dispatcher's parallelism: a share of 1 would keep one attempt
+    /// in flight and leave every other worker idle.
     pub fn resolved_threads(&self) -> usize {
         let shared = self
             .thread_share
             .as_ref()
             .map(|s| s.load(std::sync::atomic::Ordering::SeqCst))
             .unwrap_or(0);
+        let hinted = self.dispatcher.as_ref().map(|d| d.parallelism()).unwrap_or(0);
         if shared > 0 {
-            return shared;
+            return shared.max(hinted);
         }
         if self.threads > 0 {
             return self.threads;
         }
-        let hinted = self.dispatcher.as_ref().map(|d| d.parallelism()).unwrap_or(0);
         if hinted > 0 {
             return hinted;
         }
@@ -346,6 +348,29 @@ mod tests {
         share.store(1, Ordering::SeqCst);
         let serial = p.evaluate_batch(&reqs, 1000);
         assert_eq!(at_share, serial);
+    }
+
+    #[test]
+    fn a_thread_share_is_floored_at_the_dispatchers_parallelism() {
+        use crate::dispatch::EvalDispatcher;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// A three-worker backend; only its parallelism hint is read.
+        struct ThreeWorkers;
+        impl EvalDispatcher for ThreeWorkers {
+            fn dispatch(&self, _: &[f64], _: usize, _: usize) -> Result<Vec<f64>, FailureKind> {
+                Err(FailureKind::Other)
+            }
+            fn parallelism(&self) -> usize {
+                3
+            }
+        }
+        let share = Arc::new(AtomicUsize::new(1));
+        let in_process = toy_problem().with_thread_share(share.clone());
+        assert_eq!(in_process.resolved_threads(), 1, "in-process evaluation keeps its share");
+        let pooled = in_process.with_dispatcher(Arc::new(ThreeWorkers));
+        assert_eq!(pooled.resolved_threads(), 3, "one feeder thread per worker");
+        share.store(5, Ordering::SeqCst);
+        assert_eq!(pooled.resolved_threads(), 5, "a larger share still wins");
     }
 
     #[test]

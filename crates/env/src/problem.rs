@@ -144,9 +144,11 @@ pub struct SizingProblem {
     /// [`SizingProblem::evaluate_batch`] call. A serving layer running
     /// many campaigns against one machine stores each campaign's
     /// fair share here and rebalances as campaigns start and finish;
-    /// a value of 0 falls back to [`SizingProblem::threads`]. Thread
-    /// count never changes results — only wall-clock — so rebalancing
-    /// mid-campaign is always safe.
+    /// a value of 0 falls back to [`SizingProblem::threads`], and an
+    /// attached dispatcher's parallelism floors a nonzero share (see
+    /// [`SizingProblem::resolved_threads`]). Thread count never changes
+    /// results — only wall-clock — so rebalancing mid-campaign is always
+    /// safe.
     pub(crate) thread_share: Option<Arc<AtomicUsize>>,
     /// Optional cooperative cancellation flag (the serving layer's drain
     /// hook). Checked at every batch boundary; see [`crate::CancelToken`].

@@ -54,21 +54,6 @@ pub struct SearchOutcome {
     pub health: HealthStats,
 }
 
-impl SearchOutcome {
-    /// A failure outcome that exhausted the budget.
-    pub fn exhausted(budget: SearchBudget, best_point: Vec<f64>, best_value: f64) -> Self {
-        SearchOutcome {
-            success: false,
-            simulations: budget.max_sims,
-            best_point,
-            best_value,
-            best_measurements: None,
-            stats: EvalStats::new(),
-            health: HealthStats::new(),
-        }
-    }
-}
-
 /// A search agent: consumes a problem and a budget, returns an outcome.
 ///
 /// Implementations must be deterministic given `seed`.
@@ -89,14 +74,5 @@ mod tests {
     #[test]
     fn defaults_match_paper_cap() {
         assert_eq!(SearchBudget::default().max_sims, 10_000);
-    }
-
-    #[test]
-    fn exhausted_outcome() {
-        let o = SearchOutcome::exhausted(SearchBudget::new(100), vec![0.5], -1.0);
-        assert!(!o.success);
-        assert_eq!(o.simulations, 100);
-        assert_eq!(o.best_value, -1.0);
-        assert_eq!(o.health.total(), 0);
     }
 }

@@ -10,6 +10,11 @@
 //!   bowl, clean and under 30% injected simulator faults;
 //! * the framework on a two-corner bowl, which plans through
 //!   `McPlanner::propose_multi`;
+//! * the PVT engine under each corner strategy on a five-corner bowl,
+//!   out of budget and run to success;
+//! * the trust-region agent warm-started from a finished run's center
+//!   and model (Table II's porting hand-off), and from a warm center of
+//!   the wrong dimension;
 //! * a push/fit/predict sequence on the SPICE approximator that drives
 //!   the gradient guard through its clipping and non-finite paths;
 //! * the model-free agents' policy and value heads, and a ReLU network,
@@ -24,7 +29,10 @@
 //! recorded.
 
 use asdex::baselines::rl::{A2c, Policy, Ppo, Trpo, ValueNet};
-use asdex::core::{Framework, FrameworkConfig, LocalExplorer, SpiceApproximator};
+use asdex::core::{
+    Framework, FrameworkConfig, LocalExplorer, PvtExplorer, PvtStrategy, SpiceApproximator,
+    WarmStart,
+};
 use asdex::env::circuits::synthetic::Bowl;
 use asdex::env::{
     fnv1a, FaultConfig, FaultInjectingEvaluator, PvtCorner, PvtSet, SearchBudget, Searcher,
@@ -155,6 +163,83 @@ fn two_corner_framework_matches_its_golden() {
     let out = Framework::new(FrameworkConfig::default(), 2).search(&problem).expect("runs");
     assert!(!out.ledger.is_empty(), "the campaign went through the PVT path");
     assert_digests(&[("framework", digest(&out))], &[("framework", 0x30bf_ff8a_f288_2cdd)]);
+}
+
+/// The five-corner bowl of the PVT engine's unit tests (nominal plus four
+/// temperatures): one hard pair of corners pulling in opposite directions
+/// plus three mild ones.
+fn five_corner_bowl() -> SizingProblem {
+    let mut p = Bowl::problem(3, 0.2).expect("bowl builds");
+    p.corners = PvtSet::new(
+        [27.0, 120.0, -60.0, 60.0, -20.0]
+            .into_iter()
+            .map(|t| PvtCorner { temp_celsius: t, ..PvtCorner::nominal() })
+            .collect(),
+    );
+    p
+}
+
+// At budget 40 brute force and the hardest-corner start run out, with
+// every probe batch admitted whole, and the random start succeeds; at
+// 5000 all three succeed.
+#[test]
+fn pvt_strategies_on_the_five_corner_bowl_match_their_goldens() {
+    let problem = five_corner_bowl();
+    let mut got = Vec::new();
+    for (name, strategy) in [
+        ("brute-force", PvtStrategy::BruteForce),
+        ("progressive-random", PvtStrategy::ProgressiveRandom),
+        ("progressive-hardest", PvtStrategy::ProgressiveHardest),
+    ] {
+        for budget in [40, 5000] {
+            let out = PvtExplorer::new(strategy).run(&problem, SearchBudget::new(budget), 3);
+            got.push((name, digest(&out)));
+        }
+    }
+    assert_digests(
+        &got,
+        &[
+            ("brute-force", 0x4429_eba5_26d9_ac9a),
+            ("brute-force", 0x1cfa_025a_37ed_f7c7),
+            ("progressive-random", 0x900a_7164_ddb0_5498),
+            ("progressive-random", 0x900a_7164_ddb0_5498),
+            ("progressive-hardest", 0xb40f_eb57_ea55_392d),
+            ("progressive-hardest", 0x1d13_7ac3_5a14_a117),
+        ],
+    );
+}
+
+#[test]
+fn warm_started_explorer_matches_its_golden() {
+    // Table II's porting hand-off: a finished run's center and model seed
+    // a run on a tighter bowl. The finished run's outcome is the "trm"
+    // golden above; its artifacts are pinned here.
+    let agent = LocalExplorer::default();
+    let (_, cold) = agent.run(&bowl(None), 0, SearchBudget::new(300), 1, &WarmStart::default());
+    let warm = WarmStart { center: Some(cold.center.clone()), model: Some(cold.model.clone()) };
+    let tight = Bowl::problem(3, 0.1).expect("bowl builds");
+    let ported = agent.run(&tight, 0, SearchBudget::new(300), 2, &warm);
+    assert!(ported.0.simulations > 1, "the ported run searches past its warm center");
+    let dry = agent.run(&tight, 0, SearchBudget::new(3), 2, &warm);
+    assert!(!dry.0.success, "three simulations are not enough");
+    // A warm center of the wrong dimension falls back to mid-grid.
+    let wrong = WarmStart { center: Some(vec![0.4; 5]), model: None };
+    let fallback = agent.run(&bowl(None), 0, SearchBudget::new(300), 5, &wrong);
+    assert_eq!(fallback.0.stats.snap_fallbacks, 1);
+    assert_digests(
+        &[
+            ("cold", digest(&cold)),
+            ("ported", digest(&ported)),
+            ("dry", digest(&dry)),
+            ("fallback", digest(&fallback)),
+        ],
+        &[
+            ("cold", 0x92fd_21f4_8260_cefd),
+            ("ported", 0x00c2_9569_da23_df1f),
+            ("dry", 0x6d91_9914_abc1_c69d),
+            ("fallback", 0xc5d2_5b3b_178f_0407),
+        ],
+    );
 }
 
 #[test]
