@@ -24,10 +24,11 @@
 //!    fold them into [`crate::EvalStats`] in request order and obtain the
 //!    same merged record at every thread count.
 //!
-//! Worker count comes from [`SizingProblem::threads`] (explicit), else the
-//! `ASDEX_THREADS` environment variable, else 1 — serial by default, so
-//! unit tests and single-evaluation callers never pay thread-spawn
-//! overhead.
+//! Worker count comes from [`SizingProblem::resolved_threads`]: a live
+//! fair share or the explicit [`SizingProblem::threads`], floored at an
+//! attached worker pool's size, else the `ASDEX_THREADS` environment
+//! variable, else 1 — serial by default, so unit tests and
+//! single-evaluation callers never pay thread-spawn overhead.
 
 use crate::problem::{Evaluation, SizingProblem};
 use crate::stats::FailureKind;
@@ -69,30 +70,26 @@ pub(crate) fn resolve_threads(explicit: usize) -> usize {
 }
 
 impl SizingProblem {
-    /// The worker count this batch call will use: the dynamic fair-share
-    /// source (if attached and non-zero) wins, then the explicit
-    /// [`SizingProblem::threads`] setting, then the attached dispatcher's
-    /// parallelism hint, then `ASDEX_THREADS`, then 1. A worker-process
-    /// pool wants one feeder thread per worker, so a fair share is floored
-    /// at the dispatcher's parallelism: a share of 1 would keep one attempt
-    /// in flight and leave every other worker idle.
+    /// The worker count this batch call will use. The requested count is
+    /// the dynamic fair-share source (if attached and non-zero), else the
+    /// explicit [`SizingProblem::threads`] setting. A nonzero request is
+    /// floored at the attached dispatcher's parallelism hint: a
+    /// worker-process pool wants one feeder thread per worker, and a
+    /// request of 1 would keep one attempt in flight and leave every other
+    /// worker idle. With no request the hint is used as is, and with
+    /// neither, `ASDEX_THREADS`, then 1.
     pub fn resolved_threads(&self) -> usize {
         let shared = self
             .thread_share
             .as_ref()
             .map(|s| s.load(std::sync::atomic::Ordering::SeqCst))
             .unwrap_or(0);
+        let requested = if shared > 0 { shared } else { self.threads };
         let hinted = self.dispatcher.as_ref().map(|d| d.parallelism()).unwrap_or(0);
-        if shared > 0 {
-            return shared.max(hinted);
+        match requested.max(hinted) {
+            0 => resolve_threads(0),
+            n => n,
         }
-        if self.threads > 0 {
-            return self.threads;
-        }
-        if hinted > 0 {
-            return hinted;
-        }
-        resolve_threads(0)
     }
 }
 
@@ -371,6 +368,8 @@ mod tests {
         assert_eq!(pooled.resolved_threads(), 3, "one feeder thread per worker");
         share.store(5, Ordering::SeqCst);
         assert_eq!(pooled.resolved_threads(), 5, "a larger share still wins");
+        let fixed = toy_problem().with_threads(1).with_dispatcher(Arc::new(ThreeWorkers));
+        assert_eq!(fixed.resolved_threads(), 3, "a static count is floored the same way");
     }
 
     #[test]

@@ -85,6 +85,17 @@ pub struct EvalStoreStats {
     pub entries: u64,
 }
 
+impl EvalStoreStats {
+    /// Adds `other`'s counters to these.
+    pub fn merge(&mut self, other: &EvalStoreStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.aborts += other.aborts;
+        self.bypasses += other.bypasses;
+        self.entries += other.entries;
+    }
+}
+
 /// A shared single-flight evaluation result store. Cheap to clone via
 /// `Arc`; see the module docs for the contract.
 pub struct EvalStore {

@@ -94,4 +94,4 @@ pub use search::{SearchBudget, SearchOutcome, Searcher};
 pub use space::{DesignSpace, Param};
 pub use spec::{Spec, SpecKind, SpecSet};
 pub use stats::{EvalStats, FailureKind};
-pub use value::{StagedValueFn, ValueFn};
+pub use value::ValueFn;

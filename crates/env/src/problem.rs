@@ -145,8 +145,8 @@ pub struct SizingProblem {
     /// many campaigns against one machine stores each campaign's
     /// fair share here and rebalances as campaigns start and finish;
     /// a value of 0 falls back to [`SizingProblem::threads`], and an
-    /// attached dispatcher's parallelism floors a nonzero share (see
-    /// [`SizingProblem::resolved_threads`]). Thread count never changes
+    /// attached dispatcher's parallelism floors whichever count applies
+    /// (see [`SizingProblem::resolved_threads`]). Thread count never changes
     /// results — only wall-clock — so rebalancing mid-campaign is always
     /// safe.
     pub(crate) thread_share: Option<Arc<AtomicUsize>>,
@@ -282,8 +282,16 @@ impl SizingProblem {
     /// (after [`Journal::resume`]) are served back in request order
     /// without invoking the evaluator.
     #[must_use]
-    pub fn with_journal(mut self, journal: Journal) -> Self {
-        self.journal = Some(Arc::new(Mutex::new(journal)));
+    pub fn with_journal(self, journal: Journal) -> Self {
+        self.with_shared_journal(Arc::new(Mutex::new(journal)))
+    }
+
+    /// [`SizingProblem::with_journal`] for a journal whose handle the
+    /// caller keeps, e.g. to checkpoint it from an interrupt handler while
+    /// the campaign runs.
+    #[must_use]
+    pub fn with_shared_journal(mut self, journal: Arc<Mutex<Journal>>) -> Self {
+        self.journal = Some(journal);
         self
     }
 

@@ -111,43 +111,6 @@ impl ValueFn {
     }
 }
 
-/// Two-stage value scheduling (§IV-D): the uniform value drives the global
-/// approach, and once the search is inside a near-feasible region (value
-/// above `switch_at`) a weighted second stage takes over to arbitrate the
-/// remaining trade-offs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StagedValueFn {
-    /// First-stage (uniform) value function.
-    pub coarse: ValueFn,
-    /// Second-stage (weighted) value function.
-    pub fine: ValueFn,
-    /// Coarse value above which the fine stage activates (e.g. −0.05).
-    pub switch_at: f64,
-}
-
-impl StagedValueFn {
-    /// Creates a staged value function with the given second-stage weights.
-    pub fn new(weights: Vec<f64>, switch_at: f64) -> Self {
-        StagedValueFn {
-            coarse: ValueFn::default(),
-            fine: ValueFn::with_weights(weights),
-            switch_at,
-        }
-    }
-
-    /// Evaluates the staged value: coarse far from feasibility, weighted
-    /// once near it. The fine stage is offset so the function stays
-    /// continuous-ish in ranking (feasible points still map to 0).
-    pub fn value(&self, measurements: &[f64], specs: &SpecSet) -> f64 {
-        let coarse = self.coarse.value(measurements, specs);
-        if coarse > self.switch_at {
-            self.fine.value(measurements, specs)
-        } else {
-            coarse
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,23 +186,6 @@ mod tests {
         let w = weighted.value(&[70.0, 2.0], &specs);
         assert!((w - 5.0 * u).abs() < 1e-12, "{w} vs 5×{u}");
         assert_eq!(weighted.failure_value(&specs), -6.0);
-    }
-
-    #[test]
-    fn staged_switches_near_feasibility() {
-        let specs = SpecSet::new(vec![Spec::at_least(0, "gain", 60.0), Spec::at_most(1, "power", 1.0)]);
-        let staged = StagedValueFn::new(vec![1.0, 10.0], -0.05);
-        // Far away: coarse (uniform) ranking.
-        let far = staged.value(&[10.0, 5.0], &specs);
-        assert_eq!(far, ValueFn::new().value(&[10.0, 5.0], &specs));
-        // Near feasibility with a slight power violation: the fine stage
-        // amplifies it.
-        let near_coarse = ValueFn::new().value(&[61.0, 1.02], &specs);
-        assert!(near_coarse > -0.05, "setup: near feasibility ({near_coarse})");
-        let near = staged.value(&[61.0, 1.02], &specs);
-        assert!((near - 10.0 * near_coarse).abs() < 1e-12);
-        // Fully feasible is still exactly 0.
-        assert_eq!(staged.value(&[61.0, 0.9], &specs), 0.0);
     }
 
     #[test]

@@ -1,11 +1,29 @@
-//! Campaign construction and execution, shared by the daemon and the CLI.
+//! Campaign construction and execution: the one runner behind `asdex
+//! size` and the daemon.
 //!
 //! One campaign = one benchmark problem + one agent + one seed + one
-//! budget, run to completion (or drain). The functions here are the
-//! single source of truth for benchmark and agent names, so `asdex size`,
-//! `POST /campaigns`, and journal resume all accept exactly the same
-//! vocabulary.
+//! budget, run to completion (or drain). A spec becomes a run here and
+//! nowhere else:
+//!
+//! * [`validate`] is the admission check. `POST /campaigns` and `asdex
+//!   size` both call it before any file is created, so a refused spec
+//!   leaves nothing on disk.
+//! * [`problem_for`] turns a spec into its problem: bench, corner set,
+//!   solver backend, netlist digest. The runner and every worker process
+//!   build through it.
+//! * [`run_spec`] runs a campaign. It attaches what its caller supplies
+//!   in a [`RunContext`] (journal, threads or thread share, cancel token,
+//!   dedup store, worker pool, progress sink), runs [`run_campaign`]
+//!   under a panic guard, and checkpoints the journal on every ending.
+//!   The CLI and the daemon differ only in the context they pass and in
+//!   how they open the journal.
+//!
+//! The names accepted here are the single vocabulary of benches, corner
+//! sets, solvers and agents, so `asdex size`, `POST /campaigns`, journal
+//! resume and worker processes accept exactly the same ones.
 
+use crate::metrics::WorkerStats;
+use crate::pool::{WorkerPool, WorkerPoolConfig};
 use crate::protocol::CampaignSpec;
 use asdex_baselines::{CustomizedBo, RandomSearch};
 use asdex_core::{Framework, FrameworkConfig, ProgressEvent, ProgressHandle, ProgressPhase, PvtStrategy};
@@ -14,9 +32,13 @@ use asdex_env::circuits::ldo::Ldo;
 use asdex_env::circuits::opamp::TwoStageOpamp;
 use asdex_env::circuits::synthetic::Bowl;
 use asdex_env::{
-    EvalStats, HealthStats, NetlistBench, PvtSet, SearchBudget, Searcher, SizingProblem,
+    CancelToken, EvalStats, EvalStore, HealthStats, Journal, JournalError, NetlistBench, PvtSet,
+    SearchBudget, Searcher, SizingProblem,
 };
-use std::path::Path;
+use asdex_spice::analysis::SolverChoice;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicUsize;
+use std::sync::{Arc, Mutex};
 
 /// What a finished campaign reports, agent-agnostic. The serving layer's
 /// canonical result record — serialized by
@@ -99,9 +121,128 @@ pub fn build_problem_checked(
     Ok(problem)
 }
 
-/// Runs one campaign on an already-configured problem (threads, journal,
-/// cancel token, and thread share are the caller's business). Progress
-/// events, when a sink is supplied, are purely observational.
+/// The admission check: the spec's bench, corner set, solver and agent
+/// are known, and a netlist deck still matches its pinned digest.
+/// Returns the spec's problem with nothing attached.
+pub fn validate(spec: &CampaignSpec) -> Result<SizingProblem, String> {
+    let problem = problem_for(spec)?;
+    if !matches!(spec.agent.as_str(), "trm" | "bo" | "random") {
+        return Err(format!("unknown agent {:?} (trm|bo|random)", spec.agent));
+    }
+    Ok(problem)
+}
+
+/// The problem a spec sizes: [`build_problem_checked`] on its bench,
+/// corner set and netlist digest, with its solver backend pinned. Both
+/// are part of the campaign's identity: the digest pinned at admission
+/// (or restored from the journal on resume) must still match the deck on
+/// disk, so an edited netlist is a typed failure, never a silently
+/// different campaign.
+pub fn problem_for(spec: &CampaignSpec) -> Result<SizingProblem, String> {
+    let solver = SolverChoice::from_label(&spec.solver)
+        .ok_or_else(|| format!("unknown solver {:?} (auto|dense|sparse)", spec.solver))?;
+    Ok(build_problem_checked(&spec.bench, &spec.corners, spec.netlist_digest)?.with_solver(solver))
+}
+
+/// What one run of a campaign is given besides its spec. None of it is
+/// part of the campaign's identity. Threads, workers, the dedup store and
+/// the progress sink change where and how fast evaluations run, never the
+/// outcome. The journal replays what an earlier run recorded. The cancel
+/// token ends a run early, resumably.
+#[derive(Debug, Default)]
+pub struct RunContext {
+    /// Journal to replay from and record into. The caller opened or
+    /// resumed it, and may keep the handle.
+    pub journal: Option<Arc<Mutex<Journal>>>,
+    /// Static batch-evaluation thread count (`asdex size --threads`);
+    /// 0 defers to `ASDEX_THREADS`.
+    pub threads: usize,
+    /// Live fair share of a shared thread budget, re-read at every batch;
+    /// 0 (the default) defers to `threads`.
+    pub thread_share: Arc<AtomicUsize>,
+    /// Drain hook: once pulled, no further simulation starts. The default
+    /// token is never pulled.
+    pub cancel: CancelToken,
+    /// Cross-campaign dedup store for the spec's evaluation identity.
+    pub store: Option<Arc<EvalStore>>,
+    /// Worker processes to evaluate in; 0 evaluates in this process.
+    pub workers: usize,
+    /// Binary spawned as `<program> worker …`; `None` re-executes the
+    /// current one.
+    pub worker_program: Option<PathBuf>,
+    /// Supervision counters the worker pool reports into.
+    pub worker_stats: Arc<WorkerStats>,
+    /// Observational progress sink.
+    pub progress: Option<ProgressHandle>,
+}
+
+/// How a [`run_spec`] ended.
+#[derive(Debug)]
+pub struct CampaignRun {
+    /// The campaign's outcome, or why it could not run.
+    pub outcome: Result<CampaignOutcome, String>,
+    /// The final journal checkpoint: `(replayed, recorded)` after it, or
+    /// its storage failure. `None` without a journal.
+    pub journal: Option<Result<(usize, usize), JournalError>>,
+}
+
+/// Runs the campaign `spec` describes. Builds its problem with
+/// [`problem_for`] and attaches what `ctx` carries. When `ctx.workers >
+/// 0`, every attempt goes to a supervised pool of `asdex worker` children
+/// built for the same spec; its fallback evaluator is the problem's own,
+/// so a pool that loses every worker degrades to in-process execution
+/// with an identical outcome. Then runs [`run_campaign`] with a panic
+/// typed as a failure, shuts the pool down, and checkpoints the journal
+/// on every ending: success, failure or drain.
+pub fn run_spec(spec: &CampaignSpec, ctx: RunContext) -> CampaignRun {
+    let journal = ctx.journal.clone();
+    let outcome = run_attached(spec, ctx);
+    let journal = journal.and_then(|handle| {
+        let mut j = handle.lock().ok()?;
+        Some(j.checkpoint().map(|()| (j.replayed(), j.recorded())))
+    });
+    CampaignRun { outcome, journal }
+}
+
+fn run_attached(spec: &CampaignSpec, ctx: RunContext) -> Result<CampaignOutcome, String> {
+    let mut problem = problem_for(spec)?
+        .with_threads(ctx.threads)
+        .with_thread_share(ctx.thread_share)
+        .with_cancel_token(ctx.cancel);
+    if let Some(journal) = ctx.journal {
+        problem = problem.with_shared_journal(journal);
+    }
+    if let Some(store) = ctx.store {
+        problem = problem.with_eval_store(store);
+    }
+    let pool = if ctx.workers > 0 {
+        let program = match ctx.worker_program {
+            Some(program) => program,
+            None => std::env::current_exe()
+                .map_err(|e| format!("cannot locate the worker binary: {e}"))?,
+        };
+        let mut cfg = WorkerPoolConfig::new(program, &spec.bench, &spec.corners, ctx.workers);
+        cfg.solver = spec.solver.clone();
+        cfg.netlist_digest = spec.netlist_digest;
+        let pool = WorkerPool::for_problem(cfg, &problem, ctx.worker_stats);
+        problem = problem.with_dispatcher(pool.clone());
+        Some(pool)
+    } else {
+        None
+    };
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_campaign(&problem, spec, ctx.progress)
+    }));
+    if let Some(pool) = pool {
+        pool.shutdown();
+    }
+    run.unwrap_or_else(|_| Err("campaign runner panicked".to_string()))
+}
+
+/// Runs one campaign's search on an already-configured problem:
+/// [`run_spec`]'s inner step, public for harnesses that configure the
+/// problem themselves. Progress events, when a sink is supplied, are
+/// purely observational.
 pub fn run_campaign(
     problem: &SizingProblem,
     spec: &CampaignSpec,

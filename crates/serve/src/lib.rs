@@ -16,8 +16,11 @@
 //! * [`protocol`] — the wire format, including a **bitwise-comparable**
 //!   outcome serializer (floats carried as IEEE-754 hex bits) shared
 //!   with the CLI's `--json` mode.
-//! * [`campaign`] — benchmark/agent vocabulary and the single campaign
-//!   entry point shared by daemon and CLI.
+//! * [`campaign`] — benchmark/agent vocabulary, the admission check, and
+//!   [`campaign::run_spec`], the one campaign runner: `asdex size` and the
+//!   scheduler each open the journal their own way and pass the rest
+//!   (threads or thread share, workers, cancel token, dedup store,
+//!   progress sink) as a [`campaign::RunContext`].
 //! * [`worker`] / [`pool`] — process-isolated evaluation: sandboxed
 //!   `asdex worker` child processes speaking a length-prefixed stdio
 //!   protocol, supervised by a restart-with-backoff [`pool::WorkerPool`]
@@ -31,7 +34,7 @@
 //! The serving layer inherits the repo's determinism contracts wholesale:
 //! a campaign run by the daemon — at any thread share, across any number
 //! of drain/restart cycles — produces a `SearchOutcome` bitwise identical
-//! to the same campaign run serially by the CLI.
+//! to the same campaign run serially by the CLI, through the same runner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +56,10 @@ pub mod scheduler;
 pub mod server;
 pub mod worker;
 
-pub use campaign::{build_problem, build_problem_checked, run_campaign, CampaignOutcome};
+pub use campaign::{
+    build_problem, build_problem_checked, problem_for, run_campaign, run_spec, validate,
+    CampaignOutcome, CampaignRun, RunContext,
+};
 pub use client::{Client, ClientConfig, ClientError, ClientStats};
 pub use json::Json;
 pub use loadgen::{LoadReport, LoadgenConfig};

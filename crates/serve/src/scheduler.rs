@@ -19,21 +19,20 @@
 //! down through their normal budget accounting, and checkpoints journals,
 //! so a drained daemon restarts with zero duplicate simulations.
 
-use crate::campaign::{build_problem_checked, run_campaign, CampaignOutcome};
+use crate::campaign::{run_spec, validate, CampaignOutcome, RunContext};
 use crate::lockdir::{DirLock, LockError};
 use crate::logging;
 use crate::manifest::{
     Manifest, ManifestCampaign, ManifestError, ManifestPhase, TerminalRecord, MANIFEST_FILE_NAME,
 };
 use crate::metrics::{Metrics, SchedulerGauges};
-use crate::pool::{WorkerPool, WorkerPoolConfig};
 use crate::protocol::{outcome_json, CampaignSpec};
 use asdex_core::{ProgressEvent, ProgressHandle};
 use asdex_env::{
     CancelToken, DiskFault, EvalStats, EvalStore, EvalStoreStats, HealthStats, Journal, JournalError,
     NetlistBench,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -333,6 +332,15 @@ impl std::fmt::Display for SubmitError {
 /// corner-set name, solver and netlist digest.
 type StoreIdentity = (String, String, String, Option<u64>);
 
+/// The cross-campaign dedup stores: one per evaluation identity that a
+/// queued or running campaign uses, plus the event totals of the stores
+/// already dropped, so the `/metrics` counters never go backwards.
+#[derive(Debug, Default)]
+struct DedupStores {
+    live: HashMap<StoreIdentity, Arc<EvalStore>>,
+    retired: EvalStoreStats,
+}
+
 /// The multi-campaign scheduler. Create with [`Scheduler::start`]; shut
 /// down with [`Scheduler::drain`].
 #[derive(Debug)]
@@ -354,11 +362,12 @@ pub struct Scheduler {
     /// Per-client admission token buckets ([`Scheduler::submit_from`]).
     buckets: Mutex<HashMap<String, Bucket>>,
     /// Cross-campaign evaluation dedup stores, one per
-    /// `(bench, corners, solver, netlist digest)` identity. The store key
-    /// inside is `(point bits, corner index, attempt cap)` — a pure
-    /// function of the evaluation — so sharing is only ever between
-    /// campaigns whose evaluations are bitwise interchangeable.
-    stores: Mutex<HashMap<StoreIdentity, Arc<EvalStore>>>,
+    /// `(bench, corners, solver, netlist digest)` identity that a queued
+    /// or running campaign uses. The store key inside is `(point bits,
+    /// corner index, attempt cap)` — a pure function of the evaluation —
+    /// so sharing is only ever between campaigns whose evaluations are
+    /// bitwise interchangeable.
+    stores: Mutex<DedupStores>,
 }
 
 impl Scheduler {
@@ -396,7 +405,7 @@ impl Scheduler {
             manifest: Mutex::new(manifest),
             ready: AtomicBool::new(false),
             buckets: Mutex::new(HashMap::new()),
-            stores: Mutex::new(HashMap::new()),
+            stores: Mutex::new(DedupStores::default()),
         });
         let mut workers = scheduler.workers.lock().unwrap();
         for i in 0..cfg.max_active.max(1) {
@@ -559,14 +568,7 @@ impl Scheduler {
         // Validate the vocabulary up front so the queue only holds
         // runnable work. For netlist benches this re-compiles the
         // persisted deck against the pinned digest.
-        build_problem_checked(&spec.bench, &spec.corners, spec.netlist_digest)
-            .map_err(SubmitError::Invalid)?;
-        if !matches!(spec.agent.as_str(), "trm" | "bo" | "random") {
-            return Err(SubmitError::Invalid(format!(
-                "unknown agent {:?} (trm|bo|random)",
-                spec.agent
-            )));
-        }
+        validate(&spec).map_err(SubmitError::Invalid)?;
 
         // Admission is one critical section: the drain flag, the
         // queue-capacity check, the duplicate-id check, and the
@@ -681,16 +683,13 @@ impl Scheduler {
         (1 + queued / self.cfg.max_active.max(1)).clamp(1, 30) as u64
     }
 
-    /// Merged statistics of every cross-campaign dedup store.
+    /// Merged statistics of every cross-campaign dedup store, the dropped
+    /// ones included (their entries are gone).
     pub fn dedup_stats(&self) -> EvalStoreStats {
-        let mut total = EvalStoreStats::default();
-        for store in self.stores.lock().unwrap().values() {
-            let s = store.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.aborts += s.aborts;
-            total.bypasses += s.bypasses;
-            total.entries += s.entries;
+        let stores = self.stores.lock().unwrap();
+        let mut total = stores.retired;
+        for store in stores.live.values() {
+            total.merge(&store.stats());
         }
         total
     }
@@ -702,13 +701,29 @@ impl Scheduler {
     /// file, and campaigns admitted before and after an edit of that file
     /// simulate different decks.
     fn store_for(&self, spec: &CampaignSpec) -> Arc<EvalStore> {
-        let key = (
-            spec.bench.clone(),
-            spec.corners.clone(),
-            spec.solver.clone(),
-            spec.netlist_digest,
-        );
-        Arc::clone(self.stores.lock().unwrap().entry(key).or_insert_with(EvalStore::shared))
+        let mut stores = self.stores.lock().unwrap();
+        Arc::clone(stores.live.entry(store_identity(spec)).or_insert_with(EvalStore::shared))
+    }
+
+    /// Drops every dedup store that no queued or running campaign will
+    /// use, adding its event counts to the retired total. Called as a
+    /// campaign ends, with `inner` locked so no admission races the check.
+    fn drop_idle_stores(&self, inner: &Inner) {
+        let in_use: HashSet<StoreIdentity> = inner
+            .queue
+            .iter()
+            .chain(&inner.active)
+            .map(|job| store_identity(&job.spec()))
+            .collect();
+        let mut guard = self.stores.lock().unwrap();
+        let DedupStores { live, retired } = &mut *guard;
+        live.retain(|identity, store| {
+            let keep = in_use.contains(identity);
+            if !keep {
+                retired.merge(&EvalStoreStats { entries: 0, ..store.stats() });
+            }
+            keep
+        });
     }
 
     /// Looks up a campaign by id.
@@ -934,6 +949,7 @@ impl Scheduler {
                 job.set_status(status);
                 inner.active.retain(|j| !Arc::ptr_eq(j, &job));
                 Scheduler::rebalance(&inner, self.cfg.thread_budget);
+                self.drop_idle_stores(&inner);
             }
             self.done_cv.notify_all();
         }
@@ -963,27 +979,17 @@ impl Scheduler {
             // Evaluations that storage faults kept out of the journal:
             // survived (the run kept going) but counted.
             let drops = outcome.stats.journal_drops as u64;
-            if drops > 0 {
-                self.metrics.storage_errors.fetch_add(drops, Ordering::Relaxed);
-            }
+            self.metrics.storage_errors.fetch_add(drops, Ordering::Relaxed);
         }
-        let cancelled = job.cancel.is_cancelled();
-        let status = match &result {
-            Ok(_) if cancelled => CampaignStatus::Interrupted,
-            Ok(_) => CampaignStatus::Completed,
-            Err(_) => CampaignStatus::Failed,
+        let m = &self.metrics;
+        let (status, counter) = match &result {
+            Ok(_) if job.cancel.is_cancelled() => {
+                (CampaignStatus::Interrupted, &m.campaigns_interrupted)
+            }
+            Ok(_) => (CampaignStatus::Completed, &m.campaigns_completed),
+            Err(_) => (CampaignStatus::Failed, &m.campaigns_failed),
         };
-        match status {
-            CampaignStatus::Completed => {
-                self.metrics.campaigns_completed.fetch_add(1, Ordering::Relaxed);
-            }
-            CampaignStatus::Interrupted => {
-                self.metrics.campaigns_interrupted.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {
-                self.metrics.campaigns_failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
         if let Err(msg) = &result {
             logging::info(format!("campaign {}: failed: {msg}", job.id));
         } else {
@@ -1035,92 +1041,50 @@ impl Scheduler {
         };
 
         let spec = job.spec();
-        // The solver choice is part of the campaign identity (pinned by
-        // the journal on resume): apply it before any evaluation runs.
-        let solver = asdex_spice::analysis::SolverChoice::from_label(&spec.solver)
-            .ok_or_else(|| format!("campaign spec has unknown solver {:?}", spec.solver))?;
-        // For `netlist:` benches the digest pinned at admission (and
-        // restored from the journal on resume) must still match the deck
-        // on disk — an edited netlist is a typed failure, never a silent
-        // different campaign.
-        let mut problem = build_problem_checked(&spec.bench, &spec.corners, spec.netlist_digest)?
-            .with_solver(solver)
-            .with_journal(journal)
-            .with_cancel_token(job.cancel.clone())
-            .with_thread_share(Arc::clone(&job.share));
-
-        // Cross-campaign dedup: concurrent campaigns with the same
-        // evaluation identity share results through a single-flight
-        // store. Journal replay still has precedence (a replayed point
-        // never reaches the store), and waiters fold shared results
-        // through the same finalize path as locally computed ones, so
-        // outcomes stay bitwise identical to a store-less run.
-        if self.cfg.dedup {
-            problem = problem.with_eval_store(self.store_for(&spec));
-        }
-
-        // Process isolation: route every evaluation attempt through a
-        // supervised pool of `asdex worker` children. The pool's fallback
-        // evaluator is the problem's own, so even a pool that loses every
-        // worker degrades to in-process execution with an identical
-        // outcome.
-        let pool = if self.cfg.workers > 0 {
-            let program = match &self.cfg.worker_program {
-                Some(program) => program.clone(),
-                None => std::env::current_exe()
-                    .map_err(|e| format!("cannot locate the worker binary: {e}"))?,
-            };
-            let mut pool_cfg =
-                WorkerPoolConfig::new(program, &spec.bench, &spec.corners, self.cfg.workers);
-            pool_cfg.solver = spec.solver.clone();
-            pool_cfg.netlist_digest = spec.netlist_digest;
-            let pool =
-                WorkerPool::for_problem(pool_cfg, &problem, Arc::clone(&self.metrics.workers));
-            problem = problem.with_dispatcher(pool.clone());
-            Some(pool)
-        } else {
-            None
-        };
-
         let sink_job = Arc::clone(job);
-        let progress = ProgressHandle::new(Arc::new(move |event: &ProgressEvent| {
-            sink_job.push_progress(event.to_string());
-        }));
-
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_campaign(&problem, &spec, Some(progress))
-        }));
-
-        if let Some(pool) = pool {
-            pool.shutdown();
+        let run = run_spec(
+            &spec,
+            RunContext {
+                journal: Some(Arc::new(Mutex::new(journal))),
+                thread_share: Arc::clone(&job.share),
+                cancel: job.cancel.clone(),
+                // Cross-campaign dedup: concurrent campaigns with the same
+                // evaluation identity share results through a
+                // single-flight store. Journal replay still has precedence
+                // (a replayed point never reaches the store), and waiters
+                // fold shared results through the same finalize path as
+                // locally computed ones, so outcomes stay bitwise
+                // identical to a store-less run.
+                store: self.cfg.dedup.then(|| self.store_for(&spec)),
+                workers: self.cfg.workers,
+                worker_program: self.cfg.worker_program.clone(),
+                worker_stats: Arc::clone(&self.metrics.workers),
+                progress: Some(ProgressHandle::new(Arc::new(move |event: &ProgressEvent| {
+                    sink_job.push_progress(event.to_string());
+                }))),
+                ..RunContext::default()
+            },
+        );
+        // A checkpoint is an fsync: its only failure is storage. (`None`:
+        // a panic poisoned the journal's lock, and the outcome says so.)
+        let info = run.journal.transpose().map_err(|e| {
+            self.metrics.storage_errors.fetch_add(1, Ordering::Relaxed);
+            format!("journal checkpoint failed: {e}")
+        })?;
+        if let Some((replayed, recorded)) = info {
+            *job.journal_info.lock().unwrap() = info;
+            logging::debug(format!(
+                "campaign {}: journal {} ({replayed} replayed, {recorded} recorded)",
+                job.id,
+                journal_path.display()
+            ));
         }
-
-        // Checkpoint whatever the journal holds — on success, on error,
-        // and especially on drain — before classifying the result.
-        if let Some(handle) = problem.journal_handle() {
-            if let Ok(mut j) = handle.lock() {
-                j.checkpoint().map_err(|e| {
-                    if matches!(e, JournalError::Storage { .. }) {
-                        self.metrics.storage_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    format!("journal checkpoint failed: {e}")
-                })?;
-                *job.journal_info.lock().unwrap() = Some((j.replayed(), j.recorded()));
-                logging::debug(format!(
-                    "campaign {}: journal {} ({} replayed, {} recorded)",
-                    job.id,
-                    j.path().display(),
-                    j.replayed(),
-                    j.recorded()
-                ));
-            }
-        }
-
-        match run {
-            Ok(result) => result,
-            Err(_) => Err("campaign runner panicked".to_string()),
-        }
+        run.outcome
     }
+}
+
+fn store_identity(spec: &CampaignSpec) -> StoreIdentity {
+    (spec.bench.clone(), spec.corners.clone(), spec.solver.clone(), spec.netlist_digest)
 }
 
 #[cfg(test)]
@@ -1567,6 +1531,50 @@ mod tests {
         assert!(Arc::ptr_eq(&store, &scheduler.store_for(&spec(Some(1)))), "same identity");
         assert!(!Arc::ptr_eq(&store, &scheduler.store_for(&spec(Some(2)))), "edited deck");
         assert!(!Arc::ptr_eq(&store, &scheduler.store_for(&spec(None))), "unpinned deck");
+        scheduler.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_dedup_store_is_dropped_when_its_last_campaign_ends() {
+        let dir = temp_dir("store-release");
+        let scheduler = Scheduler::start(
+            SchedulerConfig {
+                max_active: 2,
+                journal_dir: dir.clone(),
+                ..SchedulerConfig::default()
+            },
+            Arc::new(Metrics::new()),
+        )
+        .unwrap();
+        // Four distinct inline decks: four evaluation identities, each
+        // with its own store while its campaign runs.
+        let ids: Vec<String> = (1..=4)
+            .map(|k| {
+                let deck = format!(
+                    "rc sizing demo {k}\n.process 45\n.sizeparam rser 1e3 1e5 STEP 8\n\
+                     .goal gain_db >= -60\nVDD vdd 0 {{vdd}}\nVIN in 0 DC 0.5 AC 1\n\
+                     RS in out {{rser}}\nRL vdd out {k}e3\nC1 out 0 1e-9\n.end\n"
+                );
+                let spec = CampaignSpec {
+                    netlist: Some(deck),
+                    agent: "random".to_string(),
+                    budget: 6,
+                    ..CampaignSpec::default()
+                };
+                scheduler.submit(None, spec).unwrap()
+            })
+            .collect();
+        for id in &ids {
+            assert!(scheduler.wait(id, Duration::from_secs(120)));
+            assert_eq!(scheduler.get(id).unwrap().status(), CampaignStatus::Completed);
+        }
+        assert!(scheduler.stores.lock().unwrap().live.is_empty(), "no campaign runs, no store");
+        // The dropped stores' events still count, so the counters never
+        // go backwards.
+        let stats = scheduler.dedup_stats();
+        assert!(stats.misses >= 4, "every campaign computed through its store: {stats:?}");
+        assert_eq!(stats.entries, 0);
         scheduler.drain();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -31,6 +31,8 @@
 //! corner set before dispatching anything, so a version or configuration
 //! skew is a typed spawn failure, not silent corruption.
 
+use crate::campaign::problem_for;
+use crate::protocol::CampaignSpec;
 use asdex_env::recordlog::{f64_list_from_hex, hex_f64_list, hex_u64, split_record, u64_from_hex};
 use asdex_env::{
     arm_process_faults, run_attempt, FailureKind, FaultConfig, FaultInjectingEvaluator, FaultMode,
@@ -247,11 +249,13 @@ pub fn serve_worker<R: Read, W: Write>(
     input: &mut R,
     output: &mut W,
 ) -> Result<(), String> {
-    let solver = asdex_spice::analysis::SolverChoice::from_label(&cfg.solver)
-        .ok_or_else(|| format!("unknown solver backend {:?}", cfg.solver))?;
-    let mut problem =
-        crate::campaign::build_problem_checked(&cfg.bench, &cfg.corners, cfg.netlist_digest)?
-            .with_solver(solver);
+    let mut problem = problem_for(&CampaignSpec {
+        bench: cfg.bench.clone(),
+        corners: cfg.corners.clone(),
+        solver: cfg.solver.clone(),
+        netlist_digest: cfg.netlist_digest,
+        ..CampaignSpec::default()
+    })?;
     if let Some((rate, seed, mode)) = &cfg.fault {
         let fault_cfg = match mode {
             Some(m) => FaultConfig::only(*m, *rate, *seed),

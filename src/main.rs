@@ -26,13 +26,13 @@
 //! uninterrupted run. Journal status goes to stderr so stdout stays
 //! byte-identical between clean and resumed runs.
 
-use asdex::env::{Journal, JournalError, SizingProblem};
+use asdex::env::{Journal, JournalError};
 use asdex::serve::json::Json;
 use asdex::serve::lockdir::{DirLock, LockError};
 use asdex::serve::protocol::{outcome_json, stats_json, CampaignSpec};
 use asdex::serve::server::{DrainHandle, Server, ServerConfig};
-use asdex::serve::{logging, LoadgenConfig, LogLevel, SchedulerConfig};
-use asdex::spice::analysis::{ac_analysis, dc_operating_point, dc_sweep, transient, OpOptions, SolverChoice, Sweep, TranOptions};
+use asdex::serve::{logging, LoadgenConfig, LogLevel, RunContext, SchedulerConfig};
+use asdex::spice::analysis::{ac_analysis, dc_operating_point, dc_sweep, transient, OpOptions, Sweep, TranOptions};
 use asdex::spice::measure::frequency_response;
 use asdex::spice::parser::{parse_deck, AnalysisCard};
 use asdex::spice::ElementKind;
@@ -294,23 +294,17 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
     }
 }
 
-/// Builds a benchmark problem, mapping vocabulary errors to usage errors.
-/// The vocabulary itself lives in [`asdex::serve::campaign`] so the CLI
-/// and the daemon accept exactly the same names. `netlist_digest`, when
-/// present (a resumed `netlist:<path>` campaign), must match the deck on
-/// disk — the guard against sizing against an edited netlist.
-fn build_problem(
-    name: &str,
-    corners: &str,
-    netlist_digest: Option<u64>,
-) -> Result<SizingProblem, CliError> {
-    asdex::serve::build_problem_checked(name, corners, netlist_digest).map_err(|e| {
-        if e.starts_with("unknown") {
-            CliError::Usage(e)
-        } else {
-            CliError::Runtime(e)
-        }
-    })
+/// Maps a campaign-vocabulary error (unknown bench, corner set, solver or
+/// agent) to a usage error and anything else, such as an unreadable or
+/// edited deck, to a runtime failure. The vocabulary itself lives in
+/// [`asdex::serve::campaign`], so the CLI and the daemon accept exactly the
+/// same names.
+fn spec_error(e: String) -> CliError {
+    if e.starts_with("unknown") {
+        CliError::Usage(e)
+    } else {
+        CliError::Runtime(e)
+    }
 }
 
 /// Resolves the `--netlist <path>` / positional-bench pair into one bench
@@ -346,10 +340,12 @@ extern "C" fn on_sigint(_signum: i32) {
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
-/// Routes both `SIGINT` (Ctrl-C) and `SIGTERM` (service managers,
-/// `kill`) to the shared interrupt flag. The two are handled identically
-/// everywhere: same drain, same checkpoint, same exit code.
-fn install_signal_handlers() {
+/// Routes both `SIGINT` (Ctrl-C) and `SIGTERM` (service managers, `kill`)
+/// to `action`, run once on a watcher thread. The two signals are handled
+/// identically everywhere. The handler itself only flips an atomic (the
+/// full async-signal-safe contract); all I/O happens on the watcher
+/// thread.
+fn on_interrupt(action: impl FnOnce() + Send + 'static) {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
@@ -360,6 +356,12 @@ fn install_signal_handlers() {
         signal(SIGINT, on_sigint);
         signal(SIGTERM, on_sigint);
     }
+    std::thread::spawn(move || {
+        while !INTERRUPTED.load(Ordering::SeqCst) {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        action();
+    });
 }
 
 /// Acquires the exclusive pid+epoch fence on a journal's directory — the
@@ -373,28 +375,17 @@ fn lock_journal_dir(journal_path: &Path) -> Result<DirLock, CliError> {
     DirLock::acquire(&dir).map_err(CliError::Lock)
 }
 
-/// Installs `SIGINT`/`SIGTERM` handlers plus a watcher thread that
-/// checkpoints the journal, prints the resume hint, and exits 130. Only
-/// called when a journal is active — without one, default signal
-/// behaviour is left alone.
-///
-/// The handler itself only flips an atomic (the full async-signal-safe
-/// contract); all I/O happens on the watcher thread.
-fn install_interrupt_watcher(journal: Arc<Mutex<Journal>>) {
-    install_signal_handlers();
-    std::thread::spawn(move || loop {
-        if INTERRUPTED.load(Ordering::SeqCst) {
-            if let Ok(mut j) = journal.lock() {
-                let _ = j.checkpoint();
-                logging::info(format!(
-                    "\ninterrupted: journal checkpointed at {}",
-                    j.path().display()
-                ));
-                logging::info(format!("resume with: asdex size --resume {}", j.path().display()));
-            }
-            std::process::exit(130);
+/// Checkpoints the journal, prints the resume hint and exits 130 on
+/// `SIGINT`/`SIGTERM`. Only installed when a journal is active — without
+/// one, default signal behaviour is left alone.
+fn checkpoint_on_interrupt(journal: Arc<Mutex<Journal>>) {
+    on_interrupt(move || {
+        if let Ok(mut j) = journal.lock() {
+            let _ = j.checkpoint();
+            logging::info(format!("\ninterrupted: journal checkpointed at {}", j.path().display()));
+            logging::info(format!("resume with: asdex size --resume {}", j.path().display()));
         }
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        std::process::exit(130);
     });
 }
 
@@ -403,118 +394,93 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
     let threads = parse_flag(args, "--threads", 0usize)?;
     let workers = parse_flag(args, "--workers", 0usize)?;
     let json_output = has_flag(args, "--json");
-    let solver_flag = match flag_value(args, "--solver")? {
-        Some(label) => {
-            if SolverChoice::from_label(label).is_none() {
-                return Err(CliError::Usage(format!(
-                    "--solver must be auto, dense, or sparse (got {label:?})"
-                )));
-            }
-            Some(label.to_string())
+    let solver_flag = flag_value(args, "--solver")?;
+
+    // Either restore the campaign identity from a journal, or read it from
+    // the command line. Any journal activity first fences the journal's
+    // directory — held for the whole run so a live daemon and a CLI resume
+    // can never interleave writes.
+    let resumed = match flag_value(args, "--resume")? {
+        Some(path) => {
+            let guard = lock_journal_dir(Path::new(path))?;
+            Some((Journal::resume(Path::new(path), checkpoint_every)?, guard))
         }
         None => None,
     };
-
-    // Either restore the campaign identity from a journal, or read it from
-    // the command line (optionally starting a fresh journal). Any journal
-    // activity first fences the journal's directory — held for the whole
-    // run so a live daemon and a CLI resume can never interleave writes.
-    let (spec, journal, _dir_lock) = if let Some(path) = flag_value(args, "--resume")? {
-        let guard = lock_journal_dir(Path::new(path))?;
-        let journal = Journal::resume(Path::new(path), checkpoint_every)?;
-        let spec = CampaignSpec::from_meta(journal.meta()).map_err(CliError::Runtime)?;
-        // The backend is part of the campaign's identity: a resumed run
-        // must factor with whatever the journal recorded.
-        if let Some(label) = &solver_flag {
-            if *label != spec.solver {
+    let spec = match &resumed {
+        Some((journal, _)) => {
+            let spec = CampaignSpec::from_meta(journal.meta()).map_err(CliError::Runtime)?;
+            // The backend is part of the campaign's identity: a resumed run
+            // must factor with whatever the journal recorded.
+            if let Some(label) = solver_flag.filter(|label| *label != spec.solver) {
                 return Err(CliError::Usage(format!(
                     "--solver {label} conflicts with the journal's recorded solver {:?}; \
                      resume pins the original backend",
                     spec.solver
                 )));
             }
+            // Same pinning rule for the bench: a resumed netlist campaign
+            // runs the deck the journal recorded (path and digest), so a
+            // different --netlist is a conflict, not an override.
+            if let Some(path) = flag_value(args, "--netlist")? {
+                if format!("netlist:{path}") != spec.bench {
+                    return Err(CliError::Usage(format!(
+                        "--netlist {path} conflicts with the journal's recorded bench {:?}; \
+                         resume pins the original deck",
+                        spec.bench
+                    )));
+                }
+            }
+            spec
         }
-        // Same pinning rule for the bench: a resumed netlist campaign
-        // runs the deck the journal recorded (path and digest), so a
-        // different --netlist is a conflict, not an override.
-        if let Some(path) = flag_value(args, "--netlist")? {
-            if format!("netlist:{path}") != spec.bench {
-                return Err(CliError::Usage(format!(
-                    "--netlist {path} conflicts with the journal's recorded bench {:?}; \
-                     resume pins the original deck",
-                    spec.bench
-                )));
+        None => {
+            let (bench, netlist_digest) = netlist_or_positional(args, "size")?.ok_or_else(|| {
+                CliError::Usage(format!("size needs a benchmark or --netlist\n\n{USAGE}"))
+            })?;
+            CampaignSpec {
+                bench,
+                agent: flag_value(args, "--agent")?.unwrap_or("trm").to_string(),
+                seed: parse_flag(args, "--seed", 1u64)?,
+                budget: parse_flag(args, "--budget", 10_000usize)?,
+                corners: flag_value(args, "--corners")?.unwrap_or("nominal").to_string(),
+                checkpoint_every,
+                solver: solver_flag.unwrap_or("auto").to_string(),
+                netlist: None,
+                // Pinned before the journal is created, so the journal's
+                // metadata records which deck this campaign sizes and
+                // resume can refuse an edited one.
+                netlist_digest,
             }
         }
-        logging::info(format!(
-            "journal: resuming {} ({} recorded evaluations to replay)",
-            journal.path().display(),
-            journal.recorded()
-        ));
-        (spec, Some(journal), Some(guard))
-    } else {
-        let (bench, netlist_digest) = netlist_or_positional(args, "size")?.ok_or_else(|| {
-            CliError::Usage(format!("size needs a benchmark or --netlist\n\n{USAGE}"))
-        })?;
-        let spec = CampaignSpec {
-            bench,
-            agent: flag_value(args, "--agent")?.unwrap_or("trm").to_string(),
-            seed: parse_flag(args, "--seed", 1u64)?,
-            budget: parse_flag(args, "--budget", 10_000usize)?,
-            corners: flag_value(args, "--corners")?.unwrap_or("nominal").to_string(),
-            checkpoint_every,
-            solver: solver_flag.clone().unwrap_or_else(|| "auto".to_string()),
-            netlist: None,
-            // Pinned before the journal is created, so the journal's
-            // metadata records which deck this campaign sizes and resume
-            // can refuse an edited one.
-            netlist_digest,
-        };
-        let (journal, guard) = match flag_value(args, "--journal")? {
+    };
+    // The daemon's admission check, before any journal file is created: a
+    // refused spec leaves nothing on disk. The problem it returns has no
+    // journal or worker pool attached, so the printout below can evaluate
+    // on it without touching either.
+    let problem = asdex::serve::validate(&spec).map_err(spec_error)?;
+    let (journal, _dir_lock) = match resumed {
+        Some((journal, guard)) => {
+            logging::info(format!(
+                "journal: resuming {} ({} recorded evaluations to replay)",
+                journal.path().display(),
+                journal.recorded()
+            ));
+            (Some(journal), Some(guard))
+        }
+        None => match flag_value(args, "--journal")? {
             Some(jpath) => {
                 let guard = lock_journal_dir(Path::new(jpath))?;
-                let journal =
-                    Journal::create(Path::new(jpath), spec.to_meta(), checkpoint_every)?;
+                let journal = Journal::create(Path::new(jpath), spec.to_meta(), checkpoint_every)?;
                 logging::info(format!("journal: recording to {}", journal.path().display()));
                 (Some(journal), Some(guard))
             }
             None => (None, None),
-        };
-        (spec, journal, guard)
+        },
     };
-
-    let solver = SolverChoice::from_label(&spec.solver).ok_or_else(|| {
-        CliError::Runtime(format!("journal records unknown solver {:?}", spec.solver))
-    })?;
-    let mut problem = build_problem(&spec.bench, &spec.corners, spec.netlist_digest)?
-        .with_threads(threads)
-        .with_solver(solver);
-    if let Some(journal) = journal {
-        problem = problem.with_journal(journal);
-        if let Some(handle) = problem.journal_handle() {
-            install_interrupt_watcher(handle);
-        }
+    let journal = journal.map(|j| Arc::new(Mutex::new(j)));
+    if let Some(handle) = &journal {
+        checkpoint_on_interrupt(Arc::clone(handle));
     }
-
-    // Process isolation: same supervised pool the daemon uses, with the
-    // CLI binary re-executing itself as the workers.
-    let pool = if workers > 0 {
-        let program = std::env::current_exe()
-            .map_err(|e| CliError::Runtime(format!("cannot locate the worker binary: {e}")))?;
-        let mut pool_cfg =
-            asdex::serve::WorkerPoolConfig::new(program, &spec.bench, &spec.corners, workers);
-        pool_cfg.solver = spec.solver.clone();
-        pool_cfg.netlist_digest = spec.netlist_digest;
-        let pool = asdex::serve::WorkerPool::for_problem(
-            pool_cfg,
-            &problem,
-            Arc::new(asdex::serve::WorkerStats::new()),
-        );
-        problem = problem.with_dispatcher(pool.clone());
-        Some(pool)
-    } else {
-        None
-    };
 
     if !json_output {
         println!(
@@ -527,40 +493,28 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
         );
     }
 
-    let outcome = asdex::serve::run_campaign(&problem, &spec, None);
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
-    let outcome = outcome.map_err(|e| {
-        if e.starts_with("unknown agent") {
-            CliError::Usage(e)
-        } else {
-            CliError::Runtime(e)
-        }
-    })?;
-
-    // Make the journal tail durable before reporting, so a crash after
-    // this point costs nothing.
-    let mut journal_info = None;
-    if let Some(handle) = problem.journal_handle() {
-        if let Ok(mut j) = handle.lock() {
-            j.checkpoint().map_err(CliError::Journal)?;
-            journal_info = Some((j.replayed(), j.recorded()));
+    // The daemon's runner: with --workers, the CLI binary re-executes
+    // itself as the workers. The runner checkpoints the journal before it
+    // returns, so a crash after this point costs nothing.
+    let ctx = RunContext { journal: journal.clone(), threads, workers, ..RunContext::default() };
+    let run = asdex::serve::run_spec(&spec, ctx);
+    let journal_info = run.journal.transpose()?;
+    if let Some(j) = journal.as_ref().and_then(|handle| handle.lock().ok()) {
+        logging::info(format!(
+            "journal: {} evaluations replayed, {} on disk at {}",
+            j.replayed(),
+            j.recorded(),
+            j.path().display()
+        ));
+        if j.unconsumed() > 0 {
             logging::info(format!(
-                "journal: {} evaluations replayed, {} on disk at {}",
-                j.replayed(),
-                j.recorded(),
-                j.path().display()
+                "journal: warning — {} recorded evaluations were never requested \
+                 (campaign diverged from the journaled run?)",
+                j.unconsumed()
             ));
-            if j.unconsumed() > 0 {
-                logging::info(format!(
-                    "journal: warning — {} recorded evaluations were never requested \
-                     (campaign diverged from the journaled run?)",
-                    j.unconsumed()
-                ));
-            }
         }
     }
+    let outcome = run.outcome.map_err(CliError::Runtime)?;
 
     if json_output {
         // One machine-readable document, sharing the daemon's outcome
@@ -590,12 +544,10 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
     for (name, value) in problem.space.names().iter().zip(&outcome.best_physical) {
         println!("  {name:>10} = {value:.4e}");
     }
-    if let Some(e) = problem.evaluate_all_corners(&outcome.best_point).first() {
-        if let Some(m) = &e.measurements {
-            println!("measurements (corner 0):");
-            for (name, value) in problem.evaluator.measurement_names().iter().zip(m) {
-                println!("  {name:>14} = {value:.4e}");
-            }
+    if let Some(m) = problem.evaluate_with_budget(&outcome.best_point, 0, usize::MAX).measurements {
+        println!("measurements (corner 0):");
+        for (name, value) in problem.evaluator.measurement_names().iter().zip(&m) {
+            println!("  {name:>14} = {value:.4e}");
         }
     }
     Ok(())
@@ -610,7 +562,9 @@ fn cmd_probe(args: &[String]) -> Result<(), CliError> {
     let samples = parse_flag(args, "--samples", 5_000usize)?;
     let threads = parse_flag(args, "--threads", 0usize)?;
     let json_output = has_flag(args, "--json");
-    let problem = build_problem(&bench, "nominal", netlist_digest)?.with_threads(threads);
+    let problem = asdex::serve::build_problem_checked(&bench, "nominal", netlist_digest)
+        .map_err(spec_error)?
+        .with_threads(threads);
     let mut rng = StdRng::seed_from_u64(1);
     let mut feasible = 0usize;
     let mut stats = asdex::env::EvalStats::new();
@@ -695,22 +649,11 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let drain = DrainHandle::new();
     let server = Server::bind(cfg, drain.clone())
         .map_err(|e| CliError::Runtime(format!("cannot start daemon: {e}")))?;
-    install_drain_on_signal(drain);
+    // SIGINT/SIGTERM drain gracefully instead of killing the process: the
+    // accept loop notices, the scheduler cancels and checkpoints, and
+    // `cmd_serve` returns normally (exit 0).
+    on_interrupt(move || drain.request_drain());
     server.run().map_err(|e| CliError::Runtime(format!("daemon failed: {e}")))
-}
-
-/// Routes SIGINT and SIGTERM to a graceful drain instead of killing the
-/// process: the accept loop notices the flag, the scheduler cancels and
-/// checkpoints, and `cmd_serve` returns normally (exit 0).
-fn install_drain_on_signal(drain: DrainHandle) {
-    install_signal_handlers();
-    std::thread::spawn(move || loop {
-        if INTERRUPTED.load(Ordering::SeqCst) {
-            drain.request_drain();
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    });
 }
 
 /// Hammers a daemon with concurrent campaigns and records throughput and
@@ -793,11 +736,6 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
         .to_string();
     let corners = flag_value(args, "--corners")?.unwrap_or("nominal").to_string();
     let solver = flag_value(args, "--solver")?.unwrap_or("auto").to_string();
-    if SolverChoice::from_label(&solver).is_none() {
-        return Err(CliError::Usage(format!(
-            "--solver must be auto, dense, or sparse (got {solver:?})"
-        )));
-    }
     let rate = parse_flag(args, "--fault-rate", 0.0f64)?;
     let fault = if rate > 0.0 {
         let seed = parse_flag(args, "--fault-seed", 0u64)?;
@@ -820,7 +758,7 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
         None => None,
     };
     let cfg = asdex::serve::WorkerConfig { bench, corners, solver, fault, netlist_digest };
-    asdex::serve::run_worker(&cfg).map_err(CliError::Runtime)
+    asdex::serve::run_worker(&cfg).map_err(spec_error)
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), CliError> {

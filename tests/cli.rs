@@ -1,0 +1,87 @@
+//! `asdex size` driven as a binary: what a run leaves in its journal.
+//!
+//! 1. **Refused before disk** — a spec the daemon's admission check
+//!    refuses (unknown agent, bench, corner set or solver) exits 2 before
+//!    any journal file exists, so no half-made journal is left for a
+//!    later `--resume` to trip over.
+//! 2. **The printout reads, never records** — the text report evaluates
+//!    the best point on a problem with no journal attached, so a text run
+//!    and a `--json` run of one campaign leave byte-identical journals,
+//!    and resuming either replays every record it holds.
+
+use asdex::serve::Json;
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("asdex-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+fn asdex(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_asdex")).args(args).output().expect("asdex runs")
+}
+
+#[test]
+fn refused_specs_exit_2_and_leave_no_journal() {
+    let dir = temp_dir("refused");
+    let refused: [&[&str]; 4] = [
+        &["bowl2", "--agent", "dqn"],
+        &["opamp99"],
+        &["bowl2", "--corners", "weird"],
+        &["bowl2", "--solver", "blas"],
+    ];
+    for (k, spec) in refused.into_iter().enumerate() {
+        let journal = dir.join(format!("{k}.journal"));
+        let path = journal.display().to_string();
+        let mut args = vec!["size"];
+        args.extend_from_slice(spec);
+        args.extend_from_slice(&["--budget", "20", "--journal", &path]);
+        let out = asdex(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec:?}: {stderr}");
+        assert!(stderr.contains("unknown"), "{spec:?}: {stderr}");
+        assert!(!journal.exists(), "{spec:?} left a journal behind");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+    assert!(left.is_empty(), "refused runs wrote {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn text_and_json_runs_leave_byte_identical_journals() {
+    let dir = temp_dir("printout");
+    let run = |name: &str, json: bool| -> (Output, Vec<u8>) {
+        let journal = dir.join(name);
+        let path = journal.display().to_string();
+        let mut args = vec!["size", "opamp45", "--agent", "random", "--budget", "40"];
+        args.extend_from_slice(&["--seed", "3", "--journal", &path]);
+        if json {
+            args.push("--json");
+        }
+        let out = asdex(&args);
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        (out, std::fs::read(&journal).expect("journal written"))
+    };
+    let (text, text_journal) = run("text.journal", false);
+    let (json, json_journal) = run("json.journal", true);
+    assert!(text_journal == json_journal, "the text printout wrote into the journal");
+
+    // The journal holds exactly the evaluations the campaign reported.
+    let doc = Json::parse(String::from_utf8_lossy(&json.stdout).trim()).expect("JSON outcome");
+    let recorded = doc.get("journal").and_then(|j| j.get("recorded")).and_then(Json::as_u64);
+    let lines = json_journal.split(|&b| b == b'\n').filter(|l| l.starts_with(b"E ")).count();
+    assert_eq!(recorded, Some(lines as u64));
+
+    // Resuming the text run's journal replays every record, warns about
+    // none, and prints the same report.
+    let path = dir.join("text.journal").display().to_string();
+    let resumed = asdex(&["size", "--resume", &path]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "resume: {stderr}");
+    assert!(!stderr.contains("never requested"), "resume: {stderr}");
+    assert_eq!(resumed.stdout, text.stdout, "resumed report differs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
