@@ -65,6 +65,31 @@ impl Complex {
         self.re.hypot(self.im)
     }
 
+    /// An upper bound on [`Complex::abs`] that calls no `hypot`:
+    /// `|z| ≤ √2·max(|re|, |im|)`, scaled up by a few ulps so it also
+    /// covers the rounding of `hypot` and of the product. Where that
+    /// product's rounding error is not relative (a subnormal maximum) or
+    /// could overflow, it is the exact [`Complex::abs`].
+    ///
+    /// ```
+    /// use asdex_linalg::Complex;
+    /// for z in [Complex::new(3.0, 4.0), Complex::new(1.0, 1.0), Complex::new(0.0, -2.5)] {
+    ///     assert!(z.abs() <= z.abs_bound() && z.abs_bound() <= 1.5 * z.abs());
+    /// }
+    /// ```
+    #[inline]
+    pub fn abs_bound(self) -> f64 {
+        /// `√2` rounded up, then 16 ulps more: ample for `hypot`'s error
+        /// (at most one ulp in common libms) and the product's half ulp.
+        const SQRT_2_UP: f64 = std::f64::consts::SQRT_2 * (1.0 + 16.0 * f64::EPSILON);
+        let m = self.re.abs().max(self.im.abs());
+        if m.is_subnormal() || m > f64::MAX / 2.0 {
+            self.abs()
+        } else {
+            m * SQRT_2_UP
+        }
+    }
+
     /// Squared magnitude `|z|^2`.
     #[inline]
     pub fn abs_sq(self) -> f64 {

@@ -8,7 +8,8 @@
 //!   (`f64` or [`Complex`]),
 //! * [`Lu`] — dense LU with partial pivoting, plus the in-place
 //!   [`factor_in_place`]/[`solve_factored`] kernels that let a solver
-//!   workspace factor without cloning,
+//!   workspace factor without cloning or allocating (it keeps its
+//!   [`Pivot`]s),
 //! * [`Assembler`] — the stamping abstraction MNA assembly targets, so
 //!   the engine is agnostic to the storage being filled,
 //! * [`SparseAssembler`] / [`SparseLu`] — sparse LU whose symbolic
@@ -50,7 +51,7 @@ mod vector;
 
 pub use assemble::Assembler;
 pub use complex::Complex;
-pub use lu::{factor_in_place, solve, solve_factored, Lu, SolveError};
+pub use lu::{factor_in_place, solve, solve_factored, Lu, Pivot, SolveError};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 pub use sparse::{SparseAssembler, SparseLu, SparseStatus};

@@ -72,10 +72,31 @@ pub struct Lu<S: Scalar = f64> {
     /// Combined L (below diagonal, unit diagonal implied) and U (diagonal
     /// and above).
     lu: Matrix<S>,
-    /// Row permutation: `perm[i]` is the original row now in position `i`.
-    perm: Vec<usize>,
+    /// Row permutation and prepared pivots, one per position.
+    pivots: Vec<Pivot<S>>,
     /// Sign of the permutation, for the determinant.
     perm_sign: f64,
+}
+
+/// One position of a factorization's row pivoting, as [`factor_in_place`]
+/// writes it and [`solve_factored`] reads it: the original row now at
+/// this position, that row's scale (the largest modulus of the original
+/// row), and U's diagonal entry there as a prepared divisor
+/// ([`Scalar::prepare_divisor`]). Reusing one `Vec` of these across
+/// factorizations keeps every factorization after the first
+/// allocation-free.
+#[derive(Debug, Clone, Copy)]
+pub struct Pivot<S: Scalar> {
+    row: usize,
+    scale: f64,
+    divisor: S,
+}
+
+impl<S: Scalar> Pivot<S> {
+    /// The original row at this position: `perm[i]` of `P A = L U`.
+    pub fn row(&self) -> usize {
+        self.row
+    }
 }
 
 /// Scaled pivots smaller than this are treated as zero. The test is
@@ -97,36 +118,57 @@ const DENSE_BLOCK: usize = 4;
 /// Every trailing element receives exactly one `-= factor * u_kj` update
 /// per elimination step, so the blocking cannot change the arithmetic:
 /// results are bitwise-identical to the textbook doubly-indexed loop.
-fn factor_kernel<S: Scalar>(a: &mut Matrix<S>, perm: &mut Vec<usize>) -> Result<f64, SolveError> {
+///
+/// Moduli are screened ([`Scalar::modulus_bound`]): a row scale computes
+/// an entry's exact modulus only when its bound exceeds the running
+/// maximum, and a pivot candidate only when its bound over its row scale
+/// exceeds the best scaled pivot so far. Neither skip can change a
+/// result (DESIGN.md §2.1): a skipped entry cannot raise a maximum, and
+/// since rounded division is monotone a skipped row cannot win the
+/// strict `>` that lets the first of tied rows keep the pivot. Row `k`'s
+/// own scaled pivot, the winner's and the tolerance test stay exact.
+fn factor_kernel<S: Scalar>(
+    a: &mut Matrix<S>,
+    pivots: &mut Vec<Pivot<S>>,
+) -> Result<f64, SolveError> {
     if a.rows() != a.cols() {
         return Err(SolveError::NotSquare);
     }
-    if !a.is_finite() {
-        return Err(SolveError::NonFinite);
-    }
     let n = a.rows();
-    perm.clear();
-    perm.extend(0..n);
+    pivots.clear();
     let mut perm_sign = 1.0;
 
-    // Row scales from the original matrix (implicit equilibration).
-    let mut scale = vec![0.0_f64; n];
+    // Row scales from the original matrix (implicit equilibration), in
+    // the pass that checks finiteness. An all-zero row is singular
+    // outright, but a non-finite entry in any row is reported first.
+    let mut zero_row = None;
     for i in 0..n {
-        for j in 0..n {
-            scale[i] = scale[i].max(a[(i, j)].modulus());
+        let mut scale = 0.0_f64;
+        for &v in a.row(i) {
+            if !v.is_finite() {
+                return Err(SolveError::NonFinite);
+            }
+            scale = v.max_modulus(scale);
         }
-        if scale[i] == 0.0 {
-            // An all-zero row is singular outright.
-            return Err(SolveError::Singular { step: i });
+        if scale == 0.0 {
+            zero_row = zero_row.or(Some(i));
         }
+        pivots.push(Pivot { row: i, scale, divisor: S::zero() });
+    }
+    if let Some(step) = zero_row {
+        return Err(SolveError::Singular { step });
     }
 
     for k in 0..n {
-        // Scaled partial pivot: pick the row maximizing |a_ik| / s_i.
+        // Scaled partial pivot: the first row maximizing |a_ik| / s_i.
         let mut pivot_row = k;
-        let mut pivot_scaled = a[(k, k)].modulus() / scale[k];
+        let mut pivot_scaled = a[(k, k)].modulus() / pivots[k].scale;
         for i in (k + 1)..n {
-            let mag = a[(i, k)].modulus() / scale[i];
+            let (v, scale) = (a[(i, k)], pivots[i].scale);
+            if v.modulus_bound() / scale <= pivot_scaled {
+                continue;
+            }
+            let mag = v.modulus() / scale;
             if mag > pivot_scaled {
                 pivot_scaled = mag;
                 pivot_row = i;
@@ -137,17 +179,17 @@ fn factor_kernel<S: Scalar>(a: &mut Matrix<S>, perm: &mut Vec<usize>) -> Result<
         }
         if pivot_row != k {
             a.swap_rows(k, pivot_row);
-            perm.swap(k, pivot_row);
-            scale.swap(k, pivot_row);
+            pivots.swap(k, pivot_row);
             perm_sign = -perm_sign;
         }
         let (_, _, data) = a.parts_mut();
         let (upper, trailing) = data.split_at_mut((k + 1) * n);
         let prow = &upper[k * n..];
-        let pivot = prow[k];
+        let divisor = prow[k].prepare_divisor();
+        pivots[k].divisor = divisor;
         for block in trailing.chunks_mut(DENSE_BLOCK * n) {
             for row in block.chunks_mut(n) {
-                let factor = row[k] / pivot;
+                let factor = row[k].div_prepared(divisor);
                 row[k] = factor;
                 if factor == S::zero() {
                     continue;
@@ -162,17 +204,22 @@ fn factor_kernel<S: Scalar>(a: &mut Matrix<S>, perm: &mut Vec<usize>) -> Result<
 }
 
 /// Factors `a` in place as `P A = L U` (combined L/U storage, unit
-/// diagonal of L implied), writing the row permutation into `perm`.
+/// diagonal of L implied), writing the row permutation and prepared
+/// pivots into `pivots`.
 ///
 /// This is the zero-allocation path for hot loops: a Newton iteration
 /// assembles into a workspace matrix, factors it in place, and solves
-/// with [`solve_factored`] — no per-iteration clone.
+/// with [`solve_factored`] — no per-iteration clone, and with a reused
+/// `pivots` no allocation at all.
 ///
 /// # Errors
 ///
 /// Same contract as [`Lu::factor`].
-pub fn factor_in_place<S: Scalar>(a: &mut Matrix<S>, perm: &mut Vec<usize>) -> Result<(), SolveError> {
-    factor_kernel(a, perm).map(|_| ())
+pub fn factor_in_place<S: Scalar>(
+    a: &mut Matrix<S>,
+    pivots: &mut Vec<Pivot<S>>,
+) -> Result<(), SolveError> {
+    factor_kernel(a, pivots).map(|_| ())
 }
 
 /// Solves `A x = b` against a factorization produced by
@@ -186,7 +233,7 @@ pub fn factor_in_place<S: Scalar>(a: &mut Matrix<S>, perm: &mut Vec<usize>) -> R
 /// * [`SolveError::NonFinite`] if the solution contains NaN/∞.
 pub fn solve_factored<S: Scalar>(
     lu: &Matrix<S>,
-    perm: &[usize],
+    pivots: &[Pivot<S>],
     b: &[S],
     x: &mut Vec<S>,
 ) -> Result<(), SolveError> {
@@ -196,7 +243,7 @@ pub fn solve_factored<S: Scalar>(
     }
     // Apply permutation: x = P b.
     x.clear();
-    x.extend(perm.iter().map(|&p| b[p]));
+    x.extend(pivots.iter().map(|p| b[p.row]));
     // Forward substitution (L has unit diagonal).
     for i in 1..n {
         let row = lu.row(i);
@@ -206,14 +253,14 @@ pub fn solve_factored<S: Scalar>(
         }
         x[i] = acc;
     }
-    // Back substitution with U.
+    // Back substitution with U, dividing by the prepared diagonal.
     for i in (0..n).rev() {
         let row = lu.row(i);
         let mut acc = x[i];
         for (j, xj) in x.iter().enumerate().skip(i + 1) {
             acc -= row[j] * *xj;
         }
-        x[i] = acc / row[i];
+        x[i] = acc.div_prepared(pivots[i].divisor);
     }
     if x.iter().any(|v| !v.is_finite()) {
         return Err(SolveError::NonFinite);
@@ -232,9 +279,9 @@ impl<S: Scalar> Lu<S> {
     /// * [`SolveError::Singular`] if a pivot underflows its row scale.
     /// * [`SolveError::NonFinite`] if `a` contains NaN or ∞.
     pub fn factor(mut a: Matrix<S>) -> Result<Self, SolveError> {
-        let mut perm = Vec::new();
-        let perm_sign = factor_kernel(&mut a, &mut perm)?;
-        Ok(Lu { lu: a, perm, perm_sign })
+        let mut pivots = Vec::new();
+        let perm_sign = factor_kernel(&mut a, &mut pivots)?;
+        Ok(Lu { lu: a, pivots, perm_sign })
     }
 
     /// Dimension of the factored system.
@@ -250,7 +297,7 @@ impl<S: Scalar> Lu<S> {
     /// * [`SolveError::NonFinite`] if the solution contains NaN/∞.
     pub fn solve(&self, b: &[S]) -> Result<Vec<S>, SolveError> {
         let mut x = Vec::with_capacity(self.dim());
-        solve_factored(&self.lu, &self.perm, b, &mut x)?;
+        solve_factored(&self.lu, &self.pivots, b, &mut x)?;
         Ok(x)
     }
 

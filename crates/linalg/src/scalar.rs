@@ -31,6 +31,26 @@ pub trait Scalar:
     fn one() -> Self;
     /// Magnitude used for pivot selection and convergence checks.
     fn modulus(self) -> f64;
+    /// A cheap upper bound on [`Scalar::modulus`]: never below it unless
+    /// the modulus is NaN. `f64` returns the modulus itself.
+    fn modulus_bound(self) -> f64;
+    /// `max.max(self.modulus())`, bit for bit, computing the modulus only
+    /// when [`Scalar::modulus_bound`] does not already show it cannot
+    /// exceed `max`.
+    #[inline]
+    fn max_modulus(self, max: f64) -> f64 {
+        if self.modulus_bound() <= max {
+            max
+        } else {
+            max.max(self.modulus())
+        }
+    }
+    /// `self` made ready to divide by through [`Scalar::div_prepared`]:
+    /// the reciprocal for [`Complex`], whose division multiplies by it
+    /// anyway, and `self` for `f64`, which keeps its true division.
+    fn prepare_divisor(self) -> Self;
+    /// `self / d`, bit for bit, for `d = divisor.prepare_divisor()`.
+    fn div_prepared(self, prepared: Self) -> Self;
     /// Lift a real number into the scalar field.
     fn from_f64(x: f64) -> Self;
     /// `true` when all components are finite.
@@ -49,6 +69,18 @@ impl Scalar for f64 {
     #[inline]
     fn modulus(self) -> f64 {
         self.abs()
+    }
+    #[inline]
+    fn modulus_bound(self) -> f64 {
+        self.abs()
+    }
+    #[inline]
+    fn prepare_divisor(self) -> Self {
+        self
+    }
+    #[inline]
+    fn div_prepared(self, prepared: Self) -> Self {
+        self / prepared
     }
     #[inline]
     fn from_f64(x: f64) -> Self {
@@ -72,6 +104,19 @@ impl Scalar for Complex {
     #[inline]
     fn modulus(self) -> f64 {
         self.abs()
+    }
+    #[inline]
+    fn modulus_bound(self) -> f64 {
+        self.abs_bound()
+    }
+    #[inline]
+    fn prepare_divisor(self) -> Self {
+        self.recip()
+    }
+    /// Exactly [`Complex`]'s `/`, which is `self * rhs.recip()`.
+    #[inline]
+    fn div_prepared(self, prepared: Self) -> Self {
+        self * prepared
     }
     #[inline]
     fn from_f64(x: f64) -> Self {
@@ -106,5 +151,28 @@ mod tests {
         roundtrip::<Complex>();
         let z = Complex::new(3.0, 4.0);
         assert_eq!(Scalar::modulus(z), 5.0);
+    }
+
+    #[test]
+    fn prepared_division_and_screened_max_are_exact() {
+        let zs = [
+            Complex::new(3.0, -4.0),
+            Complex::new(1e-300, 2.0),
+            Complex::new(-7.5, 7.5),
+            Complex::new(5e-324, -5e-324),
+            Complex::new(0.0, 1e300),
+            Complex::new(f64::MAX, f64::MAX),
+        ];
+        let bits = |z: Complex| (z.re.to_bits(), z.im.to_bits());
+        for &a in &zs {
+            for &b in &zs {
+                assert_eq!(bits(a.div_prepared(b.prepare_divisor())), bits(a / b));
+                for max in [0.0, a.abs(), b.abs(), b.abs_bound(), f64::INFINITY, f64::NAN] {
+                    let want = max.max(a.abs());
+                    assert_eq!(a.max_modulus(max).to_bits(), want.to_bits(), "{a} vs {max}");
+                }
+            }
+        }
+        assert_eq!(7.0_f64.div_prepared(3.0_f64.prepare_divisor()), 7.0 / 3.0);
     }
 }

@@ -200,7 +200,8 @@ pub struct SparseLu<S: Scalar> {
     // --- numeric state (replayed per factor) ---
     u_vals: Vec<S>,
     l_vals: Vec<S>,
-    d_vals: Vec<S>,
+    /// U's diagonal as prepared divisors ([`Scalar::prepare_divisor`]).
+    d_div: Vec<S>,
     factored: bool,
     // --- workspaces ---
     x: Vec<S>,
@@ -229,7 +230,7 @@ impl<S: Scalar> SparseLu<S> {
             analyses: 0,
             u_vals: Vec::new(),
             l_vals: Vec::new(),
-            d_vals: Vec::new(),
+            d_div: Vec::new(),
             factored: false,
             x: Vec::new(),
             z: Vec::new(),
@@ -406,8 +407,8 @@ impl<S: Scalar> SparseLu<S> {
         self.u_vals.resize(self.upd.len(), S::zero());
         self.l_vals.clear();
         self.l_vals.resize(self.l_rows.len(), S::zero());
-        self.d_vals.clear();
-        self.d_vals.resize(n, S::zero());
+        self.d_div.clear();
+        self.d_div.resize(n, S::zero());
         self.x.clear();
         self.x.resize(n, S::zero());
         self.z.clear();
@@ -456,19 +457,24 @@ impl<S: Scalar> SparseLu<S> {
             }
             let prow = self.pivot_row[k];
             let piv = self.x[prow];
-            let mut colmax = piv.modulus();
+            // The column maximum computes an exact modulus only where the
+            // entry's bound exceeds the running maximum, as in the dense
+            // kernel's row scales; the pivot's own modulus stays exact.
+            let piv_mod = piv.modulus();
+            let mut colmax = piv_mod;
             for li in self.l_ptr[k]..self.l_ptr[k + 1] {
-                colmax = colmax.max(self.x[self.l_rows[li]].modulus());
+                colmax = self.x[self.l_rows[li]].max_modulus(colmax);
             }
-            if colmax == 0.0 || piv.modulus() < STATIC_TAU * colmax {
+            if colmax == 0.0 || piv_mod < STATIC_TAU * colmax {
                 // Structurally chosen pivot is numerically untrustworthy;
                 // let the dense path (value pivoting) decide.
                 self.x.fill(S::zero());
                 return Err(SparseStatus::Unstable);
             }
-            self.d_vals[k] = piv;
+            let divisor = piv.prepare_divisor();
+            self.d_div[k] = divisor;
             for li in self.l_ptr[k]..self.l_ptr[k + 1] {
-                self.l_vals[li] = self.x[self.l_rows[li]] / piv;
+                self.l_vals[li] = self.x[self.l_rows[li]].div_prepared(divisor);
             }
             // Re-zero exactly the touched entries so the next step's
             // scatter starts clean without an O(n) sweep.
@@ -513,10 +519,10 @@ impl<S: Scalar> SparseLu<S> {
             // backward pass reads it exactly once.
             self.z[self.pivot_row[k]] = zk;
         }
-        // Backward substitution through U (diag d_vals, off-diagonals in
-        // u_vals along each step's update list).
+        // Backward substitution through U (diagonal divisors in d_div,
+        // off-diagonals in u_vals along each step's update list).
         for k in (0..n).rev() {
-            let wk = self.z[self.pivot_row[k]] / self.d_vals[k];
+            let wk = self.z[self.pivot_row[k]].div_prepared(self.d_div[k]);
             x_out[self.col_order[k]] = wk;
             if wk != S::zero() {
                 for ui in self.upd_ptr[k]..self.upd_ptr[k + 1] {

@@ -36,6 +36,7 @@ use asdex_env::{
     SearchBudget, Searcher, SizingProblem,
 };
 use asdex_spice::analysis::SolverChoice;
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
@@ -119,6 +120,50 @@ pub fn build_problem_checked(
     let mut problem = problem.map_err(|e| e.to_string())?;
     problem.corners = corner_set;
     Ok(problem)
+}
+
+/// Why [`pin_netlist`] refused a `netlist:<path>` bench.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NetlistRefusal {
+    /// The path holds whitespace or `=`, which journal metadata and
+    /// manifest records (whitespace-free `key=value` tokens) would mangle.
+    Unjournalable(String),
+    /// The deck cannot be read or does not compile.
+    Deck(String),
+}
+
+impl fmt::Display for NetlistRefusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetlistRefusal::Unjournalable(msg) | NetlistRefusal::Deck(msg) => f.write_str(msg),
+        }
+    }
+}
+
+/// Admits a `netlist:<path>` bench before any journal exists, for `asdex
+/// size` and the daemon alike: refuses a path no journal can record, then
+/// pins the deck's source digest when the spec carries none, so that a
+/// resume or a worker process refuses the deck once it is edited. Other
+/// benches pass unchanged.
+///
+/// # Errors
+///
+/// [`NetlistRefusal`] for an unjournalable path or an unloadable deck.
+pub fn pin_netlist(spec: &mut CampaignSpec) -> Result<(), NetlistRefusal> {
+    let Some(path) = spec.bench.strip_prefix("netlist:") else {
+        return Ok(());
+    };
+    if path.contains(char::is_whitespace) || path.contains('=') {
+        return Err(NetlistRefusal::Unjournalable(format!(
+            "netlist path {path:?} contains whitespace or '=' and cannot be journaled"
+        )));
+    }
+    if spec.netlist_digest.is_none() && !path.is_empty() {
+        let deck = NetlistBench::load(Path::new(path))
+            .map_err(|e| NetlistRefusal::Deck(e.to_string()))?;
+        spec.netlist_digest = Some(deck.digest());
+    }
+    Ok(())
 }
 
 /// The admission check: the spec's bench, corner set, solver and agent

@@ -57,8 +57,8 @@ pub mod server;
 pub mod worker;
 
 pub use campaign::{
-    build_problem, build_problem_checked, problem_for, run_campaign, run_spec, validate,
-    CampaignOutcome, CampaignRun, RunContext,
+    build_problem, build_problem_checked, pin_netlist, problem_for, run_campaign, run_spec,
+    validate, CampaignOutcome, CampaignRun, NetlistRefusal, RunContext,
 };
 pub use client::{Client, ClientConfig, ClientError, ClientStats};
 pub use json::Json;

@@ -19,7 +19,7 @@
 //! down through their normal budget accounting, and checkpoints journals,
 //! so a drained daemon restarts with zero duplicate simulations.
 
-use crate::campaign::{run_spec, validate, CampaignOutcome, RunContext};
+use crate::campaign::{pin_netlist, run_spec, validate, CampaignOutcome, RunContext};
 use crate::lockdir::{DirLock, LockError};
 use crate::logging;
 use crate::manifest::{
@@ -511,9 +511,9 @@ impl Scheduler {
     /// content-addressed at `<journal_dir>/netlists/<digest>.sp`, and the
     /// spec is rewritten to `bench = netlist:<that path>` with the digest
     /// pinned, so journals, the manifest, boot recovery, and worker
-    /// processes all re-compile the identical source. A path-addressed
-    /// `netlist:<path>` bench submitted without a digest gets its digest
-    /// pinned here for the same reason.
+    /// processes all re-compile the identical source. Every
+    /// `netlist:<path>` bench then goes through [`pin_netlist`], as it
+    /// does in `asdex size`.
     fn admit_netlist(&self, spec: &mut CampaignSpec) -> Result<(), SubmitError> {
         if let Some(source) = spec.netlist.take() {
             let deck = NetlistBench::compile(&source)
@@ -532,24 +532,8 @@ impl Scheduler {
             }
             spec.bench = format!("netlist:{}", path.display());
             spec.netlist_digest = Some(digest);
-        } else if let Some(path) = spec.bench.strip_prefix("netlist:") {
-            if spec.netlist_digest.is_none() && !path.is_empty() {
-                let deck = NetlistBench::load(std::path::Path::new(path))
-                    .map_err(|e| SubmitError::Invalid(e.to_string()))?;
-                spec.netlist_digest = Some(deck.digest());
-            }
         }
-        if let Some(path) = spec.bench.strip_prefix("netlist:") {
-            // Journal metadata and manifest records are whitespace-free
-            // `key=value` tokens; a path these would mangle cannot be made
-            // durable, so reject it typed at admission.
-            if path.contains(char::is_whitespace) || path.contains('=') {
-                return Err(SubmitError::Invalid(format!(
-                    "netlist path {path:?} contains whitespace or '=' and cannot be journaled"
-                )));
-            }
-        }
-        Ok(())
+        pin_netlist(spec).map_err(|e| SubmitError::Invalid(e.to_string()))
     }
 
     /// Admits a campaign. With an explicit id whose journal file already

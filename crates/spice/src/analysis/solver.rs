@@ -25,7 +25,7 @@ use super::engine::Engine;
 use crate::circuit::Circuit;
 use crate::error::SpiceError;
 use asdex_linalg::{
-    factor_in_place, solve_factored, Assembler, Matrix, Scalar, SolveError, SparseAssembler,
+    factor_in_place, solve_factored, Assembler, Matrix, Pivot, Scalar, SolveError, SparseAssembler,
     SparseLu, SparseStatus,
 };
 
@@ -120,7 +120,9 @@ pub(crate) struct Backend<S: Scalar> {
     /// Dense system storage; doubles as the sparse path's per-solve
     /// fallback scratch.
     dense: Matrix<S>,
-    perm: Vec<usize>,
+    /// The dense factorization's row pivoting and prepared pivots; also
+    /// the buffer its row scales are computed into.
+    pivots: Vec<Pivot<S>>,
     asm: SparseAssembler<S>,
     splu: SparseLu<S>,
     x: Vec<S>,
@@ -135,7 +137,7 @@ impl<S: Scalar> Backend<S> {
             kind: BackendKind::Dense,
             dim: 0,
             dense: Matrix::zeros(0, 0),
-            perm: Vec::new(),
+            pivots: Vec::new(),
             asm: SparseAssembler::new(),
             splu: SparseLu::new(),
             x: Vec::new(),
@@ -236,8 +238,8 @@ impl<S: Scalar> Backend<S> {
     pub(crate) fn factor_solve(&mut self, rhs: &[S]) -> Result<&[S], SolveError> {
         match self.kind {
             BackendKind::Dense => {
-                factor_in_place(&mut self.dense, &mut self.perm)?;
-                solve_factored(&self.dense, &self.perm, rhs, &mut self.x)?;
+                factor_in_place(&mut self.dense, &mut self.pivots)?;
+                solve_factored(&self.dense, &self.pivots, rhs, &mut self.x)?;
                 Ok(&self.x)
             }
             BackendKind::Sparse => {
@@ -268,8 +270,8 @@ impl<S: Scalar> Backend<S> {
         for (slot, &(r, c)) in self.asm.pos().iter().enumerate() {
             self.dense.add_at(r as usize, c as usize, vals[slot]);
         }
-        factor_in_place(&mut self.dense, &mut self.perm)?;
-        solve_factored(&self.dense, &self.perm, rhs, &mut self.x)?;
+        factor_in_place(&mut self.dense, &mut self.pivots)?;
+        solve_factored(&self.dense, &self.pivots, rhs, &mut self.x)?;
         Ok(&self.x)
     }
 }

@@ -31,7 +31,9 @@ use asdex::serve::json::Json;
 use asdex::serve::lockdir::{DirLock, LockError};
 use asdex::serve::protocol::{outcome_json, stats_json, CampaignSpec};
 use asdex::serve::server::{DrainHandle, Server, ServerConfig};
-use asdex::serve::{logging, LoadgenConfig, LogLevel, RunContext, SchedulerConfig};
+use asdex::serve::{
+    logging, pin_netlist, LoadgenConfig, LogLevel, NetlistRefusal, RunContext, SchedulerConfig,
+};
 use asdex::spice::analysis::{ac_analysis, dc_operating_point, dc_sweep, transient, OpOptions, Sweep, TranOptions};
 use asdex::spice::measure::frequency_response;
 use asdex::spice::parser::{parse_deck, AnalysisCard};
@@ -308,13 +310,8 @@ fn spec_error(e: String) -> CliError {
 }
 
 /// Resolves the `--netlist <path>` / positional-bench pair into one bench
-/// name, rejecting ambiguous invocations. The path is pre-compiled so a
-/// bad deck fails here with its typed compile error (and the digest is
-/// pinned for the journal) rather than deep inside campaign setup.
-fn netlist_or_positional(
-    args: &[String],
-    what: &str,
-) -> Result<Option<(String, Option<u64>)>, CliError> {
+/// name, rejecting ambiguous invocations.
+fn netlist_or_positional(args: &[String], what: &str) -> Result<Option<String>, CliError> {
     match flag_value(args, "--netlist")? {
         Some(path) => {
             if positional(args).is_some() {
@@ -322,11 +319,9 @@ fn netlist_or_positional(
                     "{what} takes either a benchmark name or --netlist, not both"
                 )));
             }
-            let deck = asdex::env::NetlistBench::load(Path::new(path))
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
-            Ok(Some((format!("netlist:{path}"), Some(deck.digest()))))
+            Ok(Some(format!("netlist:{path}")))
         }
-        None => Ok(positional(args).map(|b| (b.to_string(), None))),
+        None => Ok(positional(args).map(str::to_string)),
     }
 }
 
@@ -434,10 +429,10 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
             spec
         }
         None => {
-            let (bench, netlist_digest) = netlist_or_positional(args, "size")?.ok_or_else(|| {
+            let bench = netlist_or_positional(args, "size")?.ok_or_else(|| {
                 CliError::Usage(format!("size needs a benchmark or --netlist\n\n{USAGE}"))
             })?;
-            CampaignSpec {
+            let mut spec = CampaignSpec {
                 bench,
                 agent: flag_value(args, "--agent")?.unwrap_or("trm").to_string(),
                 seed: parse_flag(args, "--seed", 1u64)?,
@@ -446,11 +441,16 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
                 checkpoint_every,
                 solver: solver_flag.unwrap_or("auto").to_string(),
                 netlist: None,
-                // Pinned before the journal is created, so the journal's
-                // metadata records which deck this campaign sizes and
-                // resume can refuse an edited one.
-                netlist_digest,
-            }
+                netlist_digest: None,
+            };
+            // The daemon's netlist admission, before the journal is
+            // created: its metadata must record the deck's path intact
+            // and its digest, so that resume can refuse an edited deck.
+            pin_netlist(&mut spec).map_err(|e| match e {
+                NetlistRefusal::Unjournalable(msg) => CliError::Usage(msg),
+                NetlistRefusal::Deck(msg) => CliError::Runtime(msg),
+            })?;
+            spec
         }
     };
     // The daemon's admission check, before any journal file is created: a
@@ -556,13 +556,13 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
 fn cmd_probe(args: &[String]) -> Result<(), CliError> {
     use asdex_rng::rngs::StdRng;
     use asdex_rng::SeedableRng;
-    let (bench, netlist_digest) = netlist_or_positional(args, "probe")?.ok_or_else(|| {
+    let bench = netlist_or_positional(args, "probe")?.ok_or_else(|| {
         CliError::Usage(format!("probe needs a benchmark or --netlist\n\n{USAGE}"))
     })?;
     let samples = parse_flag(args, "--samples", 5_000usize)?;
     let threads = parse_flag(args, "--threads", 0usize)?;
     let json_output = has_flag(args, "--json");
-    let problem = asdex::serve::build_problem_checked(&bench, "nominal", netlist_digest)
+    let problem = asdex::serve::build_problem(&bench, "nominal")
         .map_err(spec_error)?
         .with_threads(threads);
     let mut rng = StdRng::seed_from_u64(1);

@@ -8,6 +8,10 @@
 //!    the best point on a problem with no journal attached, so a text run
 //!    and a `--json` run of one campaign leave byte-identical journals,
 //!    and resuming either replays every record it holds.
+//! 3. **A netlist bench is admitted as the daemon admits it** — a deck
+//!    path that journal metadata would mangle exits 2 before any journal
+//!    exists, and a `netlist:<path>` bench journals its deck digest in
+//!    either form, so resuming after the deck was edited is refused.
 
 use asdex::serve::Json;
 use std::path::PathBuf;
@@ -19,6 +23,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }
+
+/// A sizing deck that ships with the repository.
+const DECK: &str = "decks/two_stage_opamp_sized.sp";
 
 fn asdex(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_asdex")).args(args).output().expect("asdex runs")
@@ -83,5 +90,54 @@ fn text_and_json_runs_leave_byte_identical_journals() {
     assert!(resumed.status.success(), "resume: {stderr}");
     assert!(!stderr.contains("never requested"), "resume: {stderr}");
     assert_eq!(resumed.stdout, text.stdout, "resumed report differs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unjournalable_netlist_paths_exit_2_and_leave_no_journal() {
+    let dir = temp_dir("mangled");
+    for (k, name) in ["my deck.sp", "a=b.sp"].into_iter().enumerate() {
+        let deck = dir.join(name);
+        std::fs::copy(DECK, &deck).expect("deck ships with the repo");
+        let deck = deck.display().to_string();
+        let positional = format!("netlist:{deck}");
+        let forms: [&[&str]; 2] = [&["--netlist", &deck], &[&positional]];
+        for (form, bench) in forms.into_iter().enumerate() {
+            let journal = dir.join(format!("{k}-{form}.journal"));
+            let path = journal.display().to_string();
+            let mut args = vec!["size"];
+            args.extend_from_slice(bench);
+            args.extend_from_slice(&["--agent", "random", "--budget", "10", "--journal", &path]);
+            let out = asdex(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains("cannot be journaled"), "{args:?}: {stderr}");
+            assert!(!journal.exists(), "{args:?} left a journal behind");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_positional_netlist_bench_journals_its_digest() {
+    let dir = temp_dir("positional");
+    let deck = dir.join("deck.sp");
+    std::fs::copy(DECK, &deck).expect("deck ships with the repo");
+    let bench = format!("netlist:{}", deck.display());
+    let path = dir.join("b.journal").display().to_string();
+    let out = asdex(&["size", &bench, "--agent", "random", "--budget", "10", "--journal", &path]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let journal = std::fs::read_to_string(&path).expect("journal written");
+    let meta = journal.lines().find(|l| l.starts_with("M ")).expect("metadata line");
+    assert!(meta.contains("netlist_digest="), "{meta}");
+
+    // Edited after admission, the deck no longer matches its journal.
+    let mut source = std::fs::read_to_string(&deck).expect("deck copied");
+    source.push_str("* edited after the journal was made\n");
+    std::fs::write(&deck, source).expect("deck edited");
+    let resumed = asdex(&["size", "--resume", &path]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(1), "resume of an edited deck: {stderr}");
+    assert!(stderr.contains("digest"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
