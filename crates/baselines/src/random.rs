@@ -2,20 +2,22 @@
 //! (Table I: 100 % success at 8565 average iterations).
 
 use asdex_env::{
-    EvalRequest, EvalStats, Evaluation, HealthStats, SearchBudget, SearchOutcome, Searcher,
-    SizingProblem,
+    EvalRequest, EvalStats, HealthStats, SearchBudget, SearchOutcome, Searcher, SizingProblem,
 };
 use asdex_rng::rngs::StdRng;
 use asdex_rng::SeedableRng;
 
 /// Uniform random search over the design-space grid.
 ///
-/// Candidates are drawn and scored in chunks through the batched
-/// evaluation pipeline, so a problem with a worker pool evaluates them
-/// concurrently; the outcome is identical at every thread count.
+/// Each sampled point is checked at every corner of the problem, and a
+/// point is accepted only when all of its corners were admitted and
+/// pass; its value is its worst corner's. Candidates are drawn and
+/// scored in chunks of points through the batched evaluation pipeline,
+/// so a problem with a worker pool evaluates them concurrently; the
+/// outcome is identical at every thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct RandomSearch {
-    /// Points sampled and evaluated per batch.
+    /// Points sampled and evaluated (at every corner) per batch.
     pub chunk: usize,
 }
 
@@ -30,66 +32,6 @@ impl RandomSearch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Multi-corner variant used by the Table III "random search" row:
-    /// each sampled point is checked at every corner (stopping at the
-    /// first failing corner, as a designer would).
-    pub fn search_all_corners(
-        &self,
-        problem: &SizingProblem,
-        budget: SearchBudget,
-        seed: u64,
-    ) -> SearchOutcome {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut stats = EvalStats::new();
-        let mut best_point = vec![0.5; problem.dim()];
-        let mut best_value = f64::NEG_INFINITY;
-        let mut best_meas = None;
-        while stats.sims < budget.max_sims {
-            let u = problem.space.sample(&mut rng);
-            // All corners of one point as one batch; a batch the budget
-            // could not fully admit cannot count as a pass.
-            let requests = EvalRequest::fan_out(&u, problem.corners.len());
-            let evals = problem.evaluate_batch(&requests, budget.max_sims - stats.sims);
-            let mut worst = f64::INFINITY;
-            let mut all_pass = evals.len() == requests.len();
-            let mut meas = None;
-            for e in evals {
-                stats.record(&e);
-                worst = worst.min(e.value);
-                if meas.is_none() {
-                    meas = e.measurements;
-                }
-                all_pass &= e.feasible;
-            }
-            if worst > best_value {
-                best_value = worst;
-                best_point = u.clone();
-                best_meas = meas;
-            }
-            if all_pass {
-                let simulations = stats.sims;
-                return SearchOutcome {
-                    success: true,
-                    simulations,
-                    best_point: u,
-                    best_value: worst,
-                    best_measurements: best_meas,
-                    stats,
-                    health: HealthStats::new(),
-                };
-            }
-        }
-        SearchOutcome {
-            success: false,
-            simulations: budget.max_sims,
-            best_point,
-            best_value,
-            best_measurements: best_meas,
-            stats,
-            health: HealthStats::new(),
-        }
-    }
 }
 
 impl Searcher for RandomSearch {
@@ -99,34 +41,46 @@ impl Searcher for RandomSearch {
 
     fn search(&mut self, problem: &SizingProblem, budget: SearchBudget, seed: u64) -> SearchOutcome {
         let mut rng = StdRng::seed_from_u64(seed);
+        let corners = problem.corners.len();
         let mut stats = EvalStats::new();
         let mut best_point = vec![0.5; problem.dim()];
         let mut best_value = f64::NEG_INFINITY;
         let mut best_meas = None;
         while stats.sims < budget.max_sims {
             let requests: Vec<EvalRequest> = (0..self.chunk.max(1))
-                .map(|_| EvalRequest::new(problem.space.sample(&mut rng), 0))
+                .flat_map(|_| EvalRequest::fan_out(&problem.space.sample(&mut rng), corners))
                 .collect();
             let evals = problem.evaluate_batch(&requests, budget.max_sims - stats.sims);
-            let mut feasible: Option<Evaluation> = None;
-            for e in evals {
-                stats.record(&e);
-                if e.value > best_value {
-                    best_value = e.value;
-                    best_point = e.x_norm.clone();
-                    best_meas = e.measurements.clone();
+            let mut accepted = None;
+            // One point's corners at a time; a point the budget could not
+            // fully admit cannot pass.
+            for point in evals.chunks(corners) {
+                let mut worst = f64::INFINITY;
+                let mut meas = None;
+                for e in point {
+                    stats.record(e);
+                    worst = worst.min(e.value);
+                    if meas.is_none() {
+                        meas = e.measurements.clone();
+                    }
                 }
-                if e.feasible && feasible.is_none() {
-                    feasible = Some(e);
+                if worst > best_value {
+                    best_value = worst;
+                    best_point = point[0].x_norm.clone();
+                    best_meas = meas.clone();
+                }
+                let pass = point.len() == corners && point.iter().all(|e| e.feasible);
+                if pass && accepted.is_none() {
+                    accepted = Some((point[0].x_norm.clone(), worst, meas));
                 }
             }
-            if let Some(e) = feasible {
+            if let Some((best_point, best_value, best_measurements)) = accepted {
                 return SearchOutcome {
                     success: true,
                     simulations: stats.sims,
-                    best_point: e.x_norm,
-                    best_value: e.value,
-                    best_measurements: e.measurements,
+                    best_point,
+                    best_value,
+                    best_measurements,
                     stats,
                     health: HealthStats::new(),
                 };
@@ -148,7 +102,9 @@ impl Searcher for RandomSearch {
 mod tests {
     use super::*;
     use asdex_env::circuits::synthetic::Bowl;
-    use asdex_env::{PvtCorner, PvtSet};
+    use asdex_env::{
+        DesignSpace, EnvError, Evaluator, Param, PvtCorner, PvtSet, Spec, SpecSet,
+    };
 
     #[test]
     fn finds_large_feasible_region() {
@@ -181,17 +137,40 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Corner 0 passes everywhere and the hot corner nowhere, so a point
+    /// is accepted only if its every corner was checked.
     #[test]
-    fn all_corner_variant_counts_every_corner() {
-        let mut problem = Bowl::problem(2, 0.25).unwrap();
-        problem.corners = PvtSet::new(vec![
-            PvtCorner::nominal(),
-            PvtCorner { temp_celsius: 60.0, ..PvtCorner::nominal() },
-        ]);
-        let agent = RandomSearch::new();
-        let out = agent.search_all_corners(&problem, SearchBudget::new(4000), 5);
-        if out.success {
-            assert!(out.simulations >= 2, "success needs at least both corners");
+    fn accepts_a_point_only_when_every_corner_passes() {
+        struct Thermometer;
+        impl Evaluator for Thermometer {
+            fn measurement_names(&self) -> &[String] {
+                static NAMES: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+                NAMES.get_or_init(|| vec!["temp".to_string()])
+            }
+            fn evaluate(&self, _: &[f64], corner: &PvtCorner) -> Result<Vec<f64>, EnvError> {
+                Ok(vec![corner.temp_celsius])
+            }
         }
+        let space = DesignSpace::new(vec![Param::linear("x", 0.0, 1.0, 11).unwrap()]).unwrap();
+        let hot = PvtCorner { temp_celsius: 60.0, ..PvtCorner::nominal() };
+        let problem = SizingProblem::new(
+            "thermometer",
+            space,
+            std::sync::Arc::new(Thermometer),
+            SpecSet::new(vec![Spec::at_most(0, "temp", 30.0)]),
+            PvtSet::new(vec![PvtCorner::nominal(), hot]),
+        )
+        .unwrap();
+        let out = RandomSearch::new().search(&problem, SearchBudget::new(40), 3);
+        assert!(!out.success, "a point failing its hot corner was accepted");
+        assert_eq!(out.stats.sims, 40);
+
+        // With both corners passable the same search succeeds on its
+        // first point, having checked both corners of it.
+        let mut cool = problem.clone();
+        cool.corners = PvtSet::new(vec![PvtCorner::nominal(), PvtCorner::nominal()]);
+        let out = RandomSearch { chunk: 1 }.search(&cool, SearchBudget::new(40), 3);
+        assert!(out.success);
+        assert_eq!(out.simulations, 2);
     }
 }

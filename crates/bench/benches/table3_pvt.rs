@@ -17,7 +17,7 @@ use asdex_baselines::RandomSearch;
 use asdex_bench::{bench_threads, print_table, telemetry_line, write_csv, RunScale, Stats};
 use asdex_core::{PvtExplorer, PvtStrategy};
 use asdex_env::circuits::opamp::TwoStageOpamp;
-use asdex_env::{PvtSet, SearchBudget};
+use asdex_env::{PvtSet, SearchBudget, Searcher};
 
 fn main() {
     let scale = RunScale::from_env();
@@ -38,14 +38,14 @@ fn main() {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
 
-    // Row 1: random search over all corners.
+    // Row 1: random search over all corners, one point per batch.
     {
-        let agent = RandomSearch::new();
+        let mut agent = RandomSearch { chunk: 1 };
         let mut steps = Vec::new();
         let mut failures = 0usize;
         let mut telemetry = Vec::new();
         for seed in 0..runs as u64 {
-            let out = agent.search_all_corners(&problem, budget, seed);
+            let out = agent.search(&problem, budget, seed);
             if out.success {
                 steps.push(out.simulations);
             } else {

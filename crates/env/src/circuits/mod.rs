@@ -1,6 +1,7 @@
 //! Benchmark circuits: the two-stage opamp, the LDO, the ICO, and
-//! synthetic landscapes for fast agent tests. The opamp, the LDO and the
-//! netlist benches share one MNA evaluator (`pool`).
+//! synthetic landscapes for fast agent tests. The opamp is a sizing deck
+//! compiled by [`crate::netbench`]; the LDO and the netlist benches share
+//! one MNA evaluator (`pool`).
 
 pub mod ico;
 pub mod ldo;

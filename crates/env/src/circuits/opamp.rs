@@ -10,41 +10,28 @@
 //! inductor closes unity feedback for DC biasing and a huge capacitor
 //! AC-grounds the inverting input, so the AC sweep from the non-inverting
 //! input reads the open-loop transfer function directly.
+//!
+//! The circuit is a sizing deck — `decks/two_stage_opamp_sized.sp` at
+//! 45 nm, `decks/two_stage_opamp22_sized.sp` at 22 nm — compiled into a
+//! [`NetlistBench`]; the design space and default specs are the deck's
+//! `.sizeparam` and `.goal` cards.
 
-use super::pool::{MnaBench, MnaEvaluator};
+use super::pool::MnaEvaluator;
 use crate::corner::PvtCorner;
 use crate::error::EnvError;
+use crate::netbench::NetlistBench;
 use crate::problem::SizingProblem;
-use crate::space::{DesignSpace, Param};
-use crate::spec::{Spec, SpecSet};
+use crate::space::DesignSpace;
+use crate::spec::SpecSet;
 use crate::PvtSet;
 use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpResult, SolverWorkspace, Sweep};
-use asdex_spice::devices::MosGeometry;
 use asdex_spice::measure::checked_frequency_response;
 use asdex_spice::process::ProcessNode;
-use asdex_spice::{AcSpec, Circuit};
-use std::sync::Arc;
+use asdex_spice::Circuit;
+use std::sync::{Arc, OnceLock};
 
-/// Indices of the opamp's design parameters in its design space.
-pub mod params {
-    /// Input-pair width (M1, M2).
-    pub const W_IN: usize = 0;
-    /// Mirror-load width (M3, M4).
-    pub const W_MIR: usize = 1;
-    /// Tail and bias width (M5, M8).
-    pub const W_TAIL: usize = 2;
-    /// Second-stage PMOS width (M6).
-    pub const W_CS: usize = 3;
-    /// Second-stage sink width (M7).
-    pub const W_SINK: usize = 4;
-    /// Miller capacitance.
-    pub const CC: usize = 5;
-    /// Bias current.
-    pub const IBIAS: usize = 6;
-}
-
-/// The amplifier measurement vector shared by the opamp and every netlist
-/// bench: its indices, names and spec aliases.
+/// The amplifier measurement vector every netlist bench, the opamp's
+/// included, reports: its indices, names and spec aliases.
 pub mod meas {
     /// Open-loop DC gain \[dB\].
     pub const GAIN_DB: usize = 0;
@@ -65,34 +52,34 @@ pub mod meas {
 /// The two-stage opamp benchmark on a given process node.
 #[derive(Debug, Clone)]
 pub struct TwoStageOpamp {
-    node: ProcessNode,
-    /// Load capacitance \[F\].
-    pub cl: f64,
-    /// Channel length used for all devices \[m\] (a fixed multiple of the
-    /// node's minimum length, as analog designers do).
-    pub l: f64,
+    bench: &'static NetlistBench,
 }
 
 impl TwoStageOpamp {
     /// The benchmark on the synthetic BSIM 45 nm node (Table I).
     pub fn bsim45() -> Self {
-        Self::on(ProcessNode::bsim45())
+        static BENCH: OnceLock<NetlistBench> = OnceLock::new();
+        Self::compiled(&BENCH, include_str!("../../../../decks/two_stage_opamp_sized.sp"))
     }
 
     /// The benchmark on the synthetic BSIM 22 nm node (Tables II–III).
     pub fn bsim22() -> Self {
-        Self::on(ProcessNode::bsim22())
+        static BENCH: OnceLock<NetlistBench> = OnceLock::new();
+        Self::compiled(&BENCH, include_str!("../../../../decks/two_stage_opamp22_sized.sp"))
     }
 
-    /// The benchmark on an arbitrary node.
-    pub fn on(node: ProcessNode) -> Self {
-        let l = (4.0 * node.lmin).max(100e-9);
-        TwoStageOpamp { node, cl: 2e-12, l }
+    /// The deck, compiled on first use in the process. Every campaign
+    /// builds its problem from here, and compiling the deck each time
+    /// would cost several times what the rest of that build does.
+    fn compiled(cell: &'static OnceLock<NetlistBench>, deck: &str) -> Self {
+        let bench =
+            cell.get_or_init(|| NetlistBench::compile(deck).expect("the shipped opamp decks compile"));
+        TwoStageOpamp { bench }
     }
 
     /// The process node this benchmark runs on.
     pub fn process(&self) -> &ProcessNode {
-        &self.node
+        self.bench.process()
     }
 
     /// The 7-parameter design space (≈ 10^13–10^14 points: five widths on
@@ -104,53 +91,24 @@ impl TwoStageOpamp {
     /// Never fails in practice; propagates [`EnvError::InvalidSpace`] from
     /// grid construction.
     pub fn space(&self) -> Result<DesignSpace, EnvError> {
-        DesignSpace::new(vec![
-            Param::geometric("w_in", 1e-6, 100e-6, 100)?,
-            Param::geometric("w_mir", 1e-6, 100e-6, 100)?,
-            Param::geometric("w_tail", 1e-6, 100e-6, 100)?,
-            Param::geometric("w_cs", 2e-6, 200e-6, 100)?,
-            Param::geometric("w_sink", 1e-6, 100e-6, 100)?,
-            Param::geometric("cc", 0.2e-12, 8e-12, 40)?,
-            Param::geometric("ibias", 2e-6, 50e-6, 25)?,
-        ])
+        DesignSpace::new(self.bench.axes().to_vec())
     }
 
-    /// The default spec set used by the Table I experiment.
+    /// The spec set for this benchmark's node: gain ≥ 65 dB and PM ≥ 60°,
+    /// with a UGF floor and power and area caps per node.
     ///
-    /// Calibrated so that roughly 3×10⁻⁴ of the design space is feasible —
-    /// the same order as the paper's 45 nm setup, where pure random search
-    /// needs thousands of steps but still succeeds within the 10k-step cap.
-    /// The binding trade-off is the paper's gain/PM one: high unity-gain
-    /// frequency fights the 60° phase-margin floor through `Cc`.
-    pub fn default_specs() -> SpecSet {
-        Self::specs_with(6e7, 3e-4, 4e-11)
-    }
-
-    /// The spec set for this benchmark's node. The 45 nm card uses
-    /// [`TwoStageOpamp::default_specs`]; the faster 22 nm card gets a
+    /// The 45 nm set (Table I) is calibrated so that roughly 3×10⁻⁴ of the
+    /// design space is feasible — the same order as the paper's 45 nm
+    /// setup, where pure random search needs thousands of steps but still
+    /// succeeds within the 10k-step cap. The binding trade-off is the
+    /// paper's gain/PM one: high unity-gain frequency fights the 60°
+    /// phase-margin floor through `Cc`. The faster 22 nm card gets a
     /// proportionally tighter set so its single-corner difficulty matches
     /// the paper's Table II scale (tens of steps for a fresh search) while
     /// the five-corner intersection is rare enough that random search
     /// fails, as in Table III.
     pub fn specs(&self) -> SpecSet {
-        if self.node.name == "bsim22" {
-            Self::specs_with(1.3e8, 2.5e-4, 3.5e-11)
-        } else {
-            Self::default_specs()
-        }
-    }
-
-    /// Gain ≥ 65 dB and PM ≥ 60° with the given UGF floor and power and
-    /// area caps.
-    fn specs_with(ugf_hz: f64, power_w: f64, area_m2: f64) -> SpecSet {
-        let alias = |m: usize| meas::SPEC_NAMES[m];
-        SpecSet::new(vec![
-            Spec::at_least(meas::GAIN_DB, alias(meas::GAIN_DB), 65.0),
-            Spec::at_least(meas::UGF_HZ, alias(meas::UGF_HZ), ugf_hz),
-            Spec::at_least(meas::PM_DEG, alias(meas::PM_DEG), 60.0),
-            Spec::at_most(meas::POWER_W, alias(meas::POWER_W), power_w),
-            Spec::at_most(meas::AREA_M2, alias(meas::AREA_M2), area_m2),
-        ])
+        self.bench.specs().clone()
     }
 
     /// Builds the full sizing problem at a single nominal corner.
@@ -169,90 +127,24 @@ impl TwoStageOpamp {
     ///
     /// Propagates design-space or problem-validation errors.
     pub fn problem_with(&self, specs: SpecSet, corners: PvtSet) -> Result<SizingProblem, EnvError> {
-        let space = self.space()?;
         SizingProblem::new(
-            &format!("two-stage-opamp-{}", self.node.name),
-            space,
-            Arc::new(MnaEvaluator::new(self.clone())),
+            &format!("two-stage-opamp-{}", self.process().name),
+            self.space()?,
+            Arc::new(MnaEvaluator::new(self.bench.clone())),
             specs,
             corners,
         )
     }
 
-    /// Builds the opamp netlist for physical parameters `x` at `corner`.
+    /// The opamp netlist for physical parameters `x` at `corner`.
     ///
     /// Exposed so examples can inspect/print the generated circuit.
+    ///
+    /// # Errors
+    ///
+    /// See [`NetlistBench::netlist`].
     pub fn netlist(&self, x: &[f64], corner: &PvtCorner) -> Result<Circuit, EnvError> {
-        if x.len() != 7 {
-            return Err(EnvError::DimensionMismatch { expected: 7, actual: x.len() });
-        }
-        let (nmos, pmos) = self.node.models_at(corner.process, corner.temp_celsius);
-        let vdd_v = self.node.vdd * corner.vdd_scale;
-        let vcm = 0.55 * vdd_v;
-        let l = self.l;
-
-        let mut c = Circuit::new();
-        c.temp_celsius = corner.temp_celsius;
-        c.add_mos_model("nch", nmos);
-        c.add_mos_model("pch", pmos);
-
-        // Node creation order matches first appearance in element order
-        // below — the same order the deck parser would assign for the
-        // equivalent card list. MNA unknown numbering (and therefore LU
-        // pivot order) follows node order, so this is what makes the
-        // shipped netlist clone of this bench bitwise-identical.
-        let vdd = c.node("vdd");
-        let inp = c.node("inp"); // driven (non-inverting) input: M2's gate
-        let out = c.node("out");
-        let fb = c.node("fb"); // feedback (inverting) input: M1's gate
-        let x1 = c.node("x1");
-        let tail = c.node("tail");
-        let x2 = c.node("x2");
-        let nb = c.node("nb");
-        let gnd = Circuit::GROUND;
-
-        c.add_vsource("VDD", vdd, gnd, vdd_v)?;
-        c.add_vsource_full("VIP", inp, gnd, vcm, Some(AcSpec::unit()), None)?;
-        // Unity-feedback bias: huge L closes the loop at DC, huge C grounds
-        // the inverting input at AC. The path through M1's gate is the
-        // inverting one (M1 → mirror → M4 → x2 → M6 inverts twice more),
-        // so the DC loop is negative feedback and biases cleanly.
-        c.add_inductor("LFB", out, fb, 1e6)?;
-        c.add_capacitor("CFB", fb, gnd, 1.0)?;
-
-        let geom = |w: f64| MosGeometry { w, l, m: 1.0 };
-        c.add_mosfet("M1", x1, fb, tail, gnd, "nch", geom(x[params::W_IN]))?;
-        c.add_mosfet("M2", x2, inp, tail, gnd, "nch", geom(x[params::W_IN]))?;
-        c.add_mosfet("M3", x1, x1, vdd, vdd, "pch", geom(x[params::W_MIR]))?;
-        c.add_mosfet("M4", x2, x1, vdd, vdd, "pch", geom(x[params::W_MIR]))?;
-        c.add_mosfet("M5", tail, nb, gnd, gnd, "nch", geom(x[params::W_TAIL]))?;
-        c.add_mosfet("M8", nb, nb, gnd, gnd, "nch", geom(x[params::W_TAIL]))?;
-        c.add_mosfet("M6", out, x2, vdd, vdd, "pch", geom(x[params::W_CS]))?;
-        c.add_mosfet("M7", out, nb, gnd, gnd, "nch", geom(x[params::W_SINK]))?;
-
-        c.add_isource("IB", vdd, nb, x[params::IBIAS])?;
-        c.add_capacitor("CC", x2, out, x[params::CC])?;
-        c.add_capacitor("CL", out, gnd, self.cl)?;
-        Ok(c)
-    }
-}
-
-impl MnaBench for TwoStageOpamp {
-    const NAMES: &'static [&'static str] = &meas::NAMES;
-
-    fn circuit(&self, x: &[f64], corner: &PvtCorner) -> Result<Circuit, EnvError> {
-        self.netlist(x, corner)
-    }
-
-    fn measure(
-        &self,
-        circuit: &Circuit,
-        engine: &Engine,
-        op: OpResult,
-        ws: &mut SolverWorkspace,
-        corner: &PvtCorner,
-    ) -> Result<Vec<f64>, EnvError> {
-        measure_amplifier(circuit, engine, op, ws, self.node.vdd * corner.vdd_scale)
+        self.bench.netlist(x, corner)
     }
 }
 
@@ -327,7 +219,7 @@ mod tests {
     #[test]
     fn reference_design_is_a_working_amplifier() {
         let amp = TwoStageOpamp::bsim45();
-        let eval = MnaEvaluator::new(amp);
+        let eval = MnaEvaluator::new(amp.bench.clone());
         let m = eval.evaluate(&reference_x(), &PvtCorner::nominal()).unwrap();
         assert!(m[meas::GAIN_DB] > 40.0, "gain {} dB", m[meas::GAIN_DB]);
         assert!(m[meas::UGF_HZ] > 1e6, "ugf {}", m[meas::UGF_HZ]);
@@ -341,11 +233,11 @@ mod tests {
         // Shrinking the input pair to the grid minimum must change the
         // response — the agent needs a non-flat landscape.
         let amp = TwoStageOpamp::bsim45();
-        let eval = MnaEvaluator::new(amp);
+        let eval = MnaEvaluator::new(amp.bench.clone());
         let hi = eval.evaluate(&reference_x(), &PvtCorner::nominal()).unwrap();
         let mut x = reference_x();
-        x[params::W_IN] = 1e-6;
-        x[params::IBIAS] = 2e-6;
+        x[0] = 1e-6; // w_in
+        x[6] = 2e-6; // ibias
         let lo = eval.evaluate(&x, &PvtCorner::nominal()).unwrap();
         // Level-1 DC gain is only weakly size-dependent, but the unity-gain
         // frequency moves strongly with gm — that is the landscape agents
@@ -357,7 +249,7 @@ mod tests {
     #[test]
     fn corners_shift_measurements() {
         let amp = TwoStageOpamp::bsim22();
-        let eval = MnaEvaluator::new(amp);
+        let eval = MnaEvaluator::new(amp.bench.clone());
         let nom = eval.evaluate(&reference_x(), &PvtCorner::nominal()).unwrap();
         let ss = eval
             .evaluate(

@@ -6,9 +6,9 @@
 //! [`MnaBench`]. [`MnaEvaluator`] does everything else: workspace take
 //! and put, compiling the circuit, the retry ladder's solver options and
 //! initial guess, the operating point, and the finiteness guard. The
-//! two-stage opamp, the LDO and every netlist bench therefore run one
-//! solve path; two of them agree bit for bit exactly when their circuits
-//! do.
+//! LDO and every netlist bench, the two-stage opamps included, therefore
+//! run one solve path; two of them agree bit for bit exactly when their
+//! circuits do.
 //!
 //! Every evaluation compiles its circuit with `Engine::compile`, the one
 //! lowering of a circuit into the MNA engine, at well under one percent

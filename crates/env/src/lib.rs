@@ -15,9 +15,9 @@
 //!   opamp (45/22 nm), the LDO (n6), the ICO (n5), and synthetic
 //!   landscapes for fast tests,
 //! * [`netbench`] — netlist-defined benches: a SPICE deck plus a sizing
-//!   stanza compiled into a sizing problem. The opamp, the LDO and every
-//!   netlist bench are simulated by one MNA evaluator; each supplies only
-//!   its netlist and its measurement step, and
+//!   stanza compiled into a sizing problem; the opamps are two such decks.
+//!   The LDO and every netlist bench are simulated by one MNA evaluator;
+//!   each supplies only its netlist and its measurement step, and
 //! * the fault-tolerant evaluation layer: [`stats::FailureKind`] /
 //!   [`stats::EvalStats`] (failure taxonomy + telemetry),
 //!   [`robust::RetryPolicy`] (the escalating retry ladder), and

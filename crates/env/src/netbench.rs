@@ -1,13 +1,12 @@
 //! Netlist-defined sizing benches: the deck → [`SizingProblem`] compiler.
 //!
-//! Every built-in ASDEX bench is a hard-coded Rust constructor, so
-//! scenario diversity is gated on recompiling. This module removes that
-//! gate: a SPICE deck plus a **sizing stanza** compiles into a complete,
+//! A SPICE deck plus a **sizing stanza** compiles into a complete,
 //! first-class sizing problem — space, specs, figure of merit, PVT
-//! corners, and an evaluator. The evaluator is the one MNA evaluator
-//! every built-in bench uses, with the built-in opamp's measurement step,
-//! so a deck whose circuit matches a built-in bench's measures like it,
-//! bit for bit.
+//! corners, and an evaluator — with no Rust code per bench. The built-in
+//! two-stage opamps are two such decks. The evaluator is the one MNA
+//! evaluator every simulated bench uses, with the amplifier measurement
+//! step, so a deck whose circuit matches another bench's measures like
+//! it, bit for bit.
 //!
 //! # The sizing stanza
 //!
@@ -25,12 +24,22 @@
 //! M1 x1 fb tail 0 nch W={w_in} L=1.8e-7
 //! ```
 //!
-//! `{NAME}` references are substituted **textually** at stamp time: design
-//! axes and the built-in `{vdd}` binding (the process supply scaled by the
-//! corner) are replaced by this compiler, `.param` constants by the
-//! parser. Substituted values are formatted with `{:e}`, which round-trips
-//! `f64`s exactly through [`asdex_spice::units::parse_value`], so a
-//! rendered deck stamps bit-identically to a hand-built circuit.
+//! The deck is parsed **once**, at compile time, into a template circuit at
+//! the grid midpoint ([`parse_template_into`]). The design axes and the
+//! built-in `{vdd}` binding (the process supply scaled by the corner) are
+//! **value slots** of that template: a binding reference may stand as a
+//! whole R, C or L value, a V or I DC level, or a MOSFET's `W=`, `L=` or
+//! `M=`, directly or through a `.param` product computed from it;
+//! anywhere else it is a typed compile error, as is a `.param` named like
+//! an axis or `vdd`. Each evaluation clones the template, fills in the
+//! corner's temperature and `nch`/`pch` models (a deck's own `.temp` and
+//! `.model` cards win), recomputes the bound `.param`s left to right from
+//! `1.0` as the parser evaluates constant ones, and writes every slot
+//! with the checks of the circuit builder — no text formatting, no
+//! parsing. Constant `.param`s stay textual, as in a plain parse. Every
+//! value therefore has the bits a parse of the deck with each binding
+//! written as `{:e}` would give it, since `{:e}` round-trips an `f64`
+//! exactly through [`asdex_spice::units::parse_value`].
 //!
 //! # Measurements
 //!
@@ -59,7 +68,7 @@ use crate::space::{DesignSpace, Param};
 use crate::spec::{Spec, SpecSet};
 use crate::value::ValueFn;
 use asdex_spice::analysis::{Engine, OpResult, SolverWorkspace};
-use asdex_spice::parser::{deck_cards, parse_netlist_into, read_deck_source};
+use asdex_spice::parser::{deck_cards, parse_template_into, read_deck_source, Template};
 use asdex_spice::process::ProcessNode;
 use asdex_spice::units::parse_value;
 use asdex_spice::Circuit;
@@ -120,6 +129,14 @@ pub struct NetlistBench {
     axes: Vec<Param>,
     specs: SpecSet,
     fom: Option<(usize, f64)>,
+    /// The deck parsed at the grid midpoint, holding only what the deck
+    /// sets itself: a NaN temperature unless it has a `.temp` card, and
+    /// `nch`/`pch` models only from its own `.model` cards.
+    template: Circuit,
+    /// The template's value slots, bound to the axes then `{vdd}`.
+    slots: Template,
+    /// Whether the deck defines its own `nch` and `pch` models.
+    own_models: [bool; 2],
 }
 
 impl NetlistBench {
@@ -129,9 +146,10 @@ impl NetlistBench {
     /// # Errors
     ///
     /// [`NetbenchError`] on a malformed sizing stanza, a missing
-    /// `.process`, no axes or goals, or a template that fails to render,
-    /// parse, and compile at the nominal corner — everything a serving
-    /// daemon must reject at admission time.
+    /// `.process`, no axes or goals, a deck that does not parse (with a
+    /// binding reference outside a value slot, see the module docs), or a
+    /// template that does not stamp and compile at the nominal corner —
+    /// everything a serving daemon must reject at admission time.
     pub fn compile(source: &str) -> Result<Self, NetbenchError> {
         let digest = netlist_digest(source);
         let name = slug(source.lines().next().unwrap_or(""));
@@ -210,6 +228,16 @@ impl NetlistBench {
             return Err(berr(0, "sizing deck declares no .goal cards"));
         }
 
+        let midpoint: Vec<f64> = axes.iter().map(|p| p.grid[(p.grid.len() - 1) / 2]).collect();
+        let vdd = ("vdd", node.vdd * PvtCorner::nominal().vdd_scale);
+        let bindings: Vec<(&str, f64)> =
+            axes.iter().zip(&midpoint).map(|(p, &v)| (p.name.as_str(), v)).chain([vdd]).collect();
+        // `parse_value` never yields NaN, so a NaN left here means the deck
+        // has no `.temp` card.
+        let mut template = Circuit::new();
+        template.temp_celsius = f64::NAN;
+        let slots = parse_template_into(source, &mut template, &bindings)?;
+        let own_models = ["nch", "pch"].map(|m| template.mos_model(m).is_some());
         let bench = NetlistBench {
             name,
             source: source.to_string(),
@@ -219,8 +247,11 @@ impl NetlistBench {
             axes,
             specs: SpecSet::new(goals),
             fom,
+            template,
+            slots,
+            own_models,
         };
-        bench.validate_template()?;
+        bench.validate_template(&midpoint)?;
         Ok(bench)
     }
 
@@ -263,6 +294,11 @@ impl NetlistBench {
     /// Design axes in declaration order.
     pub fn axes(&self) -> &[Param] {
         &self.axes
+    }
+
+    /// The spec set of the deck's `.goal` cards, in card order.
+    pub fn specs(&self) -> &SpecSet {
+        &self.specs
     }
 
     /// The figure-of-merit measurement index and weight, when `.fom` was
@@ -327,81 +363,45 @@ impl NetlistBench {
         Ok(problem)
     }
 
-    /// Renders the deck for physical parameters `x` at `corner`:
-    /// substitutes each `{axis}` reference and the built-in `{vdd}`
-    /// binding, leaving `.param`-defined references for the parser.
-    fn render(&self, x: &[f64], corner: &PvtCorner) -> String {
-        let vdd_v = self.node.vdd * corner.vdd_scale;
-        let mut table: Vec<(&str, String)> = Vec::with_capacity(x.len() + 1);
-        for (param, value) in self.axes.iter().zip(x) {
-            table.push((param.name.as_str(), format!("{value:e}")));
-        }
-        table.push(("vdd", format!("{vdd_v:e}")));
-
-        let mut out = String::with_capacity(self.source.len());
-        let mut rest = self.source.as_str();
-        while let Some(open) = rest.find('{') {
-            let after = &rest[open + 1..];
-            match after.find('}') {
-                Some(close) => {
-                    let name = &after[..close];
-                    match table.iter().find(|(n, _)| *n == name) {
-                        Some((_, value)) => {
-                            out.push_str(&rest[..open]);
-                            out.push_str(value);
-                            rest = &after[close + 1..];
-                        }
-                        None => {
-                            // Not ours (a `.param` constant): copy through.
-                            out.push_str(&rest[..open + 1]);
-                            rest = after;
-                        }
-                    }
-                }
-                None => break,
-            }
-        }
-        out.push_str(rest);
-        out
-    }
-
     /// Builds the bench's circuit for physical parameters `x` at
-    /// `corner`: seeds a circuit with the corner's models and temperature,
-    /// then parses the rendered deck into it. Node and element order
-    /// follow deck card order, so the MNA structure is a pure function of
-    /// the deck.
+    /// `corner`: a clone of the parsed template with the corner's
+    /// temperature and `nch`/`pch` models (unless the deck sets its own)
+    /// and every value slot written. Node and element order follow deck
+    /// card order, so the MNA structure is a pure function of the deck.
     ///
     /// # Errors
     ///
     /// [`EnvError::DimensionMismatch`] for a wrong-length parameter
-    /// vector; [`EnvError::InvalidProblem`] when the rendered deck does
-    /// not parse.
+    /// vector; [`EnvError::InvalidProblem`] when an element rejects a
+    /// value.
     pub fn netlist(&self, x: &[f64], corner: &PvtCorner) -> Result<Circuit, EnvError> {
         if x.len() != self.axes.len() {
             return Err(EnvError::DimensionMismatch { expected: self.axes.len(), actual: x.len() });
         }
-        let rendered = self.render(x, corner);
+        let mut circuit = self.template.clone();
+        if circuit.temp_celsius.is_nan() {
+            circuit.temp_celsius = corner.temp_celsius;
+        }
         let (nmos, pmos) = self.node.models_at(corner.process, corner.temp_celsius);
-        let mut circuit = Circuit::new();
-        circuit.temp_celsius = corner.temp_celsius;
-        circuit.add_mos_model("nch", nmos);
-        circuit.add_mos_model("pch", pmos);
-        parse_netlist_into(&rendered, &mut circuit).map_err(|e| EnvError::InvalidProblem {
+        for ((name, model), own) in [("nch", nmos), ("pch", pmos)].into_iter().zip(self.own_models) {
+            if !own {
+                circuit.add_mos_model(name, model);
+            }
+        }
+        let values = [x, &[self.node.vdd * corner.vdd_scale]].concat();
+        self.slots.apply(&mut circuit, &values).map_err(|e| EnvError::InvalidProblem {
             reason: format!("netlist bench {:?} failed to stamp: {e}", self.name),
         })?;
         Ok(circuit)
     }
 
-    /// Admission-time template validation: the deck must render, parse,
-    /// and compile at the nominal corner and grid midpoint, and must
-    /// define the `out` probe node and the `VDD` supply the measurement
-    /// pipeline reads.
-    fn validate_template(&self) -> Result<(), NetbenchError> {
-        let midpoint: Vec<f64> =
-            self.axes.iter().map(|p| p.grid[(p.grid.len() - 1) / 2]).collect();
-        let corner = PvtCorner::nominal();
+    /// Admission-time template validation: the deck must stamp and
+    /// compile at the nominal corner and grid midpoint, and must define
+    /// the `out` probe node and the `VDD` supply the measurement pipeline
+    /// reads.
+    fn validate_template(&self, midpoint: &[f64]) -> Result<(), NetbenchError> {
         let circuit = self
-            .netlist(&midpoint, &corner)
+            .netlist(midpoint, &PvtCorner::nominal())
             .map_err(|e| berr(0, e.to_string()))?;
         if circuit.find_node("out").is_none() {
             return Err(berr(0, "sizing deck defines no 'out' node (the AC response probe)"));
@@ -418,19 +418,15 @@ impl NetlistBench {
 /// Slugs a deck title into a bench name: lowercase alphanumerics with
 /// single dashes.
 fn slug(title: &str) -> String {
-    let mut out = String::new();
-    for ch in title.trim().chars() {
-        if ch.is_ascii_alphanumeric() {
-            out.push(ch.to_ascii_lowercase());
-        } else if !out.is_empty() && !out.ends_with('-') {
-            out.push('-');
-        }
-    }
-    let out = out.trim_end_matches('-').to_string();
-    if out.is_empty() {
+    let words: Vec<String> = title
+        .split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|w| !w.is_empty())
+        .map(str::to_ascii_lowercase)
+        .collect();
+    if words.is_empty() {
         "bench".to_string()
     } else {
-        out
+        words.join("-")
     }
 }
 
@@ -576,8 +572,6 @@ impl MnaBench for NetlistBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuits::opamp::TwoStageOpamp;
-    use crate::problem::Evaluator;
 
     /// A minimal valid sizing deck: an RC low-pass inside a supply rail.
     fn rc_deck() -> String {
@@ -716,58 +710,6 @@ C1 out 0 1e-9
         assert!(bench.expect_digest(bench.digest()).is_ok());
         let e = bench.expect_digest(bench.digest() ^ 1).unwrap_err();
         assert!(e.to_string().contains("digest mismatch"), "{e}");
-    }
-
-    /// The keystone at the evaluator level: the shipped netlist clone of
-    /// the built-in opamp45 bench must measure bit-identically.
-    #[test]
-    fn opamp_clone_is_bitwise_identical() {
-        let deck = std::fs::read_to_string(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../../decks/two_stage_opamp_sized.sp"),
-        )
-        .expect("scenario deck ships with the repo");
-        let bench = NetlistBench::compile(&deck).unwrap();
-        let amp = TwoStageOpamp::bsim45();
-
-        // Space: same axes, same grids, bit for bit.
-        let builtin_space = amp.space().unwrap();
-        assert_eq!(bench.axes().len(), builtin_space.params().len());
-        for (a, b) in bench.axes().iter().zip(builtin_space.params()) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.grid.len(), b.grid.len());
-            for (x, y) in a.grid.iter().zip(&b.grid) {
-                assert_eq!(x.to_bits(), y.to_bits(), "axis {}", a.name);
-            }
-        }
-        // Specs: same measurements, kinds, and targets.
-        let (ours, theirs) = (bench.specs.specs(), amp.specs());
-        let theirs = theirs.specs();
-        assert_eq!(ours.len(), theirs.len());
-        for (a, b) in ours.iter().zip(theirs) {
-            assert_eq!((a.measurement, a.kind, a.target.to_bits()), (b.measurement, b.kind, b.target.to_bits()));
-            assert_eq!(a.name, b.name);
-        }
-
-        // Measurements: bit-identical across corners and solver backends.
-        let net_eval = MnaEvaluator::new(bench);
-        let amp_eval = MnaEvaluator::new(amp);
-        let x = vec![20e-6, 10e-6, 10e-6, 60e-6, 20e-6, 1.5e-12, 10e-6];
-        let corners = PvtSet::signoff5();
-        for choice in [
-            asdex_spice::analysis::SolverChoice::Dense,
-            asdex_spice::analysis::SolverChoice::Sparse,
-        ] {
-            net_eval.set_solver(choice);
-            amp_eval.set_solver(choice);
-            for corner in corners.corners() {
-                let a = net_eval.evaluate(&x, corner).unwrap();
-                let b = amp_eval.evaluate(&x, corner).unwrap();
-                for (va, vb) in a.iter().zip(&b) {
-                    assert_eq!(va.to_bits(), vb.to_bits(), "corner {corner:?} {choice:?}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -33,9 +33,20 @@
 
 use crate::{Assembler, Scalar};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel for "row not yet pivoted" during symbolic analysis.
 const NONE: usize = usize::MAX;
+
+/// The process-wide source of pattern revisions. Every revision any
+/// assembler takes is fresh, so two assemblers share a revision only when
+/// one is a clone of the other with its pattern unchanged since.
+static NEXT_REV: AtomicU64 = AtomicU64::new(1);
+
+/// A revision no assembler has held before.
+fn fresh_rev() -> u64 {
+    NEXT_REV.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Static pivot-stability threshold: a pivot must be at least this
 /// fraction of the largest magnitude in its (updated) column or the
@@ -60,9 +71,10 @@ pub enum SparseStatus {
 /// Stamp through the [`Assembler`] impl. [`SparseAssembler::begin`]
 /// starts a fresh pattern (new topology); [`Assembler::reset`] keeps the
 /// pattern and zeroes values (new Newton iteration / transient step).
-/// The `rev` counter changes exactly when the pattern could have
-/// changed, letting [`SparseLu`] skip pattern comparison on the hot
-/// path.
+/// The revision is redrawn from a process-wide counter whenever the
+/// pattern could have changed, so an equal revision means an equal
+/// pattern even across assemblers, letting [`SparseLu`] skip pattern
+/// comparison on the hot path.
 #[derive(Debug, Default, Clone)]
 pub struct SparseAssembler<S: Scalar> {
     dim: usize,
@@ -93,7 +105,7 @@ impl<S: Scalar> SparseAssembler<S> {
         self.index.clear();
         self.pos.clear();
         self.vals.clear();
-        self.rev += 1;
+        self.rev = fresh_rev();
     }
 
     /// System dimension.
@@ -132,7 +144,8 @@ impl<S: Scalar> SparseAssembler<S> {
     }
 
     /// Pattern revision: changes exactly when the pattern may differ
-    /// from what it was at any earlier revision.
+    /// from what it was at any earlier revision, and is never shared
+    /// with another assembler's different pattern.
     pub fn rev(&self) -> u64 {
         self.rev
     }
@@ -159,7 +172,7 @@ impl<S: Scalar> Assembler<S> for SparseAssembler<S> {
                 self.index.insert(key, slot);
                 self.pos.push(key);
                 self.vals.push(value);
-                self.rev += 1;
+                self.rev = fresh_rev();
             }
         }
     }
@@ -678,6 +691,41 @@ mod tests {
         }
         lu.ensure_symbolic(&asm2);
         assert_eq!(lu.analyses(), 2);
+    }
+
+    /// One holder, a fresh assembler per pattern: patterns with the same
+    /// entry count but different positions or dimensions must never be
+    /// mistaken for the analyzed one.
+    #[test]
+    fn fresh_assemblers_with_equal_nnz_never_replay_a_stale_pattern() {
+        use asdex_rng::rngs::StdRng;
+        use asdex_rng::{Rng, SeedableRng};
+        const NNZ: usize = 9;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut lu = SparseLu::new();
+        for round in 0..40 {
+            // A full diagonal keeps every pattern structurally nonsingular;
+            // the off-diagonal positions are drawn fresh each round.
+            let n = 4 + round % 2;
+            let mut entries: Vec<(usize, usize, f64)> =
+                (0..n).map(|i| (i, i, 10.0 + rng.gen_range(0.0..1.0))).collect();
+            while entries.len() < NNZ {
+                let (r, c) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if !entries.iter().any(|&(er, ec, _)| (er, ec) == (r, c)) {
+                    entries.push((r, c, rng.gen_range(-1.0..1.0)));
+                }
+            }
+            let (m, asm) = assemble_dense_and_sparse(&entries, n);
+            let b: Vec<f64> = (0..n).map(|i| i as f64 - 1.5).collect();
+            let xd = dense_solve(m, &b).expect("dense");
+            lu.ensure_symbolic(&asm);
+            lu.factor(&asm).expect("factor");
+            let mut xs = Vec::new();
+            lu.solve(&b, &mut xs).expect("solve");
+            for (a, e) in xs.iter().zip(&xd) {
+                assert!((a - e).abs() < 1e-12, "round {round}: sparse {a} vs dense {e}");
+            }
+        }
     }
 
     #[test]

@@ -167,12 +167,20 @@ pub fn pin_netlist(spec: &mut CampaignSpec) -> Result<(), NetlistRefusal> {
 }
 
 /// The admission check: the spec's bench, corner set, solver and agent
-/// are known, and a netlist deck still matches its pinned digest.
-/// Returns the spec's problem with nothing attached.
+/// are known, a netlist deck still matches its pinned digest, and the
+/// agent can size the spec's corners (BO models one corner, so it takes
+/// only single-corner sets). Returns the spec's problem with nothing
+/// attached.
 pub fn validate(spec: &CampaignSpec) -> Result<SizingProblem, String> {
     let problem = problem_for(spec)?;
     if !matches!(spec.agent.as_str(), "trm" | "bo" | "random") {
         return Err(format!("unknown agent {:?} (trm|bo|random)", spec.agent));
+    }
+    if spec.agent == "bo" && problem.corners.len() > 1 {
+        return Err(format!(
+            "unsupported corner set {:?} for agent \"bo\": it models one corner (use trm or random)",
+            spec.corners
+        ));
     }
     Ok(problem)
 }

@@ -280,6 +280,54 @@ pub struct Element {
     pub kind: ElementKind,
 }
 
+/// A numeric element field that [`Circuit::set_value`] writes: what a
+/// parsed deck template binds to a design axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ValueField {
+    /// An R, C or L value, or a V or I source's DC level.
+    Value,
+    /// A MOSFET's width.
+    W,
+    /// A MOSFET's length.
+    L,
+    /// A MOSFET's multiplier.
+    M,
+}
+
+/// Why an element's values are out of range, or `None` when they are
+/// fine: the one check behind every `add_*` builder and
+/// [`Circuit::set_value`].
+fn invalid(kind: &ElementKind) -> Option<String> {
+    let positive = |v: f64| v > 0.0 && v.is_finite();
+    let reason = match kind {
+        ElementKind::Resistor { ohms, .. } if !positive(*ohms) => {
+            format!("resistance must be positive and finite, got {ohms}")
+        }
+        ElementKind::Capacitor { farads, .. } if !(*farads >= 0.0 && farads.is_finite()) => {
+            format!("capacitance must be non-negative, got {farads}")
+        }
+        ElementKind::Inductor { henries, .. } if !positive(*henries) => {
+            format!("inductance must be positive, got {henries}")
+        }
+        ElementKind::Vsource { dc, .. } | ElementKind::Isource { dc, .. } if !dc.is_finite() => {
+            "dc value must be finite".to_string()
+        }
+        ElementKind::Vcvs { gain, .. } | ElementKind::Cccs { gain, .. } if !gain.is_finite() => {
+            "gain must be finite".to_string()
+        }
+        ElementKind::Vccs { gm, .. } if !gm.is_finite() => "transconductance must be finite".to_string(),
+        ElementKind::Ccvs { r, .. } if !r.is_finite() => "transresistance must be finite".to_string(),
+        ElementKind::Diode { area, .. } if !positive(*area) => format!("area must be positive, got {area}"),
+        ElementKind::Mosfet { geom, .. }
+            if !(positive(geom.w) && positive(geom.l) && positive(geom.m)) =>
+        {
+            format!("W/L/m must be positive, got w={} l={} m={}", geom.w, geom.l, geom.m)
+        }
+        _ => return None,
+    };
+    Some(reason)
+}
+
 /// A complete circuit: nodes, elements, and model cards.
 ///
 /// # Example
@@ -391,8 +439,13 @@ impl Circuit {
         self.diode_models.get(&name.to_ascii_lowercase())
     }
 
-    fn push(&mut self, name: &str, kind: ElementKind) {
+    /// Appends an element after the value checks of [`invalid`].
+    fn push(&mut self, name: &str, kind: ElementKind) -> Result<(), SpiceError> {
+        if let Some(reason) = invalid(&kind) {
+            return Err(SpiceError::InvalidParameter { element: name.to_string(), reason });
+        }
         self.elements.push(Element { name: name.to_string(), kind });
+        Ok(())
     }
 
     /// Adds a resistor.
@@ -401,14 +454,7 @@ impl Circuit {
     ///
     /// [`SpiceError::InvalidParameter`] if `ohms <= 0` or not finite.
     pub fn add_resistor(&mut self, name: &str, a: NodeId, b: NodeId, ohms: f64) -> Result<(), SpiceError> {
-        if !(ohms > 0.0 && ohms.is_finite()) {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: format!("resistance must be positive and finite, got {ohms}"),
-            });
-        }
-        self.push(name, ElementKind::Resistor { a, b, ohms });
-        Ok(())
+        self.push(name, ElementKind::Resistor { a, b, ohms })
     }
 
     /// Adds a capacitor.
@@ -417,14 +463,7 @@ impl Circuit {
     ///
     /// [`SpiceError::InvalidParameter`] if `farads < 0` or not finite.
     pub fn add_capacitor(&mut self, name: &str, a: NodeId, b: NodeId, farads: f64) -> Result<(), SpiceError> {
-        if !(farads >= 0.0 && farads.is_finite()) {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: format!("capacitance must be non-negative, got {farads}"),
-            });
-        }
-        self.push(name, ElementKind::Capacitor { a, b, farads });
-        Ok(())
+        self.push(name, ElementKind::Capacitor { a, b, farads })
     }
 
     /// Adds an inductor.
@@ -433,14 +472,7 @@ impl Circuit {
     ///
     /// [`SpiceError::InvalidParameter`] if `henries <= 0` or not finite.
     pub fn add_inductor(&mut self, name: &str, a: NodeId, b: NodeId, henries: f64) -> Result<(), SpiceError> {
-        if !(henries > 0.0 && henries.is_finite()) {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: format!("inductance must be positive, got {henries}"),
-            });
-        }
-        self.push(name, ElementKind::Inductor { a, b, henries });
-        Ok(())
+        self.push(name, ElementKind::Inductor { a, b, henries })
     }
 
     /// Adds a DC voltage source (use [`Circuit::add_vsource_full`] for
@@ -467,14 +499,7 @@ impl Circuit {
         ac: Option<AcSpec>,
         wave: Option<Waveform>,
     ) -> Result<(), SpiceError> {
-        if !dc.is_finite() {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: "dc value must be finite".to_string(),
-            });
-        }
-        self.push(name, ElementKind::Vsource { p, n, dc, ac, wave });
-        Ok(())
+        self.push(name, ElementKind::Vsource { p, n, dc, ac, wave })
     }
 
     /// Adds a DC current source.
@@ -500,14 +525,7 @@ impl Circuit {
         ac: Option<AcSpec>,
         wave: Option<Waveform>,
     ) -> Result<(), SpiceError> {
-        if !dc.is_finite() {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: "dc value must be finite".to_string(),
-            });
-        }
-        self.push(name, ElementKind::Isource { p, n, dc, ac, wave });
-        Ok(())
+        self.push(name, ElementKind::Isource { p, n, dc, ac, wave })
     }
 
     /// Adds a voltage-controlled voltage source (`E` card).
@@ -524,14 +542,7 @@ impl Circuit {
         cn: NodeId,
         gain: f64,
     ) -> Result<(), SpiceError> {
-        if !gain.is_finite() {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: "gain must be finite".to_string(),
-            });
-        }
-        self.push(name, ElementKind::Vcvs { p, n, cp, cn, gain });
-        Ok(())
+        self.push(name, ElementKind::Vcvs { p, n, cp, cn, gain })
     }
 
     /// Adds a voltage-controlled current source (`G` card).
@@ -548,14 +559,7 @@ impl Circuit {
         cn: NodeId,
         gm: f64,
     ) -> Result<(), SpiceError> {
-        if !gm.is_finite() {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: "transconductance must be finite".to_string(),
-            });
-        }
-        self.push(name, ElementKind::Vccs { p, n, cp, cn, gm });
-        Ok(())
+        self.push(name, ElementKind::Vccs { p, n, cp, cn, gm })
     }
 
     /// Adds a current-controlled current source (`F` card). `ctrl` names a
@@ -572,14 +576,7 @@ impl Circuit {
         ctrl: &str,
         gain: f64,
     ) -> Result<(), SpiceError> {
-        if !gain.is_finite() {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: "gain must be finite".to_string(),
-            });
-        }
-        self.push(name, ElementKind::Cccs { p, n, ctrl: ctrl.to_string(), gain });
-        Ok(())
+        self.push(name, ElementKind::Cccs { p, n, ctrl: ctrl.to_string(), gain })
     }
 
     /// Adds a current-controlled voltage source (`H` card).
@@ -595,14 +592,7 @@ impl Circuit {
         ctrl: &str,
         r: f64,
     ) -> Result<(), SpiceError> {
-        if !r.is_finite() {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: "transresistance must be finite".to_string(),
-            });
-        }
-        self.push(name, ElementKind::Ccvs { p, n, ctrl: ctrl.to_string(), r });
-        Ok(())
+        self.push(name, ElementKind::Ccvs { p, n, ctrl: ctrl.to_string(), r })
     }
 
     /// Adds a diode referencing a registered model card.
@@ -611,14 +601,7 @@ impl Circuit {
     ///
     /// [`SpiceError::InvalidParameter`] if `area <= 0`.
     pub fn add_diode(&mut self, name: &str, p: NodeId, n: NodeId, model: &str, area: f64) -> Result<(), SpiceError> {
-        if !(area > 0.0 && area.is_finite()) {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: format!("area must be positive, got {area}"),
-            });
-        }
-        self.push(name, ElementKind::Diode { p, n, model: model.to_ascii_lowercase(), area });
-        Ok(())
+        self.push(name, ElementKind::Diode { p, n, model: model.to_ascii_lowercase(), area })
     }
 
     /// Adds a MOSFET referencing a registered model card.
@@ -638,18 +621,45 @@ impl Circuit {
         model: &str,
         geom: MosGeometry,
     ) -> Result<(), SpiceError> {
-        let positive_finite = |v: f64| v > 0.0 && v.is_finite();
-        if !(positive_finite(geom.w) && positive_finite(geom.l) && positive_finite(geom.m)) {
-            return Err(SpiceError::InvalidParameter {
-                element: name.to_string(),
-                reason: format!("W/L/m must be positive, got w={} l={} m={}", geom.w, geom.l, geom.m),
-            });
+        self.push(name, ElementKind::Mosfet { d, g, s, b, model: model.to_ascii_lowercase(), geom })
+    }
+
+    /// Sets one numeric field of element `index` (in [`Circuit::elements`]
+    /// order) with the checks of the `add_*` builder that made it. After
+    /// an error the circuit holds the rejected value and is discarded.
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::InvalidParameter`] when the element has no such
+    /// field or its builder would reject the value.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is out of range, as slice indexing does.
+    pub(crate) fn set_value(&mut self, index: usize, field: ValueField, value: f64) -> Result<(), SpiceError> {
+        let element = &mut self.elements[index];
+        let slot = match (&mut element.kind, field) {
+            (
+                ElementKind::Resistor { ohms: v, .. }
+                | ElementKind::Capacitor { farads: v, .. }
+                | ElementKind::Inductor { henries: v, .. }
+                | ElementKind::Vsource { dc: v, .. }
+                | ElementKind::Isource { dc: v, .. },
+                ValueField::Value,
+            ) => v,
+            (ElementKind::Mosfet { geom, .. }, ValueField::W) => &mut geom.w,
+            (ElementKind::Mosfet { geom, .. }, ValueField::L) => &mut geom.l,
+            (ElementKind::Mosfet { geom, .. }, ValueField::M) => &mut geom.m,
+            _ => {
+                let reason = format!("has no {field:?} field");
+                return Err(SpiceError::InvalidParameter { element: element.name.clone(), reason });
+            }
+        };
+        *slot = value;
+        match invalid(&element.kind) {
+            Some(reason) => Err(SpiceError::InvalidParameter { element: element.name.clone(), reason }),
+            None => Ok(()),
         }
-        self.push(
-            name,
-            ElementKind::Mosfet { d, g, s, b, model: model.to_ascii_lowercase(), geom },
-        );
-        Ok(())
     }
 
     /// Total MOSFET gate area `Σ W·L·m` \[m²\] — the "area" objective the
@@ -707,6 +717,25 @@ mod tests {
             .is_err());
         assert!(c.add_diode("D1", n, Circuit::GROUND, "dx", 0.0).is_err());
         assert!(c.elements().is_empty());
+    }
+
+    #[test]
+    fn set_value_checks_like_the_builders() {
+        let mut c = Circuit::new();
+        let n = c.node("a");
+        c.add_resistor("R1", n, Circuit::GROUND, 1e3).unwrap();
+        c.add_mosfet("M1", n, n, n, n, "nch", MosGeometry::new(1e-6, 1e-6)).unwrap();
+        c.set_value(0, ValueField::Value, 2e3).unwrap();
+        c.set_value(1, ValueField::L, 2e-7).unwrap();
+        assert_eq!(c.elements()[0].kind, ElementKind::Resistor { a: n, b: Circuit::GROUND, ohms: 2e3 });
+        match &c.elements()[1].kind {
+            ElementKind::Mosfet { geom, .. } => assert_eq!((geom.w, geom.l, geom.m), (1e-6, 2e-7, 1.0)),
+            other => panic!("{other:?}"),
+        }
+        let e = c.set_value(0, ValueField::Value, 0.0).unwrap_err();
+        assert!(e.to_string().contains("resistance must be positive"), "{e}");
+        assert!(c.set_value(0, ValueField::W, 1e-6).is_err(), "a resistor has no width");
+        assert!(c.set_value(1, ValueField::M, f64::NAN).is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! .end
 //! ```
 
-use crate::circuit::{AcSpec, Circuit, Waveform};
+use crate::circuit::{AcSpec, Circuit, ValueField, Waveform};
 use crate::devices::{DiodeModel, MosGeometry, MosModel, MosPolarity};
 use crate::error::ParseNetlistError;
 use crate::units::parse_value;
@@ -162,26 +162,214 @@ pub fn parse_netlist(source: &str) -> Result<Circuit, ParseNetlistError> {
 
 /// Parses a SPICE deck into an existing [`Circuit`].
 ///
-/// The circuit may be pre-seeded with model cards and a temperature — the
-/// netlist-bench compiler in `asdex-env` uses this to stamp process-corner
-/// models around a deck before parsing it. Cards parsed from the deck are
-/// appended in deck order, so a given `(seed, source)` pair always yields
-/// the same node and element ordering (and therefore the same MNA
-/// structure).
+/// The circuit may be pre-seeded with model cards and a temperature.
+/// Cards parsed from the deck are appended in deck order, so a given
+/// `(seed, source)` pair always yields the same node and element ordering
+/// (and therefore the same MNA structure).
 pub fn parse_netlist_into(source: &str, circuit: &mut Circuit) -> Result<(), ParseNetlistError> {
-    // Process `.param` constant cards and substitute `{name}` references.
-    let cards = substitute_params(deck_cards(source)?)?;
+    parse_template_into(source, circuit, &[]).map(drop)
+}
+
+/// Parses a deck once into `circuit` with named `bindings` (a sizing
+/// deck's design axes and supply) resolved at the value level, and
+/// returns the [`Template`] that rewrites those values.
+///
+/// A `{name}` reference to a binding, or to a `.param` computed from one,
+/// may stand as a whole R, C or L value, a V or I DC level (`{b}` right
+/// after the nodes or after `DC`), or a MOSFET's `W=`, `L=` or `M=` value.
+/// The circuit holds the values at `bindings`; [`Template::apply`] writes
+/// the values of any other point into a clone of it, with no text
+/// formatting and no parsing. Constant `.param`s stay textual, exactly as
+/// in [`parse_netlist_into`].
+///
+/// # Errors
+///
+/// [`ParseNetlistError`] on any malformed card, a binding reference
+/// anywhere else (a node, a model, an AC spec, a waveform, a controlled
+/// source's gain, a diode area, a directive, or part of a token such as
+/// `{w}u`), and a `.param` named like a binding.
+pub fn parse_template_into(
+    source: &str,
+    circuit: &mut Circuit,
+    bindings: &[(&str, f64)],
+) -> Result<Template, ParseNetlistError> {
+    let mut binder = Binder {
+        names: bindings.iter().map(|(n, _)| (*n).to_string()).collect(),
+        values: bindings.iter().map(|(_, v)| *v).collect(),
+        template: Template { bindings: bindings.len(), ..Template::default() },
+    };
+    // Process `.param` cards and substitute `{name}` references.
+    let cards = substitute_params(deck_cards(source)?, &mut binder)?;
 
     // Collect .subckt definitions, then expand X instantiations.
     let (top_cards, subckts) = split_subcircuits(&cards)?;
     let flat = flatten(&top_cards, &subckts, 0)?;
     for (line, card) in flat {
-        parse_card(circuit, line, &card)?;
+        parse_card(circuit, &mut binder, line, &card)?;
         if card.to_ascii_lowercase().starts_with(".end") {
             break;
         }
     }
-    Ok(())
+    Ok(binder.template)
+}
+
+/// A deck parsed once by [`parse_template_into`]: the element fields its
+/// bindings set, and the `.param`s computed from them.
+#[derive(Debug, Clone, Default)]
+pub struct Template {
+    bindings: usize,
+    /// Bound `.param`s in definition order, each a product of factors.
+    params: Vec<Vec<Factor>>,
+    /// Bound element fields, in card order.
+    slots: Vec<Slot>,
+}
+
+/// A factor of a bound `.param` product.
+#[derive(Debug, Clone, Copy)]
+enum Factor {
+    /// A literal, or a constant `.param`.
+    Literal(f64),
+    /// A binding or bound `.param`, by source index (bindings first).
+    Source(usize),
+}
+
+/// A parsed value with the source it came from, when a binding set it.
+type Bound = (f64, Option<usize>);
+
+/// An element field set from a source.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    line: usize,
+    element: usize,
+    field: ValueField,
+    source: usize,
+}
+
+impl Template {
+    /// Writes a point into `circuit`, a clone of the circuit this
+    /// template was parsed into: computes the bound `.param`s in
+    /// definition order, each left to right from `1.0` as a constant one
+    /// is, then sets every slot with the checks of the `add_*` builder
+    /// that made its element. `values` holds one value per binding, in
+    /// binding order.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseNetlistError`] at the slot's card when the element rejects
+    /// the value (the circuit is then half written and must be dropped),
+    /// or on a wrong number of values.
+    pub fn apply(&self, circuit: &mut Circuit, values: &[f64]) -> Result<(), ParseNetlistError> {
+        if values.len() != self.bindings {
+            let got = values.len();
+            return Err(err(0, format!("template takes {} bindings, got {got}", self.bindings)));
+        }
+        let mut sources = Vec::with_capacity(self.bindings + self.params.len());
+        sources.extend_from_slice(values);
+        for factors in &self.params {
+            sources.push(product(factors, &sources));
+        }
+        for s in &self.slots {
+            circuit
+                .set_value(s.element, s.field, sources[s.source])
+                .map_err(|e| err(s.line, e.to_string()))?;
+        }
+        Ok(())
+    }
+}
+
+/// Template-parse state: the bindings and bound `.param`s by source index
+/// (bindings first), their values at the parsed point, and the template
+/// being recorded. Empty for a plain parse.
+#[derive(Default)]
+struct Binder {
+    names: Vec<String>,
+    values: Vec<f64>,
+    template: Template,
+}
+
+impl Binder {
+    /// The source index of a whole `{k}` marker token, as
+    /// [`substitute_params`] writes binding references.
+    fn marker(tok: &str) -> Option<usize> {
+        tok.strip_prefix('{')?.strip_suffix('}')?.parse().ok()
+    }
+
+    /// The name behind the first marker in `text`.
+    fn name_in(&self, text: &str) -> &str {
+        let k = text.split('{').nth(1).and_then(|rest| rest.split('}').next()?.parse::<usize>().ok());
+        k.and_then(|k| self.names.get(k)).map_or("?", String::as_str)
+    }
+
+    /// A value token: a marker's value and source, or a literal.
+    fn resolve(&self, tok: &str) -> Option<Bound> {
+        match Self::marker(tok) {
+            Some(k) => Some((self.values[k], Some(k))),
+            None => parse_value(tok).map(|v| (v, None)),
+        }
+    }
+
+    fn value(&self, line: usize, tok: &str, what: &str) -> Result<Bound, ParseNetlistError> {
+        self.resolve(tok).ok_or_else(|| err(line, format!("cannot parse {what} from {tok:?}")))
+    }
+
+    /// Records that `source` sets `field` of the circuit's last element.
+    fn bind(&mut self, line: usize, circuit: &Circuit, field: ValueField, source: Option<usize>) {
+        if let Some(source) = source {
+            let element = circuit.elements().len() - 1;
+            self.template.slots.push(Slot { line, element, field, source });
+        }
+    }
+
+    /// Splits a `.param` product into its factors: literals and `{k}`
+    /// markers.
+    fn factors(&self, line: usize, expr: &str) -> Result<Vec<Factor>, ParseNetlistError> {
+        let factor = |text: &str| match Self::marker(text) {
+            _ if text.is_empty() => Err(err(line, format!("empty factor in expression {expr:?}"))),
+            Some(k) => Ok(Factor::Source(k)),
+            None if text.contains('{') => {
+                Err(err(line, format!("{{{}}} must be a whole factor", self.name_in(text))))
+            }
+            None => need_value(line, text, "expression factor").map(Factor::Literal),
+        };
+        expr.split('*').map(|text| factor(text.trim())).collect()
+    }
+
+    /// Errors unless every binding reference in a card stands where one
+    /// may: a whole R, C or L value, V or I DC level, or MOSFET `W=`,
+    /// `L=` or `M=` value.
+    fn check_positions(&self, line: usize, kind: char, tokens: &[&str]) -> Result<(), ParseNetlistError> {
+        for (k, tok) in tokens.iter().enumerate().filter(|(_, t)| t.contains('{')) {
+            let value = match kind {
+                'R' | 'C' | 'L' if k == 3 => Some(*tok),
+                'V' | 'I' if k == 3 || (k > 3 && tokens[k - 1].eq_ignore_ascii_case("dc")) => Some(*tok),
+                'M' if k >= 6 => tok
+                    .split_once('=')
+                    .filter(|(key, _)| matches!(key.to_ascii_lowercase().as_str(), "w" | "l" | "m"))
+                    .map(|(_, v)| v),
+                _ => None,
+            };
+            if value.and_then(Self::marker).is_none() {
+                let name = self.name_in(tok);
+                return Err(err(
+                    line,
+                    format!(
+                        "{{{name}}} may only set a whole R, C or L value, V or I DC level, or \
+                         MOSFET W, L or M"
+                    ),
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A `.param` product's value: its factors multiplied left to right from
+/// `1.0`.
+fn product(factors: &[Factor], sources: &[f64]) -> f64 {
+    factors.iter().fold(1.0, |acc, f| match *f {
+        Factor::Literal(v) => acc * v,
+        Factor::Source(k) => acc * sources[k],
+    })
 }
 
 /// Splits a deck into its cards: the title line, comments and blank lines
@@ -266,28 +454,20 @@ fn read_deck_inner(
             .ok_or_else(|| err(line_no, ".include needs a path"))?
             .trim_matches('"');
         if tokens.next().is_some() {
-            visiting.pop();
             return Err(err(line_no, ".include takes exactly one path"));
         }
         let rel = Path::new(arg);
         if rel.is_absolute() || rel.components().any(|c| matches!(c, Component::ParentDir)) {
-            visiting.pop();
             return Err(err(line_no, format!(".include path {arg:?} escapes the deck directory")));
         }
-        let included = read_deck_inner(&base.join(rel), depth + 1, visiting);
-        match included {
-            Ok(body) => {
-                out.push_str(&body);
-                if !body.ends_with('\n') {
-                    out.push('\n');
-                }
-            }
-            Err(e) => {
-                visiting.pop();
-                return Err(e);
-            }
+        let body = read_deck_inner(&base.join(rel), depth + 1, visiting)?;
+        out.push_str(&body);
+        if !body.ends_with('\n') {
+            out.push('\n');
         }
     }
+    // Only a successful read leaves the chain: an error ends the whole
+    // load, so nothing reads `visiting` after one.
     visiting.pop();
     Ok(out)
 }
@@ -296,12 +476,15 @@ fn read_deck_inner(
 /// later cards may reference it as `{NAME}`, which is substituted
 /// textually. `EXPR` is a product of SPICE numeric literals separated by
 /// `*` and may itself reference previously defined params. A reference to
-/// an undefined param (or an unterminated `{`) is a typed error — design
-/// axes of a sizing deck are substituted by the netlist-bench compiler
-/// *before* the circuit parser runs, so anything left over here is a
-/// genuine mistake.
-fn substitute_params(cards: Cards) -> Result<Cards, ParseNetlistError> {
-    let mut params: Vec<(String, String)> = Vec::new();
+/// an undefined param (or an unterminated `{`) is a typed error.
+///
+/// A reference to one of the binder's bindings, or to a param computed
+/// from one, becomes a `{k}` marker naming its source index instead: a
+/// name cannot start with a digit, so no deck text collides with it, and
+/// [`parse_card`] resolves it at the value level.
+fn substitute_params(cards: Cards, binder: &mut Binder) -> Result<Cards, ParseNetlistError> {
+    let mut params: Vec<(String, String)> =
+        binder.names.iter().enumerate().map(|(k, n)| (n.clone(), format!("{{{k}}}"))).collect();
     let mut out = Vec::with_capacity(cards.len());
     for (line, card) in cards {
         let first = card.split_whitespace().next().unwrap_or("").to_ascii_lowercase();
@@ -322,11 +505,24 @@ fn substitute_params(cards: Cards) -> Result<Cards, ParseNetlistError> {
         if !valid {
             return Err(err(line, format!("invalid parameter name {name:?}")));
         }
-        let resolved = apply_params(line, expr, &params)?;
-        let value = eval_product(line, &resolved)?;
-        // `{:e}` round-trips f64s exactly through `parse_value`, so a
-        // substituted constant stamps bit-identically to the computed one.
-        params.push((name.to_string(), format!("{value:e}")));
+        if binder.names[..binder.template.bindings].iter().any(|b| b == name) {
+            return Err(err(line, format!(".param {name} shadows the binding {{{name}}}")));
+        }
+        let factors = binder.factors(line, &apply_params(line, expr, &params)?)?;
+        let text = if factors.iter().any(|f| matches!(f, Factor::Source(_))) {
+            // A product of bindings: the template recomputes it at every
+            // point.
+            binder.values.push(product(&factors, &binder.values));
+            binder.names.push(name.to_string());
+            binder.template.params.push(factors);
+            format!("{{{}}}", binder.values.len() - 1)
+        } else {
+            // `{:e}` round-trips f64s exactly through `parse_value`, so a
+            // substituted constant stamps bit-identically to the computed
+            // one.
+            format!("{:e}", product(&factors, &[]))
+        };
+        params.push((name.to_string(), text));
     }
     Ok(out)
 }
@@ -360,25 +556,6 @@ fn apply_params(
     }
     out.push_str(rest);
     Ok(out)
-}
-
-/// Evaluates a product expression: factors separated by `*`, each a SPICE
-/// numeric literal, multiplied left to right.
-fn eval_product(line: usize, expr: &str) -> Result<f64, ParseNetlistError> {
-    let mut acc = 1.0f64;
-    let mut any = false;
-    for factor in expr.split('*') {
-        let factor = factor.trim();
-        if factor.is_empty() {
-            return Err(err(line, format!("empty factor in expression {expr:?}")));
-        }
-        acc *= need_value(line, factor, "expression factor")?;
-        any = true;
-    }
-    if !any {
-        return Err(err(line, ".param expression is empty"));
-    }
-    Ok(acc)
 }
 
 /// A subcircuit definition: port names and body cards.
@@ -554,66 +731,68 @@ fn need_value(line: usize, tok: &str, what: &str) -> Result<f64, ParseNetlistErr
     parse_value(tok).ok_or_else(|| err(line, format!("cannot parse {what} from {tok:?}")))
 }
 
-fn parse_card(circuit: &mut Circuit, line: usize, card: &str) -> Result<(), ParseNetlistError> {
+fn parse_card(
+    circuit: &mut Circuit,
+    binder: &mut Binder,
+    line: usize,
+    card: &str,
+) -> Result<(), ParseNetlistError> {
     let tokens: Vec<&str> = card.split_whitespace().collect();
     let head = tokens[0];
     let kind = head.chars().next().expect("nonempty token").to_ascii_uppercase();
     let map_err = |e: crate::error::SpiceError| err(line, e.to_string());
+    if card.contains('{') {
+        binder.check_positions(line, kind, &tokens)?;
+    }
     match kind {
         '.' => parse_dot_card(circuit, line, card, &tokens),
-        'R' => {
+        'R' | 'C' | 'L' => {
             let [_, a, b, v] = expect_tokens::<4>(line, &tokens)?;
-            let ohms = need_value(line, v, "resistance")?;
+            let what = match kind { 'R' => "resistance", 'C' => "capacitance", _ => "inductance" };
+            let (value, source) = binder.value(line, v, what)?;
             let (a, b) = (circuit.node(a), circuit.node(b));
-            circuit.add_resistor(head, a, b, ohms).map_err(map_err)
-        }
-        'C' => {
-            let [_, a, b, v] = expect_tokens::<4>(line, &tokens)?;
-            let farads = need_value(line, v, "capacitance")?;
-            let (a, b) = (circuit.node(a), circuit.node(b));
-            circuit.add_capacitor(head, a, b, farads).map_err(map_err)
-        }
-        'L' => {
-            let [_, a, b, v] = expect_tokens::<4>(line, &tokens)?;
-            let henries = need_value(line, v, "inductance")?;
-            let (a, b) = (circuit.node(a), circuit.node(b));
-            circuit.add_inductor(head, a, b, henries).map_err(map_err)
+            match kind {
+                'R' => circuit.add_resistor(head, a, b, value),
+                'C' => circuit.add_capacitor(head, a, b, value),
+                _ => circuit.add_inductor(head, a, b, value),
+            }
+            .map_err(map_err)?;
+            binder.bind(line, circuit, ValueField::Value, source);
+            Ok(())
         }
         'V' | 'I' => {
             if tokens.len() < 3 {
                 return Err(err(line, "source card needs at least two nodes"));
             }
             let (p, n) = (circuit.node(tokens[1]), circuit.node(tokens[2]));
-            let (dc, ac, wave) = parse_source_tail(line, card, &tokens[3..])?;
+            let ((dc, source), ac, wave) = parse_source_tail(line, card, &tokens[3..], binder)?;
             if kind == 'V' {
-                circuit.add_vsource_full(head, p, n, dc, ac, wave).map_err(map_err)
+                circuit.add_vsource_full(head, p, n, dc, ac, wave).map_err(map_err)?;
             } else {
-                circuit.add_isource_full(head, p, n, dc, ac, wave).map_err(map_err)
+                circuit.add_isource_full(head, p, n, dc, ac, wave).map_err(map_err)?;
             }
+            binder.bind(line, circuit, ValueField::Value, source);
+            Ok(())
         }
-        'E' => {
+        'E' | 'G' => {
             let [_, p, n, cp, cn, g] = expect_tokens::<6>(line, &tokens)?;
-            let gain = need_value(line, g, "gain")?;
-            let (p, n, cp, cn) = (circuit.node(p), circuit.node(n), circuit.node(cp), circuit.node(cn));
-            circuit.add_vcvs(head, p, n, cp, cn, gain).map_err(map_err)
+            let gain = need_value(line, g, if kind == 'E' { "gain" } else { "transconductance" })?;
+            let [p, n, cp, cn] = [p, n, cp, cn].map(|name| circuit.node(name));
+            match kind {
+                'E' => circuit.add_vcvs(head, p, n, cp, cn, gain),
+                _ => circuit.add_vccs(head, p, n, cp, cn, gain),
+            }
+            .map_err(map_err)
         }
-        'G' => {
-            let [_, p, n, cp, cn, g] = expect_tokens::<6>(line, &tokens)?;
-            let gm = need_value(line, g, "transconductance")?;
-            let (p, n, cp, cn) = (circuit.node(p), circuit.node(n), circuit.node(cp), circuit.node(cn));
-            circuit.add_vccs(head, p, n, cp, cn, gm).map_err(map_err)
-        }
-        'F' => {
+        'F' | 'H' => {
             let [_, p, n, ctrl, g] = expect_tokens::<5>(line, &tokens)?;
-            let gain = need_value(line, g, "current gain")?;
-            let (p, n) = (circuit.node(p), circuit.node(n));
-            circuit.add_cccs(head, p, n, ctrl, gain).map_err(map_err)
-        }
-        'H' => {
-            let [_, p, n, ctrl, r] = expect_tokens::<5>(line, &tokens)?;
-            let res = need_value(line, r, "transresistance")?;
-            let (p, n) = (circuit.node(p), circuit.node(n));
-            circuit.add_ccvs(head, p, n, ctrl, res).map_err(map_err)
+            let gain = need_value(line, g, if kind == 'F' { "current gain" } else { "transresistance" })?;
+            let [p, n] = [p, n].map(|name| circuit.node(name));
+            match kind {
+                'F' => circuit.add_cccs(head, p, n, ctrl, gain),
+                _ => circuit.add_ccvs(head, p, n, ctrl, gain),
+            }
+            .map_err(map_err)
         }
         'D' => {
             if tokens.len() < 4 {
@@ -628,20 +807,18 @@ fn parse_card(circuit: &mut Circuit, line: usize, card: &str) -> Result<(), Pars
             if tokens.len() < 6 {
                 return Err(err(line, "mosfet card: M<name> d g s b model [W=..] [L=..] [M=..]"));
             }
-            let (d, g, s, b) = (
-                circuit.node(tokens[1]),
-                circuit.node(tokens[2]),
-                circuit.node(tokens[3]),
-                circuit.node(tokens[4]),
-            );
+            let [d, g, s, b] = [1, 2, 3, 4].map(|k| circuit.node(tokens[k]));
             let model = tokens[5];
-            let kv = parse_kv(line, &tokens[6..])?;
+            let kv = parse_kv(line, &tokens[6..], binder)?;
             let w = kv.get("w").copied().ok_or_else(|| err(line, "mosfet needs W="))?;
             let l = kv.get("l").copied().ok_or_else(|| err(line, "mosfet needs L="))?;
-            let m = kv.get("m").copied().unwrap_or(1.0);
-            circuit
-                .add_mosfet(head, d, g, s, b, model, MosGeometry { w, l, m })
-                .map_err(map_err)
+            let m = kv.get("m").copied().unwrap_or((1.0, None));
+            let geom = MosGeometry { w: w.0, l: l.0, m: m.0 };
+            circuit.add_mosfet(head, d, g, s, b, model, geom).map_err(map_err)?;
+            for (field, (_, source)) in [(ValueField::W, w), (ValueField::L, l), (ValueField::M, m)] {
+                binder.bind(line, circuit, field, source);
+            }
+            Ok(())
         }
         other => Err(err(line, format!("unsupported card type {other:?}"))),
     }
@@ -659,27 +836,33 @@ fn expect_tokens<'a, const N: usize>(
     Ok(out)
 }
 
-/// Parses `KEY=value` pairs (case-insensitive keys).
-fn parse_kv(line: usize, tokens: &[&str]) -> Result<HashMap<String, f64>, ParseNetlistError> {
+/// Parses `KEY=value` pairs (case-insensitive keys; the last of a
+/// repeated key wins), each value with the binding it came from.
+fn parse_kv(
+    line: usize,
+    tokens: &[&str],
+    binder: &Binder,
+) -> Result<HashMap<String, Bound>, ParseNetlistError> {
     let mut out = HashMap::new();
     for tok in tokens {
         let (k, v) = tok
             .split_once('=')
             .ok_or_else(|| err(line, format!("expected key=value, got {tok:?}")))?;
-        let val = need_value(line, v, k)?;
-        out.insert(k.to_ascii_lowercase(), val);
+        out.insert(k.to_ascii_lowercase(), binder.value(line, v, k)?);
     }
     Ok(out)
 }
 
 /// Parses the tail of a V/I source card: `[DC] value [AC mag [phase]]
-/// [PULSE(...)|SIN(...)|PWL(...)]`.
+/// [PULSE(...)|SIN(...)|PWL(...)]`, returning the DC level with the
+/// binding it came from.
 fn parse_source_tail(
     line: usize,
     card: &str,
     tokens: &[&str],
-) -> Result<(f64, Option<AcSpec>, Option<Waveform>), ParseNetlistError> {
-    let mut dc = 0.0;
+    binder: &Binder,
+) -> Result<(Bound, Option<AcSpec>, Option<Waveform>), ParseNetlistError> {
+    let mut dc: Bound = (0.0, None);
     let mut ac = None;
     let mut wave = None;
 
@@ -709,27 +892,24 @@ fn parse_source_tail(
         if tl == "dc" {
             i += 1;
             if i < tokens.len() {
-                dc = need_value(line, tokens[i], "dc value")?;
+                dc = binder.value(line, tokens[i], "dc value")?;
             }
         } else if tl == "ac" {
-            let mag = if i + 1 < tokens.len() { parse_value(tokens[i + 1]).unwrap_or(1.0) } else { 1.0 };
-            let consumed_mag = i + 1 < tokens.len() && parse_value(tokens[i + 1]).is_some();
-            let phase = if consumed_mag && i + 2 < tokens.len() {
-                parse_value(tokens[i + 2]).unwrap_or(0.0)
-            } else {
-                0.0
-            };
-            let consumed_phase = consumed_mag && i + 2 < tokens.len() && parse_value(tokens[i + 2]).is_some();
-            ac = Some(AcSpec { mag, phase_deg: phase });
-            i += usize::from(consumed_mag) + usize::from(consumed_phase);
+            // An unparseable magnitude or phase is left for the next turn.
+            let mag = tokens.get(i + 1).and_then(|t| parse_value(t));
+            let phase = mag.and(tokens.get(i + 2).and_then(|t| parse_value(t)));
+            ac = Some(AcSpec { mag: mag.unwrap_or(1.0), phase_deg: phase.unwrap_or(0.0) });
+            i += usize::from(mag.is_some()) + usize::from(phase.is_some());
         } else if tl.starts_with("pulse") || tl.starts_with("sin") || tl.starts_with("pwl") {
             // Consumed via the raw-card scan above; skip tokens until the
             // closing parenthesis.
             while i < tokens.len() && !tokens[i].contains(')') {
                 i += 1;
             }
-        } else if let Some(v) = parse_value(t) {
-            dc = v;
+        } else if let Some(resolved) = binder.resolve(t) {
+            // A bare value, or a binding marker, which a bare parse would
+            // skip as unparseable.
+            dc = resolved;
         }
         i += 1;
     }
@@ -810,11 +990,11 @@ fn parse_dot_card(
                     card[open + 1..close].to_string()
                 })
                 .unwrap_or_else(|| tokens[3..].join(" "));
-            let kv = parse_kv(line, &params_text.split_whitespace().collect::<Vec<_>>())?;
+            let kv = parse_kv(line, &params_text.split_whitespace().collect::<Vec<_>>(), &Binder::default())?;
             match mtype.as_str() {
                 "NMOS" | "PMOS" => {
                     let base = if mtype == "NMOS" { MosModel::default_nmos() } else { MosModel::default_pmos() };
-                    let get = |k: &str, d: f64| kv.get(k).copied().unwrap_or(d);
+                    let get = |k: &str, d: f64| kv.get(k).map_or(d, |v| v.0);
                     let model = MosModel {
                         polarity: if mtype == "NMOS" { MosPolarity::Nmos } else { MosPolarity::Pmos },
                         vt0: get("vt0", base.vt0),
@@ -831,7 +1011,7 @@ fn parse_dot_card(
                 }
                 "D" => {
                     let base = DiodeModel::default();
-                    let get = |k: &str, d: f64| kv.get(k).copied().unwrap_or(d);
+                    let get = |k: &str, d: f64| kv.get(k).map_or(d, |v| v.0);
                     circuit.add_diode_model(
                         name,
                         DiodeModel { is: get("is", base.is), n: get("n", base.n), cj0: get("cj0", base.cj0) },
@@ -1195,6 +1375,55 @@ X1 n1 loopy
             ElementKind::Vsource { dc, .. } => assert_eq!(dc.to_bits(), v.to_bits()),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn template_rewrites_bound_values_like_a_fresh_parse() {
+        let deck = "t\n.param k=2\n.param half=0.5*{b}*{k}\nV1 a 0 DC {half} AC 1\n\
+                    R1 a o {r}\nM1 o a 0 0 nch W={r} L=1u\n.end";
+        let mut template = Circuit::new();
+        let slots = parse_template_into(deck, &mut template, &[("r", 1e3), ("b", 1.8)]).unwrap();
+        let mut c = template.clone();
+        slots.apply(&mut c, &[3e3, 1.2]).unwrap();
+        let fresh =
+            parse_netlist("t\nV1 a 0 DC 1.2e0 AC 1\nR1 a o 3e3\nM1 o a 0 0 nch W=3e3 L=1u\n.end").unwrap();
+        let expect_dc: f64 = 1.0 * 0.5 * 1.2 * 2.0;
+        match &c.elements()[0].kind {
+            ElementKind::Vsource { dc, .. } => assert_eq!(dc.to_bits(), expect_dc.to_bits()),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(c.elements()[1..], fresh.elements()[1..]);
+        // Left to right: (0.1·3)·0.7 and (0.7·3)·0.1 differ in the last bit.
+        let mut ordered = Circuit::new();
+        let deck = "t\n.param p=0.1*{b}*0.7\nR1 a 0 {p}\n.end";
+        let slots3 = parse_template_into(deck, &mut ordered, &[("b", 1.0)]).unwrap();
+        slots3.apply(&mut ordered, &[3.0]).unwrap();
+        let want: f64 = 1.0 * 0.1 * 3.0 * 0.7;
+        match &ordered.elements()[0].kind {
+            ElementKind::Resistor { ohms, .. } => assert_eq!(ohms.to_bits(), want.to_bits()),
+            other => panic!("{other:?}"),
+        }
+        assert!(slots.apply(&mut c, &[1.0]).is_err(), "one value per binding");
+        let e = slots.apply(&mut c, &[-1.0, 1.2]).unwrap_err();
+        assert_eq!(e.line, 5, "the rejecting card: {}", e.message);
+    }
+
+    #[test]
+    fn bindings_only_set_whole_values() {
+        let parse = |deck: &str| parse_template_into(deck, &mut Circuit::new(), &[("x", 1.0)]);
+        for deck in [
+            "t\nR1 a {x} 1k\n.end",
+            "t\nV1 a 0 1 AC {x}\n.end",
+            "t\nE1 a 0 b 0 {x}\n.end",
+            "t\n.temp {x}\n.end",
+            "t\nR1 a 0 {x}k\n.end",
+            "t\n.param y=2{x}\nR1 a 0 {y}\n.end",
+        ] {
+            assert!(parse(deck).is_err(), "{deck:?} parsed");
+        }
+        let e = parse("t\n.param x=1\n.end").unwrap_err();
+        assert!(e.message.contains("shadows"), "{}", e.message);
+        assert!(parse("t\nV1 a 0 {x}\nI1 a 0 DC {x}\nR1 a 0 {x}\n.end").is_ok());
     }
 
     #[test]

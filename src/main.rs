@@ -297,12 +297,12 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
 }
 
 /// Maps a campaign-vocabulary error (unknown bench, corner set, solver or
-/// agent) to a usage error and anything else, such as an unreadable or
-/// edited deck, to a runtime failure. The vocabulary itself lives in
-/// [`asdex::serve::campaign`], so the CLI and the daemon accept exactly the
-/// same names.
+/// agent, or an agent that cannot size the corner set) to a usage error
+/// and anything else, such as an unreadable or edited deck, to a runtime
+/// failure. The vocabulary itself lives in [`asdex::serve::campaign`], so
+/// the CLI and the daemon accept exactly the same specs.
 fn spec_error(e: String) -> CliError {
-    if e.starts_with("unknown") {
+    if e.starts_with("unknown") || e.starts_with("unsupported") {
         CliError::Usage(e)
     } else {
         CliError::Runtime(e)

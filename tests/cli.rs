@@ -12,6 +12,9 @@
 //!    path that journal metadata would mangle exits 2 before any journal
 //!    exists, and a `netlist:<path>` bench journals its deck digest in
 //!    either form, so resuming after the deck was edited is refused.
+//! 4. **Every agent sizes the campaign's corner set** — a random
+//!    campaign on `signoff5` evaluates every corner, and BO, which models
+//!    one corner, is refused a multi-corner set before disk.
 
 use asdex::serve::Json;
 use std::path::PathBuf;
@@ -139,5 +142,32 @@ fn a_positional_netlist_bench_journals_its_digest() {
     let stderr = String::from_utf8_lossy(&resumed.stderr);
     assert_eq!(resumed.status.code(), Some(1), "resume of an edited deck: {stderr}");
     assert!(stderr.contains("digest"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn random_sizes_every_corner_and_bo_refuses_a_multi_corner_set() {
+    let dir = temp_dir("corners");
+    let journal = dir.join("random.journal");
+    let path = journal.display().to_string();
+    let args = ["size", "opamp22", "--agent", "random", "--corners", "signoff5"];
+    let out = asdex(&[&args[..], &["--budget", "300", "--seed", "1", "--journal", &path]].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&journal).expect("journal written");
+    let lines: Vec<&str> = text.lines().filter(|l| l.starts_with("E ")).collect();
+    // Each point fans out over all five corners (retries aside).
+    for c in 0..5 {
+        let at = lines.iter().filter(|l| l.starts_with(&format!("E c={c} "))).count();
+        assert!(at * 10 >= lines.len(), "corner {c}: {at} of {} records", lines.len());
+    }
+
+    let journal = dir.join("bo.journal");
+    let path = journal.display().to_string();
+    let args = ["size", "opamp22", "--agent", "bo", "--corners", "signoff5", "--budget", "60"];
+    let out = asdex(&[&args[..], &["--journal", &path]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("one corner"), "{stderr}");
+    assert!(!journal.exists(), "a refused bo run left a journal behind");
     let _ = std::fs::remove_dir_all(&dir);
 }

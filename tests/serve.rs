@@ -322,3 +322,36 @@ fn admission_errors_surface_as_http_statuses() {
     server_thread.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn bo_with_a_multi_corner_set_is_refused_with_400() {
+    let dir = temp_dir("bo-corners");
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        scheduler: SchedulerConfig { journal_dir: dir.clone(), ..SchedulerConfig::default() },
+        ..ServerConfig::default()
+    };
+    let drain = DrainHandle::new();
+    let server = Server::bind(cfg, drain.clone()).expect("daemon binds");
+    let addr = server.local_addr().expect("bound").to_string();
+    let server_thread = std::thread::spawn(move || server.run().expect("daemon runs"));
+    let client = Client::new(addr);
+    let spec = CampaignSpec {
+        bench: "bowl3".to_string(),
+        agent: "bo".to_string(),
+        corners: "signoff5".to_string(),
+        budget: 60,
+        ..CampaignSpec::default()
+    };
+    match client.submit(Some("bo5"), &spec) {
+        Err(asdex::serve::ClientError::Status { status, .. }) => assert_eq!(status, 400),
+        other => panic!("expected HTTP 400, got {other:?}"),
+    }
+    let nominal = CampaignSpec { corners: "nominal".to_string(), ..spec };
+    client.submit(Some("bo1"), &nominal).expect("single-corner bo admitted");
+    client.wait_for("bo1", Duration::from_secs(120)).expect("bo1 completes");
+    drain.request_drain();
+    server_thread.join().expect("daemon thread");
+    assert!(!dir.join("bo5.journal").exists(), "a refused campaign left a journal behind");
+    let _ = std::fs::remove_dir_all(&dir);
+}
