@@ -75,6 +75,7 @@ fn main() {
         let (addr, drain, thread) = boot(&format!("sweep{concurrency}"), true);
         let report = load(&addr, concurrency, false);
         assert_eq!(report.client_errors, 0, "sweep must complete cleanly");
+        assert_eq!(report.samples.len(), CAMPAIGNS, "every campaign must come back");
         rows.push(format!(
             "sweep,concurrency,{concurrency},throughput_cps,{:.4},p50_completion_ms,{:.3},p99_completion_ms,{:.3},retries_429,{}",
             report.throughput(),

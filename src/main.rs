@@ -221,78 +221,124 @@ fn main() -> ExitCode {
     }
 }
 
-/// Fetches the value following `--flag`, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, CliError> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v)),
-            None => Err(CliError::Usage(format!("{flag} needs a value"))),
-        },
-        None => Ok(None),
-    }
+/// The flags one command reads, and whether it takes a positional
+/// argument. Every command also takes `--quiet`.
+struct Flags {
+    /// The command's name, for error messages.
+    command: &'static str,
+    /// Flags that consume the following argument as their value.
+    values: &'static [&'static str],
+    /// Flags that stand alone.
+    switches: &'static [&'static str],
+    /// Whether the command takes one positional argument.
+    positional: bool,
 }
 
-/// Every flag that consumes the following argument as its value.
-const VALUE_FLAGS: &[&str] = &[
-    "--agent",
-    "--budget",
-    "--seed",
-    "--corners",
-    "--threads",
-    "--journal",
-    "--checkpoint-every",
-    "--resume",
-    "--samples",
-    "--addr",
-    "--journal-dir",
-    "--queue",
-    "--max-active",
-    "--log-level",
-    "--n",
-    "--concurrency",
-    "--bench",
-    "--out",
-    "--timeout-secs",
-    "--workers",
-    "--solver",
-    "--fault-rate",
-    "--fault-seed",
-    "--fault-mode",
-    "--retries",
-    "--conn-timeout",
-    "--max-conns",
-    "--rate-limit",
-    "--admission-timeout",
-    "--idle-conns",
-    "--netlist",
-    "--netlist-digest",
-];
+const SIZE_FLAGS: Flags = Flags {
+    command: "size",
+    values: &[
+        "--agent", "--budget", "--seed", "--corners", "--threads", "--workers", "--solver",
+        "--journal", "--checkpoint-every", "--resume", "--netlist",
+    ],
+    switches: &["--json"],
+    positional: true,
+};
 
-/// Whether a bare flag (no value) is present.
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+const PROBE_FLAGS: Flags = Flags {
+    command: "probe",
+    values: &["--samples", "--threads", "--netlist"],
+    switches: &["--json"],
+    positional: true,
+};
+
+const SIM_FLAGS: Flags = Flags { command: "sim", values: &[], switches: &[], positional: true };
+
+const SERVE_FLAGS: Flags = Flags {
+    command: "serve",
+    values: &[
+        "--addr", "--journal-dir", "--threads", "--workers", "--queue", "--max-active",
+        "--conn-timeout", "--max-conns", "--rate-limit", "--admission-timeout", "--log-level",
+    ],
+    switches: &["--no-dedup", "--no-recover"],
+    positional: false,
+};
+
+const LOADGEN_FLAGS: Flags = Flags {
+    command: "loadgen",
+    values: &[
+        "--addr", "--n", "--concurrency", "--bench", "--agent", "--budget", "--corners", "--out",
+        "--timeout-secs", "--retries", "--idle-conns", "--netlist",
+    ],
+    switches: &["--duplicate"],
+    positional: false,
+};
+
+const WORKER_FLAGS: Flags = Flags {
+    command: "worker",
+    values: &[
+        "--bench", "--corners", "--solver", "--netlist-digest", "--fault-rate", "--fault-seed",
+        "--fault-mode",
+    ],
+    switches: &[],
+    positional: false,
+};
+
+/// One command's arguments, read against its [`Flags`]: a flag the
+/// command does not read, a value flag with no value, or a positional
+/// argument it does not take is a usage error that names it. A flag
+/// given twice keeps its first value.
+struct Args<'a> {
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+    positional: Option<&'a str>,
 }
 
-/// First argument that is neither a flag nor a flag's value.
-fn positional(args: &[String]) -> Option<&str> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a.starts_with("--") {
-            i += if VALUE_FLAGS.contains(&a) { 2 } else { 1 };
-        } else {
-            return Some(a);
+impl<'a> Args<'a> {
+    fn parse(args: &'a [String], flags: &Flags) -> Result<Self, CliError> {
+        let command = flags.command;
+        let mut parsed = Args { values: Vec::new(), switches: Vec::new(), positional: None };
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if flags.values.contains(&arg) {
+                let value = rest
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("{command}: {arg} needs a value")))?;
+                parsed.values.push((arg, value));
+            } else if arg == "--quiet" || flags.switches.contains(&arg) {
+                parsed.switches.push(arg);
+            } else if arg.starts_with("--") {
+                return Err(CliError::Usage(format!(
+                    "{command} does not take {arg} (see asdex --help)"
+                )));
+            } else if flags.positional && parsed.positional.is_none() {
+                parsed.positional = Some(arg);
+            } else {
+                return Err(CliError::Usage(format!(
+                    "{command}: unexpected argument {arg:?} (see asdex --help)"
+                )));
+            }
         }
+        Ok(parsed)
     }
-    None
-}
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, CliError> {
-    match flag_value(args, flag)? {
-        Some(v) => {
-            v.parse().map_err(|_| CliError::Usage(format!("cannot parse {flag} value {v:?}")))
+    /// The value given to `flag`, if any.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v)
+    }
+
+    /// Whether the bare `switch` is present.
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// The value given to `flag`, parsed, or `default` when absent.
+    fn parse_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
+        match self.value(flag) {
+            Some(v) => {
+                v.parse().map_err(|_| CliError::Usage(format!("cannot parse {flag} value {v:?}")))
+            }
+            None => Ok(default),
         }
-        None => Ok(default),
     }
 }
 
@@ -311,17 +357,17 @@ fn spec_error(e: String) -> CliError {
 
 /// Resolves the `--netlist <path>` / positional-bench pair into one bench
 /// name, rejecting ambiguous invocations.
-fn netlist_or_positional(args: &[String], what: &str) -> Result<Option<String>, CliError> {
-    match flag_value(args, "--netlist")? {
+fn netlist_or_positional(args: &Args, what: &str) -> Result<Option<String>, CliError> {
+    match args.value("--netlist") {
         Some(path) => {
-            if positional(args).is_some() {
+            if args.positional.is_some() {
                 return Err(CliError::Usage(format!(
                     "{what} takes either a benchmark name or --netlist, not both"
                 )));
             }
             Ok(Some(format!("netlist:{path}")))
         }
-        None => Ok(positional(args).map(str::to_string)),
+        None => Ok(args.positional.map(str::to_string)),
     }
 }
 
@@ -385,17 +431,18 @@ fn checkpoint_on_interrupt(journal: Arc<Mutex<Journal>>) {
 }
 
 fn cmd_size(args: &[String]) -> Result<(), CliError> {
-    let checkpoint_every = parse_flag(args, "--checkpoint-every", 25usize)?;
-    let threads = parse_flag(args, "--threads", 0usize)?;
-    let workers = parse_flag(args, "--workers", 0usize)?;
-    let json_output = has_flag(args, "--json");
-    let solver_flag = flag_value(args, "--solver")?;
+    let args = Args::parse(args, &SIZE_FLAGS)?;
+    let checkpoint_every = args.parse_or("--checkpoint-every", 25usize)?;
+    let threads = args.parse_or("--threads", 0usize)?;
+    let workers = args.parse_or("--workers", 0usize)?;
+    let json_output = args.has("--json");
+    let solver_flag = args.value("--solver");
 
     // Either restore the campaign identity from a journal, or read it from
     // the command line. Any journal activity first fences the journal's
     // directory — held for the whole run so a live daemon and a CLI resume
     // can never interleave writes.
-    let resumed = match flag_value(args, "--resume")? {
+    let resumed = match args.value("--resume") {
         Some(path) => {
             let guard = lock_journal_dir(Path::new(path))?;
             Some((Journal::resume(Path::new(path), checkpoint_every)?, guard))
@@ -417,7 +464,7 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
             // Same pinning rule for the bench: a resumed netlist campaign
             // runs the deck the journal recorded (path and digest), so a
             // different --netlist is a conflict, not an override.
-            if let Some(path) = flag_value(args, "--netlist")? {
+            if let Some(path) = args.value("--netlist") {
                 if format!("netlist:{path}") != spec.bench {
                     return Err(CliError::Usage(format!(
                         "--netlist {path} conflicts with the journal's recorded bench {:?}; \
@@ -429,15 +476,15 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
             spec
         }
         None => {
-            let bench = netlist_or_positional(args, "size")?.ok_or_else(|| {
+            let bench = netlist_or_positional(&args, "size")?.ok_or_else(|| {
                 CliError::Usage(format!("size needs a benchmark or --netlist\n\n{USAGE}"))
             })?;
             let mut spec = CampaignSpec {
                 bench,
-                agent: flag_value(args, "--agent")?.unwrap_or("trm").to_string(),
-                seed: parse_flag(args, "--seed", 1u64)?,
-                budget: parse_flag(args, "--budget", 10_000usize)?,
-                corners: flag_value(args, "--corners")?.unwrap_or("nominal").to_string(),
+                agent: args.value("--agent").unwrap_or("trm").to_string(),
+                seed: args.parse_or("--seed", 1u64)?,
+                budget: args.parse_or("--budget", 10_000usize)?,
+                corners: args.value("--corners").unwrap_or("nominal").to_string(),
                 checkpoint_every,
                 solver: solver_flag.unwrap_or("auto").to_string(),
                 netlist: None,
@@ -467,7 +514,7 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
             ));
             (Some(journal), Some(guard))
         }
-        None => match flag_value(args, "--journal")? {
+        None => match args.value("--journal") {
             Some(jpath) => {
                 let guard = lock_journal_dir(Path::new(jpath))?;
                 let journal = Journal::create(Path::new(jpath), spec.to_meta(), checkpoint_every)?;
@@ -556,12 +603,13 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
 fn cmd_probe(args: &[String]) -> Result<(), CliError> {
     use asdex_rng::rngs::StdRng;
     use asdex_rng::SeedableRng;
-    let bench = netlist_or_positional(args, "probe")?.ok_or_else(|| {
+    let args = Args::parse(args, &PROBE_FLAGS)?;
+    let bench = netlist_or_positional(&args, "probe")?.ok_or_else(|| {
         CliError::Usage(format!("probe needs a benchmark or --netlist\n\n{USAGE}"))
     })?;
-    let samples = parse_flag(args, "--samples", 5_000usize)?;
-    let threads = parse_flag(args, "--threads", 0usize)?;
-    let json_output = has_flag(args, "--json");
+    let samples = args.parse_or("--samples", 5_000usize)?;
+    let threads = args.parse_or("--threads", 0usize)?;
+    let json_output = args.has("--json");
     let problem = asdex::serve::build_problem(&bench, "nominal")
         .map_err(spec_error)?
         .with_threads(threads);
@@ -616,34 +664,35 @@ fn cmd_probe(args: &[String]) -> Result<(), CliError> {
 /// then drains gracefully: admission stops, active campaigns checkpoint
 /// their journals, and the process exits 0.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    if let Some(label) = flag_value(args, "--log-level")? {
+    let args = Args::parse(args, &SERVE_FLAGS)?;
+    if let Some(label) = args.value("--log-level") {
         let level = LogLevel::from_label(label)
             .ok_or_else(|| CliError::Usage(format!("unknown log level {label:?} (quiet|info|debug)")))?;
         logging::set_level(level);
     }
-    let admission_timeout = parse_flag(args, "--admission-timeout", 0u64)?;
-    let rate_limit = parse_flag(args, "--rate-limit", 0.0f64)?;
+    let admission_timeout = args.parse_or("--admission-timeout", 0u64)?;
+    let rate_limit = args.parse_or("--rate-limit", 0.0f64)?;
     let cfg = ServerConfig {
-        addr: flag_value(args, "--addr")?.unwrap_or("127.0.0.1:8650").to_string(),
+        addr: args.value("--addr").unwrap_or("127.0.0.1:8650").to_string(),
         conn_timeout: std::time::Duration::from_secs(
-            parse_flag(args, "--conn-timeout", 10u64)?.max(1),
+            args.parse_or("--conn-timeout", 10u64)?.max(1),
         ),
-        max_conns: parse_flag(args, "--max-conns", 256usize)?.max(1),
+        max_conns: args.parse_or("--max-conns", 256usize)?.max(1),
         scheduler: SchedulerConfig {
-            queue_capacity: parse_flag(args, "--queue", 64usize)?,
-            max_active: parse_flag(args, "--max-active", 4usize)?,
-            thread_budget: parse_flag(args, "--threads", 1usize)?.max(1),
-            journal_dir: Path::new(flag_value(args, "--journal-dir")?.unwrap_or("journals"))
+            queue_capacity: args.parse_or("--queue", 64usize)?,
+            max_active: args.parse_or("--max-active", 4usize)?,
+            thread_budget: args.parse_or("--threads", 1usize)?.max(1),
+            journal_dir: Path::new(args.value("--journal-dir").unwrap_or("journals"))
                 .to_path_buf(),
-            workers: parse_flag(args, "--workers", 0usize)?,
+            workers: args.parse_or("--workers", 0usize)?,
             worker_program: None,
-            recover: !has_flag(args, "--no-recover"),
+            recover: !args.has("--no-recover"),
             disk_fault: None,
             admission_timeout: (admission_timeout > 0)
                 .then(|| std::time::Duration::from_secs(admission_timeout)),
             rate_limit: (rate_limit > 0.0)
                 .then(|| asdex::serve::RateLimit::per_sec(rate_limit)),
-            dedup: !has_flag(args, "--no-dedup"),
+            dedup: !args.has("--no-dedup"),
         },
     };
     let drain = DrainHandle::new();
@@ -659,11 +708,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 /// Hammers a daemon with concurrent campaigns and records throughput and
 /// latency percentiles to a CSV.
 fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
+    let args = Args::parse(args, &LOADGEN_FLAGS)?;
     // An inline-netlist load run reads the deck once and submits its
     // source in every campaign body; `bench` is then server-assigned.
-    let netlist = match flag_value(args, "--netlist")? {
+    let netlist = match args.value("--netlist") {
         Some(path) => {
-            if flag_value(args, "--bench")?.is_some() {
+            if args.value("--bench").is_some() {
                 return Err(CliError::Usage(
                     "loadgen takes either --bench or --netlist, not both".to_string(),
                 ));
@@ -676,21 +726,21 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
         None => None,
     };
     let cfg = LoadgenConfig {
-        addr: flag_value(args, "--addr")?.unwrap_or("127.0.0.1:8650").to_string(),
-        campaigns: parse_flag(args, "--n", 16usize)?,
-        concurrency: parse_flag(args, "--concurrency", 8usize)?,
-        bench: flag_value(args, "--bench")?.unwrap_or("bowl3").to_string(),
-        agent: flag_value(args, "--agent")?.unwrap_or("trm").to_string(),
-        budget: parse_flag(args, "--budget", 400usize)?,
-        corners: flag_value(args, "--corners")?.unwrap_or("nominal").to_string(),
-        timeout: std::time::Duration::from_secs(parse_flag(args, "--timeout-secs", 300u64)?),
-        retries: parse_flag(args, "--retries", 4u32)?,
-        idle_conns: parse_flag(args, "--idle-conns", 0usize)?,
-        duplicate: has_flag(args, "--duplicate"),
+        addr: args.value("--addr").unwrap_or("127.0.0.1:8650").to_string(),
+        campaigns: args.parse_or("--n", 16usize)?,
+        concurrency: args.parse_or("--concurrency", 8usize)?,
+        bench: args.value("--bench").unwrap_or("bowl3").to_string(),
+        agent: args.value("--agent").unwrap_or("trm").to_string(),
+        budget: args.parse_or("--budget", 400usize)?,
+        corners: args.value("--corners").unwrap_or("nominal").to_string(),
+        timeout: std::time::Duration::from_secs(args.parse_or("--timeout-secs", 300u64)?),
+        retries: args.parse_or("--retries", 4u32)?,
+        idle_conns: args.parse_or("--idle-conns", 0usize)?,
+        duplicate: args.has("--duplicate"),
         netlist,
     };
     let out = Path::new(
-        flag_value(args, "--out")?.unwrap_or("bench_results/serve_throughput.csv"),
+        args.value("--out").unwrap_or("bench_results/serve_throughput.csv"),
     )
     .to_path_buf();
     let report = asdex::serve::loadgen::run(&cfg);
@@ -731,15 +781,16 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
 /// serves attempts until its supervisor closes the pipe. Not meant for
 /// interactive use.
 fn cmd_worker(args: &[String]) -> Result<(), CliError> {
-    let bench = flag_value(args, "--bench")?
+    let args = Args::parse(args, &WORKER_FLAGS)?;
+    let bench = args.value("--bench")
         .ok_or_else(|| CliError::Usage("worker needs --bench".to_string()))?
         .to_string();
-    let corners = flag_value(args, "--corners")?.unwrap_or("nominal").to_string();
-    let solver = flag_value(args, "--solver")?.unwrap_or("auto").to_string();
-    let rate = parse_flag(args, "--fault-rate", 0.0f64)?;
+    let corners = args.value("--corners").unwrap_or("nominal").to_string();
+    let solver = args.value("--solver").unwrap_or("auto").to_string();
+    let rate = args.parse_or("--fault-rate", 0.0f64)?;
     let fault = if rate > 0.0 {
-        let seed = parse_flag(args, "--fault-seed", 0u64)?;
-        let mode = match flag_value(args, "--fault-mode")? {
+        let seed = args.parse_or("--fault-seed", 0u64)?;
+        let mode = match args.value("--fault-mode") {
             Some(label) => Some(asdex::env::FaultMode::from_label(label).ok_or_else(|| {
                 CliError::Usage(format!("unknown fault mode {label:?}"))
             })?),
@@ -751,7 +802,7 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
     };
     // The supervisor forwards the admitted campaign's netlist digest; the
     // worker re-compiles the deck and refuses to serve if it was edited.
-    let netlist_digest = match flag_value(args, "--netlist-digest")? {
+    let netlist_digest = match args.value("--netlist-digest") {
         Some(hex) => Some(asdex::env::recordlog::u64_from_hex(hex).ok_or_else(|| {
             CliError::Usage(format!("--netlist-digest {hex:?} is not a 16-hex digest"))
         })?),
@@ -762,8 +813,8 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), CliError> {
-    let path = args
-        .first()
+    let path = Args::parse(args, &SIM_FLAGS)?
+        .positional
         .ok_or_else(|| CliError::Usage(format!("sim needs a netlist path\n\n{USAGE}")))?;
     // read_deck_source expands `.include` cards (deck-relative, cycle- and
     // depth-guarded) before parsing, so composed decks simulate too.

@@ -15,6 +15,9 @@
 //! 4. **Every agent sizes the campaign's corner set** — a random
 //!    campaign on `signoff5` evaluates every corner, and BO, which models
 //!    one corner, is refused a multi-corner set before disk.
+//! 5. **Every argument is read** — a flag the command does not take, or
+//!    a positional argument beyond the ones it takes, exits 2 naming it
+//!    before the command runs.
 
 use asdex::serve::Json;
 use std::path::PathBuf;
@@ -170,4 +173,24 @@ fn random_sizes_every_corner_and_bo_refuses_a_multi_corner_set() {
     assert!(stderr.contains("one corner"), "{stderr}");
     assert!(!journal.exists(), "a refused bo run left a journal behind");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_flags_and_extra_arguments_exit_2_naming_them() {
+    let cases: [(&[&str], &str); 7] = [
+        (&["size", "bowl2", "--agent", "random", "--budget", "30", "--jurnal", "j"], "--jurnal"),
+        (&["size", "bowl2", "--budgt", "10"], "--budgt"),
+        (&["size", "bowl2", "--budget=10"], "--budget=10"),
+        (&["size", "bowl2", "--budget", "30", "bowl3"], "\"bowl3\""),
+        (&["probe", "bowl2", "--sample", "10"], "--sample"),
+        (&["sim", "decks/rc_filter.cir", "extra"], "\"extra\""),
+        (&["worker", "--bench", "bowl2", "--workers", "2"], "--workers"),
+    ];
+    for (args, named) in cases {
+        let out = asdex(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?} does not name {named}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran: {}", String::from_utf8_lossy(&out.stdout));
+    }
 }

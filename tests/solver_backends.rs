@@ -8,11 +8,12 @@
 //! tolerance-level agreement is promised. These tests pin both halves:
 //! tolerance agreement on the shipped decks, the MNA-backed sizing
 //! benchmarks, and a generated ladder large enough that `auto` picks
-//! sparse — and exact repeatability within one backend.
+//! sparse — and exact repeatability within one backend. On a 400-stage
+//! ladder they also hold sparse LU to the speed that justifies it.
 
 use asdex::env::circuits::ldo::Ldo;
 use asdex::env::circuits::opamp::TwoStageOpamp;
-use asdex::env::{EvalRequest, SizingProblem};
+use asdex::env::{EvalRequest, PvtCorner, SizingProblem};
 use asdex::spice::analysis::{
     ac_analysis_with_op_in, solver_report, Engine, OpOptions, SolverChoice, SolverWorkspace,
     Sweep, DENSE_MAX_DIM,
@@ -20,6 +21,7 @@ use asdex::spice::analysis::{
 use asdex::spice::devices::DiodeModel;
 use asdex::spice::parser::parse_netlist;
 use asdex::spice::Circuit;
+use std::time::Instant;
 
 /// Relative agreement with an absolute floor: MNA unknowns span volts to
 /// nano-amp branch currents, so pure relative comparison is too brittle
@@ -66,12 +68,22 @@ fn ladder(stages: usize) -> Circuit {
     ckt
 }
 
+/// The shipped decks, and the LDO at its human reference sizing.
 #[test]
 fn shipped_decks_agree_across_backends() {
-    for deck in ["decks/rc_filter.cir", "decks/two_stage_opamp.cir"] {
-        let src = std::fs::read_to_string(deck).expect("deck ships with the repo");
-        let ckt = parse_netlist(&src).expect("parses");
-        let engine = Engine::compile(&ckt).expect("compiles");
+    let decks = ["decks/rc_filter.cir", "decks/two_stage_opamp.cir"];
+    let mut circuits: Vec<(&str, Circuit, &str)> = decks
+        .into_iter()
+        .map(|deck| {
+            let src = std::fs::read_to_string(deck).expect("deck ships with the repo");
+            (deck, parse_netlist(&src).expect("parses"), "out")
+        })
+        .collect();
+    let ldo = Ldo::n6();
+    let reference = ldo.netlist(&ldo.human_reference(), &PvtCorner::nominal()).expect("ldo builds");
+    circuits.push(("ldo human reference", reference, "vout"));
+    for (deck, ckt, out) in &circuits {
+        let engine = Engine::compile(ckt).expect("compiles");
         let dense = op_unknowns(&engine, SolverChoice::Dense);
         let sparse = op_unknowns(&engine, SolverChoice::Sparse);
         assert_close(&dense, &sparse, 1e-6, &format!("{deck} op"));
@@ -88,7 +100,7 @@ fn shipped_decks_agree_across_backends() {
             let ac = ac_analysis_with_op_in(&engine, op, sweep, &mut ws).expect("ac runs");
             let flat: Vec<f64> = (0..ac.len())
                 .flat_map(|k| {
-                    let out = ckt.find_node("out").expect("out node");
+                    let out = ckt.find_node(out).expect("output node");
                     let v = ac.voltage(k, out);
                     [v.re, v.im]
                 })
@@ -122,6 +134,44 @@ fn large_ladder_agrees_and_auto_selects_sparse() {
 
     let small = solver_report(&ladder(4), SolverChoice::Auto).expect("report builds");
     assert!(small.dim <= DENSE_MAX_DIM && small.backend == "dense");
+}
+
+/// The case for the sparse backend, on a sizing campaign's steady state:
+/// warm workspaces re-running the full Newton operating point of a
+/// 400-stage ladder, where each iteration is one assembly, one
+/// factorization and one solve. The backends agree, every repeat takes
+/// the warm-up's iteration count, and sparse costs at most a fifth of
+/// dense per iteration. The backends alternate and each keeps its
+/// fastest solve, so load on the host slows both alike.
+#[test]
+fn sparse_is_5x_faster_per_newton_iteration_on_a_400_stage_ladder() {
+    const WARM_SOLVES: usize = 7;
+    let engine = Engine::compile(&ladder(400)).expect("compiles");
+    let opts = OpOptions::default();
+    let backends = [SolverChoice::Dense, SolverChoice::Sparse];
+    // The first solve allocates each workspace and, for sparse, computes
+    // the symbolic factorization every later solve replays.
+    let mut workspaces = backends.map(SolverWorkspace::with_choice);
+    let warm: Vec<_> = workspaces
+        .iter_mut()
+        .map(|ws| engine.operating_point_with(&opts, None, ws).expect("op converges"))
+        .collect();
+    assert_close(warm[0].unknowns(), warm[1].unknowns(), 1e-6, "ladder400 op");
+    let mut fastest_us_per_iter = [f64::INFINITY; 2];
+    for _ in 0..WARM_SOLVES {
+        for (b, ws) in workspaces.iter_mut().enumerate() {
+            let start = Instant::now();
+            let op = engine.operating_point_with(&opts, None, ws).expect("op converges");
+            let us_per_iter = start.elapsed().as_secs_f64() * 1e6 / op.iterations as f64;
+            fastest_us_per_iter[b] = fastest_us_per_iter[b].min(us_per_iter);
+            let what = backends[b];
+            assert_eq!(op.iterations, warm[b].iterations, "{what:?} repeat changed iterations");
+        }
+    }
+    let [dense, sparse] = fastest_us_per_iter;
+    let speedup = dense / sparse;
+    println!("ladder400: dense {dense:.1} us/iter, sparse {sparse:.1} us/iter, {speedup:.2}x");
+    assert!(speedup >= 5.0, "sparse must be at least 5x dense per Newton iteration: {speedup:.2}x");
 }
 
 /// A deterministic spread of multi-corner requests over the unit cube

@@ -5,7 +5,9 @@
 //!
 //! 1. **Worker-count invariance** — campaigns dispatched to 1 or 4
 //!    sandboxed `asdex worker` processes produce outcomes bitwise
-//!    identical to in-process execution.
+//!    identical to in-process execution, and sign-off rounds of the
+//!    45 nm opamp through 1, 2 or 4 workers evaluate exactly as they do
+//!    in process, serially or on 4 threads.
 //! 2. **Injected-fault equivalence** — process-level fault modes
 //!    (worker-abort, worker-hang, worker-kill) produce evaluations
 //!    bitwise identical to the unarmed in-process degradations of the
@@ -19,12 +21,14 @@
 //!    drain stops and reaps every worker, killing one that ignores `Q`
 //!    at the drain deadline.
 
-use asdex::env::{FaultConfig, FaultInjectingEvaluator, FaultMode};
+use asdex::env::{
+    EvalRequest, Evaluation, FaultConfig, FaultInjectingEvaluator, FaultMode, SizingProblem,
+};
 use asdex::serve::protocol::outcome_json;
 use asdex::serve::scheduler::CampaignStatus;
 use asdex::serve::{
-    build_problem, run_campaign, CampaignSpec, Scheduler, SchedulerConfig, WorkerPool,
-    WorkerPoolConfig, WorkerStats,
+    build_problem, problem_for, run_campaign, CampaignSpec, Scheduler, SchedulerConfig,
+    WorkerPool, WorkerPoolConfig, WorkerStats,
 };
 use asdex::serve::worker::{write_frame, Handshake, PROTOCOL_VERSION};
 use std::io::Write;
@@ -100,6 +104,47 @@ fn worker_counts_one_and_four_match_in_process_bitwise() {
         }
         scheduler.drain();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// One sign-off round: 8 incumbents plus 2 fresh proposals, each point
+/// at every corner. The proposals are distinct grid points per round.
+fn signoff_round(problem: &SizingProblem, round: usize) -> Vec<EvalRequest> {
+    let (n_corners, dim) = (problem.corners.len(), problem.dim());
+    let incumbents = (0..8).map(|k| vec![0.35 + 0.03 * k as f64; dim]);
+    let proposals = (0..2).map(|k| vec![0.60 + 0.0111 * (2 * round + k) as f64; dim]);
+    incumbents.chain(proposals).flat_map(|u| EvalRequest::fan_out(&u, n_corners)).collect()
+}
+
+/// The incumbents once, as a search mid-run has them in its workspaces,
+/// then four sign-off rounds.
+fn signoff_rounds(problem: &SizingProblem) -> Vec<Vec<Evaluation>> {
+    let incumbents = signoff_round(problem, 0)[..8 * problem.corners.len()].to_vec();
+    std::iter::once(incumbents)
+        .chain((0..4).map(|round| signoff_round(problem, round)))
+        .map(|requests| problem.evaluate_batch(&requests, usize::MAX))
+        .collect()
+}
+
+#[test]
+fn signoff_rounds_match_in_process_through_one_two_and_four_workers() {
+    // Built as each worker builds it: `problem_for` pins `auto`, where an
+    // unpinned problem would follow ASDEX_SOLVER.
+    let spec = CampaignSpec {
+        bench: "opamp45".to_string(),
+        corners: "signoff5".to_string(),
+        ..CampaignSpec::default()
+    };
+    let problem = || problem_for(&spec).expect("opamp45 builds");
+    let serial = signoff_rounds(&problem().with_threads(1));
+    assert_eq!(signoff_rounds(&problem().with_threads(4)), serial, "4 threads diverged");
+    for workers in [1usize, 2, 4] {
+        let cfg = WorkerPoolConfig::new(worker_binary(), &spec.bench, &spec.corners, workers);
+        let p = problem();
+        let pool = WorkerPool::for_problem(cfg, &p, Arc::new(WorkerStats::new()));
+        let pooled = signoff_rounds(&p.with_threads(workers).with_dispatcher(pool.clone()));
+        pool.shutdown();
+        assert_eq!(pooled, serial, "{workers} worker(s) diverged from in-process");
     }
 }
 
