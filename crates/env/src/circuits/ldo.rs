@@ -21,7 +21,7 @@ use asdex_spice::devices::MosGeometry;
 use asdex_spice::measure::{checked_frequency_response, to_db};
 use asdex_spice::process::ProcessNode;
 use asdex_spice::{AcSpec, Circuit};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Indices of the LDO's design parameters.
 pub mod params {
@@ -100,7 +100,22 @@ impl Ldo {
     ///
     /// Propagates grid-construction failures.
     pub fn space(&self) -> Result<DesignSpace, EnvError> {
-        let lmin = self.node.lmin;
+        // Every caller sizes the n6 bench, and computing its 11 150 grid
+        // values costs several times the rest of a problem build, so the
+        // n6 grids are built once per process. They depend on `lmin` alone.
+        static N6: OnceLock<DesignSpace> = OnceLock::new();
+        if self.node.lmin.to_bits() != ProcessNode::n6().lmin.to_bits() {
+            return Self::grids(self.node.lmin);
+        }
+        if let Some(space) = N6.get() {
+            return Ok(space.clone());
+        }
+        let space = Self::grids(self.node.lmin)?;
+        Ok(N6.get_or_init(|| space).clone())
+    }
+
+    /// The design space's grids for a node of minimum length `lmin`.
+    fn grids(lmin: f64) -> Result<DesignSpace, EnvError> {
         DesignSpace::new(vec![
             Param::geometric("w_in", 0.5e-6, 50e-6, 2000)?,
             Param::geometric("w_mir", 0.5e-6, 50e-6, 2000)?,
@@ -338,6 +353,15 @@ mod tests {
         let s = ldo.space().unwrap();
         assert_eq!(s.dim(), 11);
         assert!(s.size_log10() > 27.0 && s.size_log10() < 32.0, "10^{:.1}", s.size_log10());
+    }
+
+    #[test]
+    fn problems_share_the_n6_space() {
+        let (a, b) = (Ldo::n6().problem().unwrap(), Ldo::n6().problem().unwrap());
+        assert_eq!(a.space, b.space);
+        assert_eq!(a.space, Ldo::grids(ProcessNode::n6().lmin).unwrap());
+        // Another node's length grids differ.
+        assert_ne!(Ldo::on(ProcessNode::bsim45()).space().unwrap(), a.space);
     }
 
     #[test]

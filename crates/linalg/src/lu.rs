@@ -80,22 +80,35 @@ pub struct Lu<S: Scalar = f64> {
 
 /// One position of a factorization's row pivoting, as [`factor_in_place`]
 /// writes it and [`solve_factored`] reads it: the original row now at
-/// this position, that row's scale (the largest modulus of the original
-/// row), and U's diagonal entry there as a prepared divisor
-/// ([`Scalar::prepare_divisor`]). Reusing one `Vec` of these across
-/// factorizations keeps every factorization after the first
-/// allocation-free.
+/// this position and U's diagonal entry there as a prepared divisor
+/// ([`Scalar::prepare_divisor`]). While the factorization runs it also
+/// holds the row's scale and scratch for the elimination. Reusing one
+/// `Vec` of these across factorizations keeps every factorization after
+/// the first allocation-free.
 #[derive(Debug, Clone, Copy)]
 pub struct Pivot<S: Scalar> {
     row: usize,
+    /// The largest modulus of the original row, or NaN until a pivot
+    /// search needs it where the squared screen kept a witness instead.
     scale: f64,
+    /// `1 / max(re² + im²)` over the original row (screened rows only).
+    inv_sq_scale: f64,
+    /// U's diagonal entry here, prepared. Until the row is pivoted, a
+    /// screened row keeps its witness here: the entry whose modulus is
+    /// the row's scale, or zero where the scale was computed outright.
     divisor: S,
+    /// One column of the current pivot row's nonzero list.
+    col: usize,
 }
 
 impl<S: Scalar> Pivot<S> {
     /// The original row at this position: `perm[i]` of `P A = L U`.
     pub fn row(&self) -> usize {
         self.row
+    }
+
+    fn new(row: usize, scale: f64, inv_sq_scale: f64, divisor: S) -> Self {
+        Pivot { row, scale, inv_sq_scale, divisor, col: 0 }
     }
 }
 
@@ -111,6 +124,265 @@ const SCALED_PIVOT_TOL: f64 = 1e-13;
 /// runs on a contiguous, bounds-check-free slice.
 const DENSE_BLOCK: usize = 4;
 
+/// The squared screen's relative margin, as the factor `1 − 2⁻⁴⁰` that
+/// shrinks the best squared value: a comparison closer than this is
+/// decided on exact moduli. 2⁻⁴⁰ is over two hundred times the screen's
+/// worst-case rounding (DESIGN.md §2.1).
+pub(crate) const SQ_KEEP: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
+
+/// The squared screen runs only on rows whose largest `re² + im²` lies in
+/// `[2⁻⁵⁰⁰, 2⁵⁰⁰]`, and decides a pivot only among candidates whose
+/// `re² + im²` is at most 2⁵⁰⁰: then every reciprocal and scaled square
+/// it forms is a normal number (DESIGN.md §2.1).
+pub(crate) const SQ_MIN: f64 = f64::from_bits((1023 - 500) << 52);
+/// See [`SQ_MIN`].
+pub(crate) const SQ_MAX: f64 = f64::from_bits((1023 + 500) << 52);
+
+/// [`SCALED_PIVOT_TOL`] squared, for the screened tolerance test.
+const TOL_SQ: f64 = SCALED_PIVOT_TOL * SCALED_PIVOT_TOL;
+
+/// The larger of two values, one compare and select (`f64::max`'s NaN
+/// handling costs more; callers rule NaN out by other means).
+#[inline]
+pub(crate) fn larger(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The smaller of two values; see [`larger`].
+#[inline]
+fn smaller(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `max(|v|)` over `row`, bit for bit the fold of exact moduli, computing
+/// a modulus only where [`Scalar::max_modulus`]'s bound cannot rule it out.
+fn exact_scale<S: Scalar>(row: &[S]) -> f64 {
+    row.iter().fold(0.0, |scale, &v| v.max_modulus(scale))
+}
+
+/// One pass over a row's `re² + im²`: the largest, the second largest
+/// (equal to the largest on a tie), the column of the largest, the sum
+/// (finite exactly when every entry is finite and no square overflows)
+/// and the bits of every zero component ORed together, whose sign bit
+/// is set exactly when one of them is `-0.0`. Two independent
+/// accumulators break the serial dependency chain (four measured
+/// slower).
+struct RowSquares {
+    max: f64,
+    second: f64,
+    at: usize,
+    sum: f64,
+    zero_bits: u64,
+}
+
+impl RowSquares {
+    fn of<S: Scalar>(row: &[S]) -> Self {
+        const LANES: usize = 2;
+        let mut max = [0.0_f64; LANES];
+        let mut second = [0.0_f64; LANES];
+        let mut at = [0_usize; LANES];
+        let mut sum = [0.0_f64; LANES];
+        let mut zero_bits = [0_u64; LANES];
+        let mut lane = |l: usize, j: usize, v: S| {
+            let (re, im) = v.parts();
+            let q = re * re + im * im;
+            sum[l] += q;
+            second[l] = larger(second[l], smaller(max[l], q));
+            if q > max[l] {
+                max[l] = q;
+                at[l] = j;
+            }
+            let zero = |x: f64| if x == 0.0 { x.to_bits() } else { 0 };
+            zero_bits[l] |= zero(re) | zero(im);
+        };
+        let mut chunks = row.chunks_exact(LANES);
+        for (c, chunk) in chunks.by_ref().enumerate() {
+            for (l, &v) in chunk.iter().enumerate() {
+                lane(l, c * LANES + l, v);
+            }
+        }
+        let base = row.len() - chunks.remainder().len();
+        for (l, &v) in chunks.remainder().iter().enumerate() {
+            lane(l, base + l, v);
+        }
+        let mut out = RowSquares {
+            max: max[0],
+            second: second[0],
+            at: at[0],
+            sum: sum[0],
+            zero_bits: zero_bits[0],
+        };
+        for l in 1..LANES {
+            if max[l] > out.max {
+                out.second = larger(second[l], out.max);
+                out.max = max[l];
+                out.at = at[l];
+            } else {
+                out.second = larger(out.second, max[l]);
+            }
+            out.sum += sum[l];
+            out.zero_bits |= zero_bits[l];
+        }
+        out
+    }
+}
+
+/// Row scales decided on squared moduli (DESIGN.md §2.1): each row's
+/// `1 / max(re² + im²)`, and its exact scale only where its two largest
+/// squares are within the margin; elsewhere the largest entry is kept
+/// (the row's *witness*) and its modulus computed if a pivot search ever
+/// needs it. Returns whether the matrix is free of `-0.0`, which licenses
+/// skipping zero updates, or `None` where a row has a non-finite entry
+/// or its largest square leaves `[SQ_MIN, SQ_MAX]`, for the exact pass
+/// to handle.
+fn screened_scales<S: Scalar>(a: &Matrix<S>, pivots: &mut Vec<Pivot<S>>) -> Option<bool> {
+    let mut neg_zero = false;
+    for i in 0..a.rows() {
+        let row = a.row(i);
+        let sq = RowSquares::of(row);
+        if !(sq.sum.is_finite() && (SQ_MIN..=SQ_MAX).contains(&sq.max)) {
+            return None;
+        }
+        neg_zero |= sq.zero_bits != 0;
+        let pivot = if sq.second < sq.max * SQ_KEEP {
+            Pivot::new(i, f64::NAN, 1.0 / sq.max, row[sq.at])
+        } else {
+            Pivot::new(i, exact_scale(row), 1.0 / sq.max, S::zero())
+        };
+        pivots.push(pivot);
+    }
+    Some(!neg_zero)
+}
+
+/// Exact row scales from the original matrix (implicit equilibration),
+/// in the pass that checks finiteness. An all-zero row is singular
+/// outright, but a non-finite entry in any row is reported first.
+fn exact_scales<S: Scalar>(a: &Matrix<S>, pivots: &mut Vec<Pivot<S>>) -> Result<(), SolveError> {
+    let mut zero_row = None;
+    for i in 0..a.rows() {
+        let mut scale = 0.0_f64;
+        for &v in a.row(i) {
+            if !v.is_finite() {
+                return Err(SolveError::NonFinite);
+            }
+            scale = v.max_modulus(scale);
+        }
+        if scale == 0.0 {
+            zero_row = zero_row.or(Some(i));
+        }
+        pivots.push(Pivot::new(i, scale, 0.0, S::zero()));
+    }
+    match zero_row {
+        Some(step) => Err(SolveError::Singular { step }),
+        None => Ok(()),
+    }
+}
+
+/// Whether a component of `v` is `-0.0`.
+fn has_neg_zero<S: Scalar>(v: S) -> bool {
+    let (re, im) = v.parts();
+    re.to_bits() == NEG_ZERO_BITS || im.to_bits() == NEG_ZERO_BITS
+}
+
+/// The bits of `-0.0`: the sign bit alone.
+const NEG_ZERO_BITS: u64 = 1 << 63;
+
+/// Whether two scalars have the same bits.
+fn same_bits<S: Scalar>(a: S, b: S) -> bool {
+    let ((ar, ai), (br, bi)) = (a.parts(), b.parts());
+    ar.to_bits() == br.to_bits() && ai.to_bits() == bi.to_bits()
+}
+
+/// Row `i`'s exact scale, computed from its witness on first use.
+fn scale_of<S: Scalar>(pivots: &mut [Pivot<S>], i: usize) -> f64 {
+    let p = &mut pivots[i];
+    if p.scale.is_nan() {
+        p.scale = p.divisor.modulus();
+    }
+    p.scale
+}
+
+/// Step `k`'s pivot row decided on `t = (re² + im²)·(1 / row max)`, the
+/// squared scaled modulus: the row of the largest `t` when every other
+/// `t` is below it by the margin, else the first row of strictly largest
+/// exact scaled modulus among the rows within the margin. `None` where
+/// the screen cannot decide: a candidate out of range or non-finite, or
+/// a best `t` within the margin of the tolerance.
+fn screened_pivot<S: Scalar>(a: &Matrix<S>, pivots: &mut [Pivot<S>], k: usize) -> Option<usize> {
+    let n = a.rows();
+    let t_of = |pivots: &[Pivot<S>], i: usize| {
+        let (re, im) = a[(i, k)].parts();
+        let q = re * re + im * im;
+        (q, q * pivots[i].inv_sq_scale)
+    };
+    let (mut best, mut second, mut at, mut in_range) = (0.0_f64, 0.0_f64, k, true);
+    for i in k..n {
+        let (q, t) = t_of(pivots, i);
+        in_range &= q <= SQ_MAX;
+        second = larger(second, smaller(best, t));
+        if t > best {
+            best = t;
+            at = i;
+        }
+    }
+    let floor = best * SQ_KEEP;
+    if !in_range || floor < TOL_SQ {
+        return None;
+    }
+    if second < floor {
+        return Some(at);
+    }
+    let mut pivot: Option<(usize, f64)> = None;
+    for i in k..n {
+        if t_of(pivots, i).1 < floor {
+            continue;
+        }
+        let v = a[(i, k)];
+        let mag =
+            if same_bits(v, pivots[i].divisor) { 1.0 } else { v.modulus() / scale_of(pivots, i) };
+        if pivot.is_none_or(|(_, best)| mag > best) {
+            pivot = Some((i, mag));
+        }
+    }
+    pivot.map(|(i, _)| i)
+}
+
+/// Step `k`'s pivot row on exact scaled moduli: the first row maximizing
+/// `|a_ik| / s_i`, or `Singular` below [`SCALED_PIVOT_TOL`]. A candidate's
+/// exact modulus is computed only when its bound over its row scale
+/// exceeds the best scaled pivot so far (DESIGN.md §2.1).
+fn exact_pivot<S: Scalar>(
+    a: &Matrix<S>,
+    pivots: &mut [Pivot<S>],
+    k: usize,
+) -> Result<usize, SolveError> {
+    let mut pivot_row = k;
+    let mut pivot_scaled = a[(k, k)].modulus() / scale_of(pivots, k);
+    for i in (k + 1)..a.rows() {
+        let (v, scale) = (a[(i, k)], scale_of(pivots, i));
+        if v.modulus_bound() / scale <= pivot_scaled {
+            continue;
+        }
+        let mag = v.modulus() / scale;
+        if mag > pivot_scaled {
+            pivot_scaled = mag;
+            pivot_row = i;
+        }
+    }
+    if pivot_scaled < SCALED_PIVOT_TOL {
+        return Err(SolveError::Singular { step: k });
+    }
+    Ok(pivot_row)
+}
+
 /// The shared in-place factorization kernel behind [`Lu::factor`] and
 /// [`factor_in_place`]: scaled partial pivoting with a blocked trailing
 /// update. Returns the permutation sign.
@@ -119,14 +391,16 @@ const DENSE_BLOCK: usize = 4;
 /// per elimination step, so the blocking cannot change the arithmetic:
 /// results are bitwise-identical to the textbook doubly-indexed loop.
 ///
-/// Moduli are screened ([`Scalar::modulus_bound`]): a row scale computes
-/// an entry's exact modulus only when its bound exceeds the running
-/// maximum, and a pivot candidate only when its bound over its row scale
-/// exceeds the best scaled pivot so far. Neither skip can change a
-/// result (DESIGN.md §2.1): a skipped entry cannot raise a maximum, and
-/// since rounded division is monotone a skipped row cannot win the
-/// strict `>` that lets the first of tied rows keep the pivot. Row `k`'s
-/// own scaled pivot, the winner's and the tolerance test stay exact.
+/// The pivot decisions match exact moduli bit for bit (DESIGN.md §2.1).
+/// For [`Complex`](crate::Complex) they are made on `re² + im²` with a
+/// relative margin, computing an exact modulus only for a decision inside
+/// it; a matrix the screen cannot vouch for (a non-finite entry, an
+/// all-zero row, a row maximum out of range) takes exact row scales, and
+/// a step it cannot decide takes the exact search. Those screen the
+/// moduli through [`Scalar::modulus_bound`], which is all `f64` uses.
+/// When a complex matrix has no `-0.0` component, an update by a zero
+/// pivot-row entry and a finite multiplier is skipped: it cannot change
+/// an entry that is not `-0.0`, and no entry becomes `-0.0`.
 fn factor_kernel<S: Scalar>(
     a: &mut Matrix<S>,
     pivots: &mut Vec<Pivot<S>>,
@@ -138,45 +412,21 @@ fn factor_kernel<S: Scalar>(
     pivots.clear();
     let mut perm_sign = 1.0;
 
-    // Row scales from the original matrix (implicit equilibration), in
-    // the pass that checks finiteness. An all-zero row is singular
-    // outright, but a non-finite entry in any row is reported first.
-    let mut zero_row = None;
-    for i in 0..n {
-        let mut scale = 0.0_f64;
-        for &v in a.row(i) {
-            if !v.is_finite() {
-                return Err(SolveError::NonFinite);
-            }
-            scale = v.max_modulus(scale);
+    let screen = if S::SQUARE_SCREEN { screened_scales(a, pivots) } else { None };
+    let skip_zeros = match screen {
+        Some(no_neg_zero) => no_neg_zero,
+        None => {
+            pivots.clear();
+            exact_scales(a, pivots)?;
+            S::SQUARE_SCREEN && !a.as_slice().iter().any(|&v| has_neg_zero(v))
         }
-        if scale == 0.0 {
-            zero_row = zero_row.or(Some(i));
-        }
-        pivots.push(Pivot { row: i, scale, divisor: S::zero() });
-    }
-    if let Some(step) = zero_row {
-        return Err(SolveError::Singular { step });
-    }
+    };
 
     for k in 0..n {
-        // Scaled partial pivot: the first row maximizing |a_ik| / s_i.
-        let mut pivot_row = k;
-        let mut pivot_scaled = a[(k, k)].modulus() / pivots[k].scale;
-        for i in (k + 1)..n {
-            let (v, scale) = (a[(i, k)], pivots[i].scale);
-            if v.modulus_bound() / scale <= pivot_scaled {
-                continue;
-            }
-            let mag = v.modulus() / scale;
-            if mag > pivot_scaled {
-                pivot_scaled = mag;
-                pivot_row = i;
-            }
-        }
-        if pivot_scaled < SCALED_PIVOT_TOL {
-            return Err(SolveError::Singular { step: k });
-        }
+        let pivot_row = match screen.and_then(|_| screened_pivot(a, pivots, k)) {
+            Some(row) => row,
+            None => exact_pivot(a, pivots, k)?,
+        };
         if pivot_row != k {
             a.swap_rows(k, pivot_row);
             pivots.swap(k, pivot_row);
@@ -187,11 +437,28 @@ fn factor_kernel<S: Scalar>(
         let prow = &upper[k * n..];
         let divisor = prow[k].prepare_divisor();
         pivots[k].divisor = divisor;
+        // The pivot row's nonzero columns past `k`, listed in the scratch.
+        let mut nonzero = 0;
+        if skip_zeros {
+            for (j, &ukj) in prow.iter().enumerate().skip(k + 1) {
+                if ukj != S::zero() {
+                    pivots[nonzero].col = j;
+                    nonzero += 1;
+                }
+            }
+        }
+        let nonzero = &pivots[..nonzero];
         for block in trailing.chunks_mut(DENSE_BLOCK * n) {
             for row in block.chunks_mut(n) {
                 let factor = row[k].div_prepared(divisor);
                 row[k] = factor;
                 if factor == S::zero() {
+                    continue;
+                }
+                if skip_zeros && factor.is_finite() {
+                    for p in nonzero {
+                        row[p.col] -= factor * prow[p.col];
+                    }
                     continue;
                 }
                 for (elem, &ukj) in row[k + 1..].iter_mut().zip(&prow[k + 1..]) {

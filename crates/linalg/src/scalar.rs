@@ -55,6 +55,13 @@ pub trait Scalar:
     fn from_f64(x: f64) -> Self;
     /// `true` when all components are finite.
     fn is_finite(self) -> bool;
+    /// Whether the dense LU decides row scales and pivots on squared
+    /// moduli `re² + im²` before it computes any exact modulus
+    /// (DESIGN.md §2.1): `true` for [`Complex`], whose modulus is a
+    /// `hypot` call, `false` for `f64`, whose modulus `|x|` costs nothing.
+    const SQUARE_SCREEN: bool;
+    /// The real and imaginary parts; `(self, 0.0)` for `f64`.
+    fn parts(self) -> (f64, f64);
 }
 
 impl Scalar for f64 {
@@ -89,6 +96,11 @@ impl Scalar for f64 {
     #[inline]
     fn is_finite(self) -> bool {
         f64::is_finite(self)
+    }
+    const SQUARE_SCREEN: bool = false;
+    #[inline]
+    fn parts(self) -> (f64, f64) {
+        (self, 0.0)
     }
 }
 
@@ -125,6 +137,11 @@ impl Scalar for Complex {
     #[inline]
     fn is_finite(self) -> bool {
         Complex::is_finite(self)
+    }
+    const SQUARE_SCREEN: bool = true;
+    #[inline]
+    fn parts(self) -> (f64, f64) {
+        (self.re, self.im)
     }
 }
 

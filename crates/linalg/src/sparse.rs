@@ -31,6 +31,7 @@
 //! caller is expected to re-solve that single system with the dense
 //! backend, which does full partial pivoting.
 
+use crate::lu::{larger, SQ_KEEP, SQ_MAX, SQ_MIN};
 use crate::{Assembler, Scalar};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,6 +53,43 @@ fn fresh_rev() -> u64 {
 /// fraction of the largest magnitude in its (updated) column or the
 /// factorization reports [`SparseStatus::Unstable`].
 const STATIC_TAU: f64 = 1e-3;
+
+/// [`STATIC_TAU`] squared, for the screened guard.
+const TAU_SQ: f64 = STATIC_TAU * STATIC_TAU;
+
+/// The static pivot guard: `colmax == 0 || |piv| < STATIC_TAU·colmax`,
+/// with `colmax` the largest modulus of `piv` and `column`, bit for bit.
+/// A complex column whose squares are all in range is decided on
+/// `re² + im²` with the dense kernel's margin (DESIGN.md §5.11); otherwise,
+/// or inside the margin, on exact moduli, a column entry's computed only
+/// where its bound exceeds the running maximum.
+fn static_pivot_unstable<S: Scalar, I: Iterator<Item = S>>(piv: S, column: impl Fn() -> I) -> bool {
+    if S::SQUARE_SCREEN {
+        let square = |v: S| {
+            let (re, im) = v.parts();
+            re * re + im * im
+        };
+        let q_piv = square(piv);
+        let (mut q_max, mut in_range) = (q_piv, q_piv <= SQ_MAX);
+        for v in column() {
+            let q = square(v);
+            in_range &= q <= SQ_MAX;
+            q_max = larger(q_max, q);
+        }
+        if in_range && q_max >= SQ_MIN {
+            let bar = TAU_SQ * q_max;
+            if q_piv * SQ_KEEP >= bar {
+                return false;
+            }
+            if q_piv < bar * SQ_KEEP {
+                return true;
+            }
+        }
+    }
+    let piv_mod = piv.modulus();
+    let colmax = column().fold(piv_mod, |max, v| v.max_modulus(max));
+    colmax == 0.0 || piv_mod < STATIC_TAU * colmax
+}
 
 /// Why a sparse factor/solve could not produce a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -470,15 +508,9 @@ impl<S: Scalar> SparseLu<S> {
             }
             let prow = self.pivot_row[k];
             let piv = self.x[prow];
-            // The column maximum computes an exact modulus only where the
-            // entry's bound exceeds the running maximum, as in the dense
-            // kernel's row scales; the pivot's own modulus stays exact.
-            let piv_mod = piv.modulus();
-            let mut colmax = piv_mod;
-            for li in self.l_ptr[k]..self.l_ptr[k + 1] {
-                colmax = self.x[self.l_rows[li]].max_modulus(colmax);
-            }
-            if colmax == 0.0 || piv_mod < STATIC_TAU * colmax {
+            let column =
+                || self.l_rows[self.l_ptr[k]..self.l_ptr[k + 1]].iter().map(|&r| self.x[r]);
+            if static_pivot_unstable(piv, column) {
                 // Structurally chosen pivot is numerically untrustworthy;
                 // let the dense path (value pivoting) decide.
                 self.x.fill(S::zero());

@@ -277,7 +277,7 @@ impl<S: Scalar> Backend<S> {
 }
 
 /// Structural statistics of the backend a circuit would be solved with —
-/// the fill-in numbers recorded by `benches/solver_backends.rs`.
+/// the fill-in numbers `tests/solver_backends.rs` checks.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverReport {
     /// System dimension (node + branch unknowns).

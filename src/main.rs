@@ -430,6 +430,52 @@ fn checkpoint_on_interrupt(journal: Arc<Mutex<Journal>>) {
     });
 }
 
+/// A resume runs the campaign its journal recorded, so every flag that
+/// names part of that campaign — the bench (by name or `--netlist`, whose
+/// deck the journal pins by path and digest), agent, seed, budget, corner
+/// set, solver and journal — must repeat the recorded value or be left
+/// out. Anything else is a usage error naming the flag and the recorded
+/// value, rather than a flag the resume would silently drop.
+fn refuse_resume_conflicts(
+    args: &Args,
+    spec: &CampaignSpec,
+    journal: &Path,
+) -> Result<(), CliError> {
+    let conflict = |flag: &str, given: &str, recorded: &dyn fmt::Debug| {
+        Err(CliError::Usage(format!(
+            "{flag} {given} conflicts with the journal's recorded value {recorded:?}; \
+             resume runs the recorded campaign"
+        )))
+    };
+    if let Some(bench) = netlist_or_positional(args, "size")?.filter(|b| *b != spec.bench) {
+        return match args.value("--netlist") {
+            Some(path) => conflict("--netlist", path, &spec.bench),
+            None => conflict("benchmark", &bench, &spec.bench),
+        };
+    }
+    for (flag, recorded) in
+        [("--agent", &spec.agent), ("--corners", &spec.corners), ("--solver", &spec.solver)]
+    {
+        if let Some(given) = args.value(flag).filter(|v| *v != recorded) {
+            return conflict(flag, given, recorded);
+        }
+    }
+    if args.parse_or("--seed", spec.seed)? != spec.seed {
+        return conflict("--seed", args.value("--seed").unwrap_or_default(), &spec.seed);
+    }
+    if args.parse_or("--budget", spec.budget)? != spec.budget {
+        return conflict("--budget", args.value("--budget").unwrap_or_default(), &spec.budget);
+    }
+    if let Some(given) = args.value("--journal") {
+        let canonical = |p: &Path| std::fs::canonicalize(p).ok();
+        let recorded = canonical(journal);
+        if recorded.is_none() || canonical(Path::new(given)) != recorded {
+            return conflict("--journal", given, &journal.display().to_string());
+        }
+    }
+    Ok(())
+}
+
 fn cmd_size(args: &[String]) -> Result<(), CliError> {
     let args = Args::parse(args, &SIZE_FLAGS)?;
     let checkpoint_every = args.parse_or("--checkpoint-every", 25usize)?;
@@ -452,27 +498,7 @@ fn cmd_size(args: &[String]) -> Result<(), CliError> {
     let spec = match &resumed {
         Some((journal, _)) => {
             let spec = CampaignSpec::from_meta(journal.meta()).map_err(CliError::Runtime)?;
-            // The backend is part of the campaign's identity: a resumed run
-            // must factor with whatever the journal recorded.
-            if let Some(label) = solver_flag.filter(|label| *label != spec.solver) {
-                return Err(CliError::Usage(format!(
-                    "--solver {label} conflicts with the journal's recorded solver {:?}; \
-                     resume pins the original backend",
-                    spec.solver
-                )));
-            }
-            // Same pinning rule for the bench: a resumed netlist campaign
-            // runs the deck the journal recorded (path and digest), so a
-            // different --netlist is a conflict, not an override.
-            if let Some(path) = args.value("--netlist") {
-                if format!("netlist:{path}") != spec.bench {
-                    return Err(CliError::Usage(format!(
-                        "--netlist {path} conflicts with the journal's recorded bench {:?}; \
-                         resume pins the original deck",
-                        spec.bench
-                    )));
-                }
-            }
+            refuse_resume_conflicts(&args, &spec, journal.path())?;
             spec
         }
         None => {

@@ -18,6 +18,10 @@
 //! 5. **Every argument is read** — a flag the command does not take, or
 //!    a positional argument beyond the ones it takes, exits 2 naming it
 //!    before the command runs.
+//! 6. **A resume runs its journal's campaign** — a bench, agent, seed,
+//!    budget, corner set or journal that differs from the recorded one
+//!    exits 2 naming the flag and the recorded value; repeating the
+//!    recorded values is accepted.
 
 use asdex::serve::Json;
 use std::path::PathBuf;
@@ -193,4 +197,43 @@ fn unknown_flags_and_extra_arguments_exit_2_naming_them() {
         assert!(stderr.contains(named), "{args:?} does not name {named}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} ran: {}", String::from_utf8_lossy(&out.stdout));
     }
+}
+
+#[test]
+fn resume_refuses_flags_that_differ_from_its_journal() {
+    let dir = temp_dir("resume-flags");
+    let path = dir.join("j.journal").display().to_string();
+    let args = ["size", "bowl2", "--agent", "random", "--budget", "30", "--seed", "4"];
+    let out = asdex(&[&args[..], &["--journal", &path]].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let recorded = std::fs::read(&path).expect("journal written");
+
+    let other = dir.join("other.journal").display().to_string();
+    let quoted_path = format!("{path:?}");
+    let conflicts: [(&[&str], &str, &str); 7] = [
+        (&["--agent", "trm"], "--agent", "\"random\""),
+        (&["--budget", "31"], "--budget", "30"),
+        (&["--seed", "5"], "--seed", "4"),
+        (&["--corners", "signoff5"], "--corners", "\"nominal\""),
+        (&["--journal", &other], "--journal", &quoted_path),
+        (&["bowl3"], "benchmark bowl3", "\"bowl2\""),
+        (&["--netlist", DECK], "--netlist", "\"bowl2\""),
+    ];
+    for (extra, flag, value) in conflicts {
+        let out = asdex(&[&["size", "--resume", &path][..], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(flag) && stderr.contains(value), "{extra:?}: {stderr}");
+    }
+    assert!(std::fs::read(&path).unwrap() == recorded, "a refused resume touched the journal");
+
+    // The recorded values themselves are accepted, and the run replays.
+    let same = ["--agent", "random", "--budget", "030", "--seed", "4", "--corners", "nominal"];
+    let resume =
+        [&["size", "bowl2", "--resume", &path, "--journal", &path][..], &same[..]].concat();
+    let resumed = asdex(&resume);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "{stderr}");
+    assert_eq!(resumed.stdout, out.stdout, "the resumed report differs");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,15 +1,24 @@
 //! The dense and sparse LU kernels against verbatim copies of the
 //! kernels they replaced, bit for bit.
 //!
-//! Both kernels screen moduli through `Scalar::modulus_bound` and divide
+//! The kernels decide pivots without computing most moduli and divide
 //! through prepared pivots (`Scalar::prepare_divisor`), and neither may
-//! move a bit. The references in [`reference`] compute every modulus
-//! exactly and divide with `/`. Every case compares, for `f64` and
-//! `Complex`: the `Result` (error variant and step included), the row
-//! permutation, the bits of the factors, the determinant and the bits of
-//! the solution. Random cases span dimensions 0–48 and magnitudes
-//! 1e-300..1e300; the adversarial ones sit on each boundary of the
-//! screen.
+//! move a bit. For complex systems the dense kernel decides row scales,
+//! pivots and the tolerance test on `re² + im²` with a margin and skips
+//! updates by zero pivot-row entries, and the sparse kernel decides its
+//! static pivot guard the same way (DESIGN.md §2.1); what the squares
+//! cannot decide is screened through `Scalar::modulus_bound`. The
+//! references in [`reference`] compute every modulus exactly and divide
+//! with `/`. Every case compares, for `f64` and `Complex`: the `Result`
+//! (error variant and step included), the row permutation, the bits of
+//! the factors, the determinant and the bits of the solution. Random
+//! cases span dimensions 0–48 and magnitudes 1e-300..1e300; the
+//! adversarial ones sit on each boundary of the screens: ties and
+//! near-ties inside the margin, the edges of the squares' range, `-0.0`,
+//! overflowing multipliers, the tolerance and the sparse guard's
+//! threshold. One ignored test runs about 10⁵ systems biased toward
+//! those edges; CI runs it with
+//! `cargo test --release --test lu_bitwise -- --include-ignored`.
 
 use asdex::linalg::{
     factor_in_place, solve_factored, Assembler, Complex, Lu, Matrix, Pivot, Scalar, SolveError,
@@ -483,6 +492,376 @@ fn sparse_pivot_guard_at_its_threshold_matches() {
         let got = assert_sparse_matches(&asm, &mut got_lu, &mut want_lu, &rhs(3), &what);
         assert_eq!(got, want, "{what}");
     }
+}
+
+/// `re² + im²`, as the kernels' squared screen forms it.
+fn square(z: Complex) -> f64 {
+    z.re * z.re + z.im * z.im
+}
+
+/// `x` moved by up to four ulps either way.
+fn nudge(rng: &mut Rng, x: f64) -> f64 {
+    f64::from_bits((x.to_bits() + rng.below(9) as u64).wrapping_sub(4))
+}
+
+/// Pairs of complex values a few ulps apart whose squares order them
+/// differently from their exact moduli, or tie where the moduli do not
+/// (or the reverse): a decision taken on squares without the screen's
+/// margin gets these wrong. Each pair comes back with the larger square
+/// (the first on a tie) first.
+fn squares_misorder(seed: u64, count: usize) -> Vec<(Complex, Complex)> {
+    let mut rng = Rng(seed);
+    let mut pairs = Vec::new();
+    while pairs.len() < count {
+        let z1 = c(rng.unit() + 0.5, rng.unit() + 0.5);
+        let z2 = c(nudge(&mut rng, z1.re), nudge(&mut rng, z1.im));
+        let (q1, q2, h1, h2) = (square(z1), square(z2), z1.abs(), z2.abs());
+        if (q1 > q2) != (h1 > h2) || (q1 == q2) != (h1 == h2) {
+            pairs.push(if q2 > q1 { (z2, z1) } else { (z1, z2) });
+        }
+    }
+    pairs
+}
+
+#[test]
+fn scaled_pivots_within_the_margin_match() {
+    // Two candidates of column 0 in rows of equal scale whose squares
+    // order them unlike their exact moduli, in both row orders, beside a
+    // third row that never wins. A pivot picked on squares alone differs
+    // from the reference in every case; the screen must take each one to
+    // exact moduli.
+    let mut decided_by_moduli = 0;
+    for (k, (u, w)) in squares_misorder(5, 200).into_iter().enumerate() {
+        for (first, second) in [(u, w), (w, u)] {
+            let rows: [&[Complex]; 3] = [
+                &[first, c(4.0, 0.0), c(0.0, 1.0)],
+                &[second, c(0.0, 1.0), c(0.0, 4.0)],
+                &[c(0.25, 0.0), c(1.0, 0.0), c(1.0, 1.0)],
+            ];
+            let a = Matrix::from_rows(&rows);
+            let mut pivots = Vec::new();
+            let what = format!("pair {k}: {first} then {second}");
+            assert_matches_reference(&a, &rhs(3), &mut pivots, &what).unwrap();
+            let on_squares = usize::from(square(second) > square(first));
+            decided_by_moduli += usize::from(pivots[0].row() != on_squares);
+        }
+    }
+    assert!(decided_by_moduli >= 100, "only {decided_by_moduli} cases need exact moduli");
+
+    // Exact ties of scaled pivots under different scales and witnesses:
+    // each candidate is its own row's largest entry, so every scaled
+    // pivot is exactly 1 and the first row keeps the pivot.
+    let rows: [&[Complex]; 3] = [
+        &[c(0.0, -0.5), c(0.25, 0.0), c(0.0, 0.1)],
+        &[c(3.0, 4.0), c(1.0, 1.0), c(-2.0, 0.0)],
+        &[c(-7.0, 0.0), c(0.0, 6.0), c(1.0, -1.0)],
+    ];
+    let a = Matrix::from_rows(&rows);
+    let mut pivots = Vec::new();
+    assert_matches_reference(&a, &rhs(3), &mut pivots, "witness ties").unwrap();
+    assert_eq!(pivots[0].row(), 0);
+}
+
+#[test]
+fn scaled_pivots_at_the_tolerance_match() {
+    // Column 0's only candidate has scaled modulus within a few ulps of
+    // the 1e-13 tolerance, where its square and its exact modulus can
+    // fall on different sides of it.
+    let tol = 1e-13;
+    let mut rng = Rng(9);
+    let mut misjudged = 0;
+    for case in 0..4000 {
+        let angle = rng.unit() * std::f64::consts::FRAC_PI_2;
+        let z = c(nudge(&mut rng, tol * angle.cos()), nudge(&mut rng, tol * angle.sin()));
+        let singular = z.abs() < tol;
+        if singular == (square(z) < tol * tol) {
+            continue;
+        }
+        misjudged += 1;
+        let rows: [&[Complex]; 2] = [&[z, c(1.0, 0.0)], &[c(0.0, 0.0), c(0.0, 1.0)]];
+        let got = check(&rows, &format!("case {case}: {z}"));
+        assert_eq!(got.is_err(), singular, "case {case}");
+    }
+    assert!(misjudged >= 20, "only {misjudged} cases sit at the tolerance");
+}
+
+#[test]
+fn rows_whose_largest_entries_nearly_tie_match() {
+    // Row 1's two largest entries square in one order and have exact
+    // moduli in the other, so its scale is the modulus of the entry with
+    // the smaller square. Its column-0 entry is that entry: its exact
+    // scaled pivot is 1, tying row 0's, and row 0 keeps the pivot. Taking
+    // the scale from the larger square makes row 1's scaled pivot exceed 1.
+    let mut scale_from_the_smaller_square = 0;
+    for (k, (u, w)) in squares_misorder(6, 400).into_iter().enumerate() {
+        let rows: [&[Complex]; 3] = [
+            &[c(1.0, 0.0), c(0.5, 0.0), c(0.0, 0.5)],
+            &[w, u, c(0.1, 0.0)],
+            &[c(0.01, 0.0), c(1.0, 1.0), c(1.0, -1.0)],
+        ];
+        let a = Matrix::from_rows(&rows);
+        let mut pivots = Vec::new();
+        let what = format!("row {w}, {u}");
+        assert_matches_reference(&a, &rhs(3), &mut pivots, &what).unwrap();
+        if w.abs() > u.abs() {
+            scale_from_the_smaller_square += 1;
+            assert_eq!(pivots[0].row(), 0, "case {k}");
+        }
+    }
+    assert!(scale_from_the_smaller_square >= 20, "{scale_from_the_smaller_square}");
+
+    // Two largest entries with exactly equal squares and moduli, and with
+    // equal squares only.
+    let rows: [&[Complex]; 2] = [&[c(3.0, 4.0), c(5.0, 0.0)], &[c(0.0, 5.0), c(1.0, 0.0)]];
+    check(&rows, "equal squares and moduli").unwrap();
+    let rows: [&[Complex]; 2] = [&[c(1.0, 2.0), c(2.0, 1.0)], &[c(-2.0, 1.0), c(1.0, 0.5)]];
+    check(&rows, "equal squares").unwrap();
+}
+
+#[test]
+fn components_at_the_edges_of_the_square_range_match() {
+    // The screen runs on rows whose largest square lies in
+    // [2^-500, 2^500] (DESIGN.md §2.1); each edge, a component an ulp
+    // inside and an ulp outside it.
+    let (lo, hi) = (2f64.powi(-250), 2f64.powi(250));
+    let below = f64::from_bits(lo.to_bits() - 1);
+    let above = f64::from_bits(hi.to_bits() + 1);
+    for (k, edge) in [lo, below, hi, above].into_iter().enumerate() {
+        let rows: [&[Complex]; 3] = [
+            &[c(edge, 0.0), c(0.0, 0.5 * edge), c(0.25 * edge, 0.25 * edge)],
+            &[c(1.0, 1.0), c(0.0, edge), c(2.0, 0.0)],
+            &[c(0.5, 0.0), c(1.0, -1.0), c(edge, edge)],
+        ];
+        check(&rows, &format!("edge {k}")).unwrap();
+        let rows: [&[Complex]; 2] = [&[c(0.0, edge), c(edge, 0.0)], &[c(edge, -edge), c(0.0, 1.0)]];
+        let _ = check(&rows, &format!("edge {k}, 2x2"));
+    }
+    // Squares that underflow. Row 0's entries square to subnormals, so a
+    // screen taking its scale from them divides by a subnormal and
+    // overflows; exactly, row 0's scaled pivot is 0.1 and row 1's is 1.
+    let rows: [&[Complex]; 2] = [&[c(1e-161, 0.0), c(1e-160, 0.0)], &[c(1.0, 0.0), c(1.0, 0.0)]];
+    let mut pivots = Vec::new();
+    assert_matches_reference(&Matrix::from_rows(&rows), &rhs(2), &mut pivots, "subnormal").unwrap();
+    assert_eq!(pivots[0].row(), 1);
+    // Squares that underflow to 0: row 0 is its own row's largest entry
+    // (scaled pivot 1) though every square of its row is 0.
+    let rows: [&[Complex]; 2] = [&[c(1e-170, 0.0), c(1e-171, 0.0)], &[c(1.0, 0.0), c(2.0, 0.0)]];
+    assert_matches_reference(&Matrix::from_rows(&rows), &rhs(2), &mut pivots, "zero").unwrap();
+    assert_eq!(pivots[0].row(), 0);
+    // A component whose square underflows beside one that does not.
+    let rows: [&[Complex]; 2] =
+        [&[c(1.0, 1e-170), c(1e-170, 1.0)], &[c(-1e-170, 2.0), c(1.0, -1e-200)]];
+    check(&rows, "mixed").unwrap();
+}
+
+#[test]
+fn negative_zero_entries_take_the_full_update() {
+    // Step 0 eliminates row 1 with the multiplier (-1, +0), against a
+    // pivot row whose column 1 is zero. The update subtracts (-0, +0)
+    // from (-0, 1), which leaves (+0, 1): skipping it would keep the -0.
+    let rows: [&[Complex]; 2] = [&[c(1.0, 0.0), c(0.0, 0.0)], &[c(-1.0, 0.0), c(-0.0, 1.0)]];
+    let mut got = Matrix::from_rows(&rows);
+    check(&rows, "-0 beside a zero pivot-row entry").unwrap();
+    factor_in_place(&mut got, &mut Vec::new()).unwrap();
+    assert_eq!(got[(1, 1)].re.to_bits(), 0.0_f64.to_bits(), "the update ran");
+    let rows: [&[Complex]; 3] = [
+        &[c(2.0, 0.0), c(0.0, 0.0), c(1.0, 0.0)],
+        &[c(-1.0, 0.0), c(-0.0, 0.5), c(0.0, -0.0)],
+        &[c(0.5, 0.0), c(1.0, 0.0), c(-0.0, 2.0)],
+    ];
+    check(&rows, "3x3 with -0").unwrap();
+}
+
+#[test]
+fn overflowing_multipliers_take_the_full_update() {
+    // Row 0 pivots column 0 (both rows' scaled pivots are 1) and its
+    // column 2 is zero. Row 1's multiplier overflows: to (∞, 0) against
+    // a pivot of 1e-150, and to NaN against 1e-200, whose reciprocal
+    // divides by an underflowed square. ∞·0 is NaN, so the update of
+    // column 2 runs and leaves NaN there.
+    for pivot in [1e-150, 1e-200] {
+        let rows: [&[Complex]; 3] = [
+            &[c(pivot, 0.0), c(pivot, 0.0), c(0.0, 0.0)],
+            &[c(1e200, 0.0), c(1.0, 0.0), c(1.0, 0.0)],
+            &[c(0.0, 0.0), c(1.0, 1.0), c(2.0, 0.0)],
+        ];
+        let mut pivots = Vec::new();
+        let a = Matrix::from_rows(&rows);
+        let what = format!("pivot {pivot:e}");
+        let _ = assert_matches_reference(&a, &rhs(3), &mut pivots, &what);
+        let mut lu = a.clone();
+        let _ = factor_in_place(&mut lu, &mut pivots);
+        assert!(!lu[(1, 0)].is_finite() && lu[(1, 2)].re.is_nan(), "{what}: {lu:?}");
+    }
+    // Random rows scaled by up to 10^±300 overflow multipliers all the
+    // time. Count the cases whose reference factors hold a non-finite
+    // multiplier in a column whose pivot row has a zero past the diagonal.
+    let mut rng = Rng(7);
+    let mut pivots = Vec::new();
+    let mut exercised = 0;
+    for case in 0..1500 {
+        let n = 3 + rng.below(4);
+        let mut a = random_matrix::<Complex>(&mut rng, n, 3);
+        for v in a.as_mut_slice() {
+            if rng.chance(0.3) {
+                *v = Complex::ZERO;
+            }
+        }
+        let b: Vec<Complex> = (0..n).map(|_| Complex::random(&mut rng, 0)).collect();
+        let _ = assert_matches_reference(&a, &b, &mut pivots, &format!("case {case}"));
+        let mut lu = a.clone();
+        let _ = factor_in_place(&mut lu, &mut pivots);
+        exercised += usize::from((0..n).any(|k| {
+            (k + 1..n).any(|i| !lu[(i, k)].is_finite())
+                && (k + 1..n).any(|j| lu[(k, j)] == Complex::ZERO)
+        }));
+    }
+    assert!(exercised >= 10, "only {exercised} cases overflow a multiplier");
+}
+
+#[test]
+fn sparse_guard_within_the_margin_matches() {
+    // Column 0 of a full 3×3 pattern: the static pivot (row 0) and two
+    // entries whose squares put the pivot on the other side of τ·colmax
+    // from its exact modulus, or on it. The screen must take each to
+    // exact moduli.
+    let tau = 1e-3;
+    let mut rng = Rng(8);
+    let (mut asm, mut got_lu, mut want_lu) =
+        (SparseAssembler::new(), SparseLu::new(), reference::SparseLu::new());
+    let mut misjudged = 0;
+    for case in 0..4000 {
+        let m = c(1000.0 * (rng.unit() + 0.5), 1000.0 * rng.unit());
+        let r = tau * m.abs();
+        let angle = rng.unit() * std::f64::consts::FRAC_PI_2;
+        let piv = c(nudge(&mut rng, r * angle.cos()), nudge(&mut rng, r * angle.sin()));
+        let exact = piv.abs() < tau * m.abs();
+        if exact == (square(piv) < tau * tau * square(m)) {
+            continue;
+        }
+        misjudged += 1;
+        asm.begin(3);
+        for (i, v) in [piv, m, c(0.5 * m.re, 0.0)].into_iter().enumerate() {
+            asm.add(i, 0, v);
+            asm.add(i, 1, c(if i == 1 { 4.0 } else { 1.0 }, 0.5));
+            asm.add(i, 2, c(0.25, if i == 2 { 3.0 } else { -1.0 }));
+        }
+        let what = format!("case {case}: {piv} against {m}");
+        let got = assert_sparse_matches(&asm, &mut got_lu, &mut want_lu, &rhs(3), &what);
+        assert_eq!(got.is_err(), exact, "{what}");
+    }
+    assert!(misjudged >= 20, "only {misjudged} cases sit inside the margin");
+}
+
+/// A complex value drawn toward the squared screen's edges: `base`
+/// nudged by a few ulps (near-ties among a matrix's values), components
+/// at the edges of the screen's range or squaring below it, `-0.0` and
+/// `+0.0`, or an ordinary random value.
+fn edge_value(rng: &mut Rng, base: Complex) -> Complex {
+    let part = |rng: &mut Rng| {
+        let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+        let edge = [2f64.powi(-250), 2f64.powi(250), 1e-161, 1e-170][rng.below(4)];
+        sign * nudge(rng, edge)
+    };
+    match rng.below(10) {
+        0..=3 => {
+            let v = c(nudge(rng, base.re), nudge(rng, base.im));
+            [v, c(-v.re, v.im), c(v.im, v.re), c(v.re, -v.im)][rng.below(4)]
+        }
+        4 => c(part(rng), if rng.chance(0.5) { 0.0 } else { part(rng) }),
+        5 => c(if rng.chance(0.5) { -0.0 } else { 0.0 }, if rng.chance(0.5) { -0.0 } else { 0.0 }),
+        6 => Complex::ZERO,
+        _ => {
+            let family = rng.below(3);
+            Complex::random(rng, family)
+        }
+    }
+}
+
+#[test]
+#[ignore = "about 10^5 systems; CI runs it in release with --include-ignored"]
+fn long_randomized_run_matches_the_reference() {
+    let mut rng = Rng(10);
+    let mut pivots = Vec::new();
+    // Dense: mostly the sizes the simulator factors, some up to 48; a
+    // quarter with rows rescaled far apart, which overflows elimination.
+    let mut outcomes = [0usize; 2];
+    for case in 0..80_000 {
+        let n = if rng.chance(0.9) { 1 + rng.below(16) } else { 17 + rng.below(32) };
+        let base = c(rng.unit() + 0.5, rng.unit() * 2.0 - 1.0);
+        let mut a = Matrix::zeros(n, n);
+        for v in a.as_mut_slice() {
+            *v = edge_value(&mut rng, base);
+        }
+        if rng.chance(0.25) {
+            for i in 0..n {
+                let scale = 10f64.powf(600.0 * rng.unit() - 300.0);
+                for v in &mut a.as_mut_slice()[i * n..(i + 1) * n] {
+                    *v = *v * scale;
+                }
+            }
+        }
+        if rng.chance(0.05) {
+            // Column 0's only candidate at about 1e-13 of its row's
+            // largest entry: the tolerance test decides the factorization.
+            let i = rng.below(n);
+            for r in 0..n {
+                a[(r, 0)] = Complex::ZERO;
+            }
+            let m = a.row(i).iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+            let angle = rng.unit() * std::f64::consts::FRAC_PI_2;
+            let r = 1e-13 * if m > 0.0 { m } else { 1.0 };
+            a[(i, 0)] = c(nudge(&mut rng, r * angle.cos()), nudge(&mut rng, r * angle.sin()));
+        }
+        let b: Vec<Complex> = (0..n).map(|_| Complex::random(&mut rng, 0)).collect();
+        let ok = assert_matches_reference(&a, &b, &mut pivots, &format!("dense case {case}"));
+        outcomes[usize::from(ok.is_ok())] += 1;
+    }
+    assert!(outcomes.iter().all(|&k| k > 5_000), "failed/factored: {outcomes:?}");
+
+    // Sparse: random patterns replayed over edge-biased values, and
+    // static pivots placed near τ = 1e-3 of their column's largest entry.
+    let mut asm = SparseAssembler::<Complex>::new();
+    let (mut got_lu, mut want_lu) = (SparseLu::new(), reference::SparseLu::new());
+    let mut counts = [0usize; 3];
+    for case in 0..20_000 {
+        if case % 8 == 0 {
+            let n = 2 + rng.below(30);
+            asm.begin(n);
+            for (r, col) in random_pattern(&mut rng, n, 1.0) {
+                asm.add(r, col, Complex::ZERO);
+            }
+        }
+        let base = c(rng.unit() + 0.5, rng.unit() * 2.0 - 1.0);
+        for v in asm.vals_mut() {
+            *v = edge_value(&mut rng, base);
+        }
+        if rng.chance(0.5) {
+            // Each diagonal entry about τ times its column's largest.
+            let n = asm.dim();
+            let mut colmax = vec![0.0_f64; n];
+            for (&(_, col), v) in asm.pos().iter().zip(asm.vals()) {
+                colmax[col as usize] = colmax[col as usize].max(v.abs());
+            }
+            for (i, &m) in colmax.iter().enumerate() {
+                if let Some(slot) = asm.slot(i, i) {
+                    let angle = rng.unit() * std::f64::consts::FRAC_PI_2;
+                    let r = 1e-3 * m.min(1e300);
+                    asm.vals_mut()[slot] =
+                        c(nudge(&mut rng, r * angle.cos()), nudge(&mut rng, r * angle.sin()));
+                }
+            }
+        }
+        let n = asm.dim();
+        let b: Vec<Complex> = (0..n).map(|_| Complex::random(&mut rng, 0)).collect();
+        let what = format!("sparse case {case}");
+        counts[match assert_sparse_matches(&asm, &mut got_lu, &mut want_lu, &b, &what) {
+            Ok(()) => 0,
+            Err(SparseStatus::Unstable) => 1,
+            Err(SparseStatus::NonFinite) => 2,
+        }] += 1;
+    }
+    assert!(counts[0] > 1_000 && counts[1] > 1_000, "ok/unstable/non-finite: {counts:?}");
 }
 
 /// The kernels as they were before the screened moduli and prepared
